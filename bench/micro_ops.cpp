@@ -301,7 +301,9 @@ void BM_RadiationKernel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * particles * 32);
 }
-BENCHMARK(BM_RadiationKernel)->Arg(256)->Arg(1024);
+// 65536: the in-transit producer's electron count (32x64x8 box, 4 per
+// cell).
+BENCHMARK(BM_RadiationKernel)->Arg(256)->Arg(1024)->Arg(65536);
 
 // --- GEMM acceptance gate --------------------------------------------------
 

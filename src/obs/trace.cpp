@@ -63,7 +63,6 @@ TraceRecorder::ThreadLog& TraceRecorder::local() {
   thread_local ThreadLog* log = [this] {
     auto fresh = std::make_shared<ThreadLog>();
     std::lock_guard<std::mutex> lock(mutex_);
-    fresh->ring.resize(capacity_);
     fresh->tid = static_cast<int>(logs_.size());
     logs_.push_back(fresh);
     return fresh.get();
@@ -74,6 +73,10 @@ TraceRecorder::ThreadLog& TraceRecorder::local() {
 void TraceRecorder::record(const char* category, const char* name,
                            std::uint64_t beginNs, std::uint64_t endNs) {
   ThreadLog& log = local();
+  if (log.ring.empty()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    log.ring.resize(capacity_);
+  }
   const std::uint64_t h = log.head.load(std::memory_order_relaxed);
   log.ring[h % log.ring.size()] = Event{category, name, beginNs, endNs};
   log.head.store(h + 1, std::memory_order_release);
@@ -95,6 +98,7 @@ std::size_t TraceRecorder::eventCount() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
   for (const auto& log : logs_) {
+    if (log->ring.empty()) continue;  // never recorded
     const std::uint64_t h = log->head.load(std::memory_order_acquire);
     total += static_cast<std::size_t>(
         h < log->ring.size() ? h : static_cast<std::uint64_t>(log->ring.size()));
@@ -102,10 +106,18 @@ std::size_t TraceRecorder::eventCount() const {
   return total;
 }
 
+std::size_t TraceRecorder::reservedEvents() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t total = 0;
+  for (const auto& log : logs_) total += log->ring.size();
+  return total;
+}
+
 std::uint64_t TraceRecorder::droppedCount() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t dropped = 0;
   for (const auto& log : logs_) {
+    if (log->ring.empty()) continue;  // never recorded
     const std::uint64_t h = log->head.load(std::memory_order_acquire);
     if (h > log->ring.size()) dropped += h - log->ring.size();
   }
@@ -141,6 +153,7 @@ void TraceRecorder::writeJson(std::ostream& os) const {
     os << "\"}}";
   }
   for (const auto& log : logs_) {
+    if (log->ring.empty()) continue;  // never recorded
     const std::uint64_t head = log->head.load(std::memory_order_acquire);
     const std::uint64_t cap = static_cast<std::uint64_t>(log->ring.size());
     const std::uint64_t begin = head > cap ? head - cap : 0;

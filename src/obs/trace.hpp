@@ -1,7 +1,8 @@
 /// \file trace.hpp
 /// Span tracing for the hot paths: `TRACE_SCOPE("pic", "tile_pass")`
 /// records one RAII-timed span into the calling thread's private ring
-/// buffer — no locks, no allocation on the record path — and
+/// buffer — no locks, no allocation on the record path once the thread's
+/// first span has allocated its ring — and
 /// `TraceRecorder::writeJson` flushes everything as Chrome `trace_event`
 /// JSON that chrome://tracing and https://ui.perfetto.dev load directly.
 ///
@@ -64,8 +65,11 @@ class TraceRecorder {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Ring capacity (events) for buffers created *after* the call; when a
+  /// Ring capacity (events) for rings allocated *after* the call; when a
   /// ring is full the oldest events are overwritten and counted dropped.
+  /// A thread's ring is allocated at its first recorded span, so threads
+  /// that only label themselves (`setThreadName`/`setThreadRank`) or
+  /// record while tracing is off reserve none.
   void setCapacity(std::size_t eventsPerThread);
 
   /// Record one completed span into the calling thread's ring.
@@ -83,6 +87,8 @@ class TraceRecorder {
 
   /// Total spans currently buffered across all threads (quiescent only).
   std::size_t eventCount() const;
+  /// Ring slots allocated across all threads (quiescent only).
+  std::size_t reservedEvents() const;
   /// Spans overwritten because a ring wrapped (quiescent only).
   std::uint64_t droppedCount() const;
   /// Drop all buffered spans; rings and thread labels survive.
@@ -96,7 +102,7 @@ class TraceRecorder {
 
  private:
   struct ThreadLog {
-    std::vector<Event> ring;
+    std::vector<Event> ring;  ///< empty until the first recorded span
     /// Monotone count of spans ever recorded; slot = head % ring.size().
     /// Written only by the owning thread; release-stored so a quiescent
     /// reader that joined the thread sees completed events.

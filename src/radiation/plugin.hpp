@@ -4,6 +4,7 @@
 /// can pair each region's point cloud with "its" spectrum (Fig 9).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "pic/khi.hpp"
@@ -28,7 +29,9 @@ class RadiationPlugin : public pic::Plugin {
   SpectralAccumulator acc_;
 };
 
-/// Region-resolved variant: one accumulator per KHI region.
+/// Region-resolved variant: one accumulator per KHI region. Each step
+/// sorts the electrons into per-region ranges and runs one RadiationKernel
+/// call for all three regions.
 class RegionRadiationPlugin : public pic::Plugin {
  public:
   RegionRadiationPlugin(DetectorConfig cfg, std::size_t speciesIdx,
@@ -43,6 +46,10 @@ class RegionRadiationPlugin : public pic::Plugin {
   std::size_t speciesIdx_;
   double vortexHalfWidth_;
   std::vector<SpectralAccumulator> acc_;  ///< indexed by KhiRegion
+  // Reused across steps.
+  std::vector<std::uint8_t> regionOf_;  ///< KhiRegion per particle
+  RegionRanges ranges_;
+  RadiationKernel kernel_;
 };
 
 }  // namespace artsci::radiation

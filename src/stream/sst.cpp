@@ -1,5 +1,6 @@
 #include "stream/sst.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -394,6 +395,14 @@ std::vector<const Block*> SstEngine::Reader::myBlocks(
     if (b.writerRank % engine_.params_.readerRanks == rank_)
       out.push_back(&b);
   }
+  // Writers put concurrently, so arrival order is a scheduling accident;
+  // hand blocks out in the canonical (writerRank, offset) order.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Block* a, const Block* b) {
+                     if (a->writerRank != b->writerRank)
+                       return a->writerRank < b->writerRank;
+                     return a->offset < b->offset;
+                   });
   return out;
 }
 

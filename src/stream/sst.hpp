@@ -167,7 +167,9 @@ class SstEngine {
 
     /// Locality-aware default assignment: blocks whose writerRank maps to
     /// this reader (writerRank % readerRanks == rank) — "data is shared
-    /// within node boundaries" (paper §IV-D).
+    /// within node boundaries" (paper §IV-D). Blocks come in canonical
+    /// order — ascending writerRank, then ascending offset
+    /// (lexicographic) — never in the order concurrent writers put them.
     std::vector<const Block*> myBlocks(const StepData& step,
                                        const std::string& variable) const;
 

@@ -268,5 +268,53 @@ TEST(ObsTrace, PerThreadRankAttribution) {
   rec.clear();
 }
 
+TEST(ObsTrace, LabelOnlyThreadsReserveNoRing) {
+  // Rank teams and trainer threads label themselves every step; with
+  // tracing off they must not pin a ring each (peak RSS grew ~2 MiB per
+  // streamed step when labelling allocated the ring).
+  auto& rec = TraceRecorder::instance();
+  rec.clear();
+  rec.setEnabled(false);
+  const std::size_t reservedBefore = rec.reservedEvents();
+  for (int r = 0; r < 8; ++r) {
+    std::thread t([&rec, r] {
+      rec.setThreadRank(r);
+      rec.setThreadName("label only " + std::to_string(r));
+      TRACE_SCOPE("test", "disabled_span");
+    });
+    t.join();
+  }
+  EXPECT_EQ(rec.reservedEvents(), reservedBefore);
+
+  // A labelled thread that records later still exports under its name.
+  rec.setEnabled(true);
+  std::thread late([&rec] {
+    rec.setThreadRank(5);
+    rec.setThreadName("late recorder");
+    TRACE_SCOPE("test", "late_span");
+  });
+  late.join();
+  rec.setEnabled(false);
+  EXPECT_GT(rec.reservedEvents(), reservedBefore);
+  EXPECT_EQ(rec.eventCount(), 1u);
+  EXPECT_EQ(rec.droppedCount(), 0u);
+  std::ostringstream os;
+  rec.writeJson(os);
+  const std::string json = os.str();
+  const auto named = json.find("\"late recorder\"");
+  ASSERT_NE(named, std::string::npos);
+  // The span carries the named thread's (pid, tid): pid 5 is this rank.
+  const auto meta = json.rfind("\"tid\": ", named);
+  ASSERT_NE(meta, std::string::npos);
+  const std::string tid = json.substr(meta, json.find(',', meta) - meta);
+  const auto span = json.find("\"name\": \"late_span\"");
+  ASSERT_NE(span, std::string::npos);
+  const auto spanEnd = json.find('}', span);
+  const std::string spanJson = json.substr(span, spanEnd - span);
+  EXPECT_TRUE(contains(spanJson, "\"pid\": 5")) << spanJson;
+  EXPECT_TRUE(spanJson.ends_with(tid)) << spanJson << " vs " << tid;
+  rec.clear();
+}
+
 }  // namespace
 }  // namespace artsci::obs

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/units.hpp"
 #include "pic/khi.hpp"
@@ -81,6 +89,14 @@ TEST(Detector, InertialMotionRadiatesNothing) {
   std::vector<double> zero(1, 0.0);
   for (int s = 0; s < 100; ++s)
     acc.accumulate(p, zero, zero, zero, s * 0.01, 0.01, grid);
+  for (double v : acc.intensity(0)) EXPECT_EQ(v, 0.0);
+}
+
+TEST(Detector, EmptyBufferAddsNothing) {
+  SpectralAccumulator acc(DetectorConfig::defaultKhi(8));
+  ParticleBuffer p({-1.0, 1.0, "e"});
+  const std::vector<double> none;
+  acc.accumulate(p, none, none, none, 0.0, 0.1, GridSpec{8, 8, 8, 1, 1, 1});
   for (double v : acc.intensity(0)) EXPECT_EQ(v, 0.0);
 }
 
@@ -233,29 +249,225 @@ TEST(RadiationPluginTest, RequiresBetaDotRecording) {
   EXPECT_THROW(sim.step(), ContractError);
 }
 
-TEST(RegionRadiationPluginTest, SplitsByRegion) {
+/// Scalar reference for the two-stage kernel: one loop per (direction,
+/// frequency) that recomputes every per-particle term, summing one
+/// region's particles in the order `subset` lists them.
+class ReferenceDetector {
+ public:
+  explicit ReferenceDetector(DetectorConfig cfg)
+      : cfg_(std::move(cfg)),
+        amp_(cfg_.directions.size() * cfg_.frequencies.size() * 3) {}
+
+  void accumulate(const ParticleBuffer& particles,
+                  const std::vector<double>& bdx,
+                  const std::vector<double>& bdy,
+                  const std::vector<double>& bdz, double time, double dt,
+                  const GridSpec& grid,
+                  const std::vector<std::size_t>& subset) {
+    const std::size_t nFreq = cfg_.frequencies.size();
+    for (std::size_t d = 0; d < cfg_.directions.size(); ++d) {
+      for (std::size_t f = 0; f < nFreq; ++f) {
+        const Vec3d n = cfg_.directions[d];
+        const double omega = cfg_.frequencies[f];
+        double ff = 1.0;
+        if (cfg_.formFactorRadius > 0.0) {
+          const double x = omega * cfg_.formFactorRadius;
+          ff = std::exp(-0.5 * x * x);
+        }
+        std::complex<double> ax{}, ay{}, az{};
+        for (const std::size_t i : subset) {
+          const double g = particles.gamma(i);
+          const Vec3d beta{particles.ux[i] / g, particles.uy[i] / g,
+                           particles.uz[i] / g};
+          const Vec3d betaDot{bdx[i], bdy[i], bdz[i]};
+          const double oneMinusNBeta = 1.0 - n.dot(beta);
+          const Vec3d inner = (n - beta).cross(betaDot);
+          const Vec3d kernel =
+              n.cross(inner) * (1.0 / (oneMinusNBeta * oneMinusNBeta));
+          const Vec3d r{particles.x[i] * grid.dx, particles.y[i] * grid.dy,
+                        particles.z[i] * grid.dz};
+          const double phase = omega * (time - n.dot(r));
+          const std::complex<double> rot{std::cos(phase), std::sin(phase)};
+          const double wff = particles.w[i] * ff * dt;
+          ax += kernel.x * wff * rot;
+          ay += kernel.y * wff * rot;
+          az += kernel.z * wff * rot;
+        }
+        amp_[(d * nFreq + f) * 3 + 0] += ax;
+        amp_[(d * nFreq + f) * 3 + 1] += ay;
+        amp_[(d * nFreq + f) * 3 + 2] += az;
+      }
+    }
+  }
+
+  std::complex<double> amplitude(std::size_t d, std::size_t f,
+                                 std::size_t c) const {
+    return amp_[(d * cfg_.frequencies.size() + f) * 3 + c];
+  }
+
+ private:
+  DetectorConfig cfg_;
+  std::vector<std::complex<double>> amp_;
+};
+
+/// Runs ReferenceDetector beside the plugins under test: one detector over
+/// every particle, and one per KHI region over its ascending index set.
+class ReferencePlugin : public pic::Plugin {
+ public:
+  ReferencePlugin(const DetectorConfig& cfg, std::size_t speciesIdx,
+                  double vortexHalfWidthCells)
+      : speciesIdx_(speciesIdx),
+        vortexHalfWidth_(vortexHalfWidthCells),
+        all_(cfg),
+        regions_(3, ReferenceDetector(cfg)) {}
+
+  const char* name() const override { return "radiation/reference"; }
+  void onStepEnd(pic::Simulation& sim) override {
+    const auto& p = sim.species(speciesIdx_);
+    std::vector<std::size_t> every, subset[3];
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      every.push_back(i);
+      const auto region =
+          pic::classifyKhiRegion(p.y[i], sim.grid().ny, vortexHalfWidth_);
+      subset[static_cast<std::size_t>(region)].push_back(i);
+    }
+    const auto& bdx = sim.betaDotX(speciesIdx_);
+    const auto& bdy = sim.betaDotY(speciesIdx_);
+    const auto& bdz = sim.betaDotZ(speciesIdx_);
+    all_.accumulate(p, bdx, bdy, bdz, sim.time(), sim.dt(), sim.grid(),
+                    every);
+    for (int r = 0; r < 3; ++r)
+      regions_[static_cast<std::size_t>(r)].accumulate(
+          p, bdx, bdy, bdz, sim.time(), sim.dt(), sim.grid(), subset[r]);
+  }
+
+  const ReferenceDetector& all() const { return all_; }
+  const ReferenceDetector& region(pic::KhiRegion r) const {
+    return regions_[static_cast<std::size_t>(r)];
+  }
+
+ private:
+  std::size_t speciesIdx_;
+  double vortexHalfWidth_;
+  ReferenceDetector all_;
+  std::vector<ReferenceDetector> regions_;
+};
+
+/// Bitwise equality of every amplitude component, -0.0 vs +0.0 included.
+void expectBitIdentical(const SpectralAccumulator& acc,
+                        const ReferenceDetector& ref,
+                        const std::string& what) {
+  std::size_t mismatches = 0;
+  for (std::size_t d = 0; d < acc.directionCount(); ++d)
+    for (std::size_t f = 0; f < acc.frequencies().size(); ++f) {
+      const auto a = acc.amplitude(d, f);
+      for (std::size_t c = 0; c < 3; ++c) {
+        const auto b = ref.amplitude(d, f, c);
+        if (std::bit_cast<std::uint64_t>(a[c].real()) !=
+                std::bit_cast<std::uint64_t>(b.real()) ||
+            std::bit_cast<std::uint64_t>(a[c].imag()) !=
+                std::bit_cast<std::uint64_t>(b.imag()))
+          ++mismatches;
+      }
+    }
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+double totalIntensity(const SpectralAccumulator& acc) {
+  double total = 0;
+  for (std::size_t d = 0; d < acc.directionCount(); ++d)
+    for (double v : acc.intensity(d)) total += v;
+  return total;
+}
+
+/// KHI box with both region plugins and the reference beside them.
+struct OracleRun {
+  std::shared_ptr<RadiationPlugin> single;
+  std::shared_ptr<RegionRadiationPlugin> regions;
+  std::shared_ptr<ReferencePlugin> reference;
+};
+
+OracleRun runOracle(const DetectorConfig& det, double vortexHalfWidthCells,
+                    long steps) {
   pic::KhiConfig kcfg;
   kcfg.grid = GridSpec{8, 32, 4, 0.25, 0.25, 0.25};
   kcfg.dt = 0.08;
-  kcfg.particlesPerCell = 2;
+  // Weight = cell volume / 3 is no power of two, so any reassociation of
+  // w * ff * dt shows in the bits.
+  kcfg.particlesPerCell = 3;
   pic::SimulationConfig sc;
   sc.grid = kcfg.grid;
   sc.dt = kcfg.dt;
   sc.recordBetaDot = true;
   pic::Simulation sim(sc);
   const auto sp = initializeKhi(sim, kcfg);
-  auto plugin = std::make_shared<RegionRadiationPlugin>(
-      DetectorConfig::defaultKhi(16), sp.electrons, 3.0);
-  sim.addPlugin(plugin);
-  sim.run(30);
-  for (auto region :
-       {pic::KhiRegion::kApproaching, pic::KhiRegion::kReceding,
-        pic::KhiRegion::kVortex}) {
-    const auto spec = plugin->accumulator(region).intensity(0);
-    double total = 0;
-    for (double v : spec) total += v;
-    EXPECT_GT(total, 0.0) << pic::khiRegionName(region);
+  OracleRun run{
+      std::make_shared<RadiationPlugin>(det, sp.electrons),
+      std::make_shared<RegionRadiationPlugin>(det, sp.electrons,
+                                              vortexHalfWidthCells),
+      std::make_shared<ReferencePlugin>(det, sp.electrons,
+                                        vortexHalfWidthCells)};
+  sim.addPlugin(run.single);
+  sim.addPlugin(run.regions);
+  sim.addPlugin(run.reference);
+  sim.run(steps);
+  return run;
+}
+
+constexpr pic::KhiRegion kRegions[] = {pic::KhiRegion::kApproaching,
+                                       pic::KhiRegion::kReceding,
+                                       pic::KhiRegion::kVortex};
+
+TEST(RadiationKernelOracle, BitIdenticalToPerFrequencyLoop) {
+  // Two directions (one oblique, so n x ... mixes all components), with
+  // and without the form factor, at OMP teams of 1, 2 and 8.
+  DetectorConfig det;
+  det.directions = {Vec3d{1, 0, 0}, Vec3d{0.6, 0.8, 0.0}};
+  det.frequencies = logFrequencyAxis(0.3, 30.0, 16);
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (double radius : {0.0, 0.05}) {
+    det.formFactorRadius = radius;
+    for (int threads : {1, 2, 8}) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#else
+      if (threads > 1) continue;
+#endif
+      const auto run = runOracle(det, 3.0, 6);
+      const std::string tag = "radius=" + std::to_string(radius) +
+                              " threads=" + std::to_string(threads);
+      expectBitIdentical(run.single->accumulator(), run.reference->all(),
+                         "all particles " + tag);
+      EXPECT_GT(totalIntensity(run.single->accumulator()), 0.0);
+      for (auto region : kRegions) {
+        const auto& acc = run.regions->accumulator(region);
+        expectBitIdentical(acc, run.reference->region(region),
+                           std::string(pic::khiRegionName(region)) + " " + tag);
+        EXPECT_GT(totalIntensity(acc), 0.0) << pic::khiRegionName(region);
+      }
+    }
   }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+TEST(RadiationKernelOracle, EmptyRegionsStayZero) {
+  // A vortex half-width wider than the box puts every electron in the
+  // vortex region; the two stream regions are empty.
+  const auto run = runOracle(DetectorConfig::defaultKhi(8), 100.0, 3);
+  for (auto region : kRegions)
+    expectBitIdentical(run.regions->accumulator(region),
+                       run.reference->region(region),
+                       pic::khiRegionName(region));
+  for (auto region :
+       {pic::KhiRegion::kApproaching, pic::KhiRegion::kReceding})
+    for (double v : run.regions->accumulator(region).intensity(0))
+      EXPECT_EQ(v, 0.0);
+  EXPECT_GT(totalIntensity(run.regions->accumulator(pic::KhiRegion::kVortex)),
+            0.0);
 }
 
 }  // namespace

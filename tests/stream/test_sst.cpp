@@ -401,14 +401,20 @@ TEST(Sst, StepTimeoutThrowsTypedErrorAndFailsStream) {
 
 TEST(Sst, InjectedPeerDeathAbortsTheWholeGroup) {
   // Seeded fault plan: the writer's 2nd endStep dies. The writer sees
-  // PeerDeathError; the reader — blocked waiting for step 1 — must wake
-  // with StreamPeerFailedError carrying the death notice, never hang.
+  // PeerDeathError; the reader must wake with StreamPeerFailedError
+  // carrying the death notice, never hang. The engine fails fast, so the
+  // error comes from whichever reader call follows the death: step 0's
+  // beginStep/endStep when the death lands first, else the wait for
+  // step 1.
   fault::ScopedPlan plan(
       fault::Plan::parseSpec("sst.writer.end_step@2:die"));
   SstEngine engine(SstParams{1, 1, /*queueLimit=*/2});
 
   std::atomic<bool> writerDied{false};
-  std::thread producer([&] {
+  // A jthread joins on every exit path: leaving the scope with a joinable
+  // std::thread (an unexpected exception, a failed ASSERT) would call
+  // std::terminate.
+  std::jthread producer([&] {
     auto writer = engine.makeWriter(0);
     try {
       for (long s = 0; s < 3; ++s) {
@@ -423,11 +429,11 @@ TEST(Sst, InjectedPeerDeathAbortsTheWholeGroup) {
   });
 
   auto reader = engine.makeReader(0);
-  auto step0 = reader.beginStep();
-  ASSERT_NE(step0, nullptr);
-  EXPECT_EQ(step0->step, 0);
-  reader.endStep();
   try {
+    auto step0 = reader.beginStep();
+    ASSERT_NE(step0, nullptr);
+    EXPECT_EQ(step0->step, 0);
+    reader.endStep();
     while (auto step = reader.beginStep()) reader.endStep();
     FAIL() << "reader saw clean end-of-stream from a dead peer";
   } catch (const StreamPeerFailedError& e) {
