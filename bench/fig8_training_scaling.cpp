@@ -9,10 +9,14 @@
 ///
 ///   ./bench/bench_fig8_training_scaling [--json <path>]
 ///
-/// --json writes the measured per-rank batch times and efficiencies (CI
-/// uploads it as the BENCH_fig8 artifact).
+/// The measured part prints the host's hardware thread count and marks
+/// rank counts above it as oversubscribed: those rows get no efficiency
+/// figure and are left out of the --json record, which holds the
+/// measured per-rank batch times and efficiencies (CI uploads it as the
+/// BENCH_fig8 artifact).
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -96,8 +100,12 @@ int main(int argc, char** argv) {
   std::printf("Fig 8 — weak scaling of in-transit training (efficiency %%)\n");
   std::printf("==============================================================\n\n");
 
+  const unsigned cores = std::thread::hardware_concurrency();
   std::printf("[A] Measured: thread-rank DDP on this machine, batch 8/rank,\n");
-  std::printf("    reduced model preset, >4-sigma outliers removed\n\n");
+  std::printf("    reduced model preset, >4-sigma outliers removed\n");
+  std::printf("    host: %u hardware threads; rank counts above that are\n"
+              "    oversubscribed (no efficiency, not recorded)\n\n",
+              cores);
   std::vector<std::size_t> rankAxis;
   std::vector<double> batchSeconds, efficiencies;
   {
@@ -106,6 +114,11 @@ int main(int argc, char** argv) {
     for (std::size_t ranks : {1u, 2u, 4u, 8u}) {
       const double t = measuredBatchSeconds(ranks, 10);
       if (ranks == 1) t1 = t;
+      if (cores > 0 && ranks > cores) {
+        rows.push_back({std::to_string(ranks),
+                        ascii::num(t * 1e3, 2) + " ms", "oversubscribed"});
+        continue;
+      }
       rankAxis.push_back(ranks);
       batchSeconds.push_back(t);
       efficiencies.push_back(100.0 * t1 / t);
@@ -160,7 +173,9 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"bench\": \"fig8_training_weak_scaling\",\n"
                  "  \"setup\": \"thread_ddp_reduced_model_batch8\",\n"
-                 "  \"measured\": [\n");
+                 "  \"host_cores\": %u,\n"
+                 "  \"measured\": [\n",
+                 cores);
     for (std::size_t i = 0; i < rankAxis.size(); ++i) {
       std::fprintf(f,
                    "    {\"ranks\": %zu, \"batch_seconds\": %.6f, "

@@ -25,7 +25,7 @@
 #include "ml/kernels/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/losses.hpp"
-#include "pic/deposit.hpp"
+#include "pic/deposit_buffer.hpp"
 #include "pic/interpolate.hpp"
 #include "pic/pusher.hpp"
 #include "radiation/detector.hpp"
@@ -257,13 +257,19 @@ BENCHMARK(BM_BorisPush);
 
 void BM_EsirkepovDeposit(benchmark::State& state) {
   pic::GridSpec g{16, 16, 16, 0.2, 0.2, 0.2};
-  pic::VectorField J(g);
+  // One tile spans the grid, so every stencil write lands in its padded
+  // accumulator.
+  pic::DepositBuffer accum(g, pic::TileDepositConfig{16, 16});
+  const pic::DepositBuffer::TileAccum sink = accum.zeroedTile(0);
   Rng rng(6);
   for (auto _ : state) {
     const double x0 = rng.uniform(2, 14), y0 = rng.uniform(2, 14),
                  z0 = rng.uniform(2, 14);
-    pic::depositCurrentEsirkepov(J, g, x0, y0, z0, x0 + 0.3, y0 - 0.2,
-                                 z0 + 0.1, -1.0, 0.1);
+    pic::DepositBuffer::scatterEsirkepovTile(g, x0, y0, z0, x0 + 0.3,
+                                             y0 - 0.2, z0 + 0.1, -1.0, 0.1,
+                                             sink);
+    benchmark::DoNotOptimize(sink.jx);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <fstream>
 
-#include "common/log.hpp"
+#include "common/error.hpp"
 
 namespace artsci::ml {
 
@@ -55,44 +55,33 @@ void loadParameters(const std::string& path, std::vector<Tensor>& params) {
     return v;
   };
   const std::uint64_t magic = readU64("magic");
-  ARTSCI_CHECK_MSG(magic == kMagicV1 || magic == kMagicV2,
+  // Legacy ARTSCIP1 files predate config-derived INN permutations
+  // (Inn::Config::permSeed): the permutations they trained under were
+  // drawn from the weight-init RNG, which this build no longer
+  // reproduces, so a restored model would predict silently different
+  // values.
+  ARTSCI_CHECK_MSG(magic != kMagicV1,
+                   "'" << path
+                       << "' is a legacy ARTSCIP1 checkpoint, written before "
+                          "INN permutations were derived from the model "
+                          "config; this build reads only ARTSCIP2");
+  ARTSCI_CHECK_MSG(magic == kMagicV2,
                    "'" << path << "' is not an artsci checkpoint");
-  std::uint64_t declaredElements = 0;
-  const bool versioned = (magic == kMagicV2);
-  if (!versioned) {
-    // Legacy files predate config-derived INN permutations
-    // (Inn::Config::permSeed): they were written by builds that drew
-    // permutations from the weight-init RNG, which this build no longer
-    // reproduces. Shapes still match, so the load proceeds — but a model
-    // trained under the old scheme will pair these weights with different
-    // permutations and predict silently different values.
-    log::warn("serialize",
-              "'", path,
-              "' is a legacy (unversioned) checkpoint written before INN "
-              "permutations were derived from the model config; restored "
-              "predictions may not match the original trained network. "
-              "Re-save with saveParameters() to upgrade.");
-  }
-  if (versioned) {
-    const std::uint64_t version = readU64("version");
-    ARTSCI_CHECK_MSG(version == kVersion,
-                     "'" << path << "' has checkpoint version " << version
-                         << ", this build reads version " << kVersion
-                         << " (and the legacy unversioned format)");
-  }
+  const std::uint64_t version = readU64("version");
+  ARTSCI_CHECK_MSG(version == kVersion,
+                   "'" << path << "' has checkpoint version " << version
+                       << ", this build reads version " << kVersion);
   const std::uint64_t count = readU64("tensor count");
   ARTSCI_CHECK_MSG(count == params.size(),
                    "checkpoint '" << path << "' has " << count
                                   << " tensors, expected " << params.size());
-  if (versioned) {
-    declaredElements = readU64("element count");
-    ARTSCI_CHECK_MSG(
-        declaredElements == totalElements(params),
-        "checkpoint '" << path << "' holds " << declaredElements
-                       << " scalars, the target parameter list holds "
-                       << totalElements(params)
-                       << " — model architecture mismatch");
-  }
+  const std::uint64_t declaredElements = readU64("element count");
+  ARTSCI_CHECK_MSG(declaredElements == totalElements(params),
+                   "checkpoint '" << path << "' holds " << declaredElements
+                                  << " scalars, the target parameter list "
+                                     "holds "
+                                  << totalElements(params)
+                                  << " — model architecture mismatch");
   std::size_t index = 0;
   for (auto& p : params) {
     const std::uint64_t nd = readU64("tensor rank");

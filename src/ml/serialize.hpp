@@ -6,12 +6,12 @@
 /// On-disk format (version 2, magic "ARTSCIP2"):
 ///   u64 magic | u64 version | u64 tensorCount | u64 totalElements
 ///   then per tensor: u64 ndim | u64 dims[ndim] | f64 data[numel]
-/// Files written by the original unversioned format (magic "ARTSCIP1",
-/// no version/totalElements words) are still readable, with a logged
-/// warning: they predate config-derived INN permutations, so a legacy
-/// checkpoint of a *trained* INN may not reproduce the original network's
-/// predictions (the permutations it trained under were drawn from the
-/// weight-init RNG and are not recorded in the file).
+/// Files in the original unversioned format (magic "ARTSCIP1", no
+/// version/totalElements words) are rejected: they predate config-derived
+/// INN permutations, so their weights would pair with permutations this
+/// build does not draw (the ones they trained under came from the
+/// weight-init RNG and are not recorded in the file), and the restored
+/// network would predict silently different values.
 #pragma once
 
 #include <string>
@@ -27,9 +27,10 @@ void saveParameters(const std::string& path,
                     const std::vector<Tensor>& params);
 
 /// Load tensors saved by saveParameters into `params`. The checkpoint must
-/// hold exactly params.size() tensors whose shapes match element-wise;
-/// truncated, corrupt, or mismatched files fail with a ContractError that
-/// names the problem instead of reading garbage.
+/// be an ARTSCIP2 file holding exactly params.size() tensors whose shapes
+/// match element-wise; legacy ARTSCIP1, truncated, corrupt, or mismatched
+/// files fail with a ContractError that names the problem instead of
+/// reading garbage.
 void loadParameters(const std::string& path, std::vector<Tensor>& params);
 
 /// Copy parameter values src -> dst (shape-checked, element-wise). The

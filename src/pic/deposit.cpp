@@ -4,126 +4,23 @@
 
 namespace artsci::pic {
 
-namespace {
-
-/// Scatter sink committing straight into the global field with atomic
-/// adds (DepositMode::Atomic). Periodic wrapping happens per write via
-/// Field3::at.
-struct AtomicCurrentSink {
-  VectorField& J;
-  void addJx(long i, long j, long k, double v) const {
-    double& dst = J.x.at(i, j, k);
-#ifdef _OPENMP
-#pragma omp atomic
-#endif
-    dst += v;
-  }
-  void addJy(long i, long j, long k, double v) const {
-    double& dst = J.y.at(i, j, k);
-#ifdef _OPENMP
-#pragma omp atomic
-#endif
-    dst += v;
-  }
-  void addJz(long i, long j, long k, double v) const {
-    double& dst = J.z.at(i, j, k);
-#ifdef _OPENMP
-#pragma omp atomic
-#endif
-    dst += v;
-  }
-};
-
-struct AtomicChargeSink {
-  Field3& rho;
-  void add(long i, long j, long k, double v) const {
-    double& dst = rho.at(i, j, k);
-#ifdef _OPENMP
-#pragma omp atomic
-#endif
-    dst += v;
-  }
-};
-
-}  // namespace
-
-void depositCurrentEsirkepov(VectorField& J, const GridSpec& grid,
-                             double x0, double y0, double z0, double x1,
-                             double y1, double z1, double chargeWeight,
-                             double dt) {
-  ARTSCI_EXPECTS(dt > 0);
-  detail::scatterEsirkepov(grid, x0, y0, z0, x1, y1, z1, chargeWeight, dt,
-                           AtomicCurrentSink{J});
-}
-
-void depositCurrent(VectorField& J, const GridSpec& grid,
-                    const ParticleBuffer& buffer,
-                    const std::vector<double>& oldX,
-                    const std::vector<double>& oldY,
-                    const std::vector<double>& oldZ, double dt,
-                    DepositMode mode, DepositBuffer* scratch) {
-  ARTSCI_EXPECTS(oldX.size() == buffer.size());
-  if (mode == DepositMode::Tiled) {
-    if (scratch != nullptr) {
-      // Cell sizes must match too: the tiled kernels take every physics
-      // factor (cell volume, dx/dy/dz) from scratch->grid(), so a
-      // same-extent grid with different spacing would silently deposit
-      // wrongly scaled currents.
-      ARTSCI_EXPECTS(scratch->grid().nx == grid.nx &&
-                     scratch->grid().ny == grid.ny &&
-                     scratch->grid().nz == grid.nz &&
-                     scratch->grid().dx == grid.dx &&
-                     scratch->grid().dy == grid.dy &&
-                     scratch->grid().dz == grid.dz);
-      scratch->depositCurrent(J, buffer, oldX, oldY, oldZ, dt);
-    } else {
-      DepositBuffer local(grid);
-      local.depositCurrent(J, buffer, oldX, oldY, oldZ, dt);
-    }
-    return;
-  }
-  const double q = buffer.info().charge;
-  const long n = static_cast<long>(buffer.size());
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (long i = 0; i < n; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    depositCurrentEsirkepov(J, grid, oldX[s], oldY[s], oldZ[s], buffer.x[s],
-                            buffer.y[s], buffer.z[s], q * buffer.w[s], dt);
-  }
-}
-
 void depositCharge(Field3& rho, const GridSpec& grid,
-                   const ParticleBuffer& buffer, DepositMode mode,
-                   DepositBuffer* scratch) {
-  if (mode == DepositMode::Tiled) {
-    if (scratch != nullptr) {
-      ARTSCI_EXPECTS(scratch->grid().nx == grid.nx &&
-                     scratch->grid().ny == grid.ny &&
-                     scratch->grid().nz == grid.nz &&
-                     scratch->grid().dx == grid.dx &&
-                     scratch->grid().dy == grid.dy &&
-                     scratch->grid().dz == grid.dz);
-      scratch->depositCharge(rho, buffer);
-    } else {
-      DepositBuffer local(grid);
-      local.depositCharge(rho, buffer);
-    }
+                   const ParticleBuffer& buffer, DepositBuffer* scratch) {
+  if (scratch == nullptr) {
+    DepositBuffer local(grid);
+    local.depositCharge(rho, buffer);
     return;
   }
-  const double q = buffer.info().charge;
-  const double invV = 1.0 / grid.cellVolume();
-  const long n = static_cast<long>(buffer.size());
-  const AtomicChargeSink sink{rho};
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (long p = 0; p < n; ++p) {
-    const auto s = static_cast<std::size_t>(p);
-    detail::scatterCic(buffer.x[s], buffer.y[s], buffer.z[s],
-                       q * buffer.w[s] * invV, sink);
-  }
+  // Cell sizes must match too: the tiled kernel takes every physics
+  // factor (cell volume) from scratch->grid(), so a same-extent grid with
+  // different spacing would silently deposit wrongly scaled densities.
+  ARTSCI_EXPECTS(scratch->grid().nx == grid.nx &&
+                 scratch->grid().ny == grid.ny &&
+                 scratch->grid().nz == grid.nz &&
+                 scratch->grid().dx == grid.dx &&
+                 scratch->grid().dy == grid.dy &&
+                 scratch->grid().dz == grid.dz);
+  scratch->depositCharge(rho, buffer);
 }
 
 }  // namespace artsci::pic

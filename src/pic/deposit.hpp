@@ -1,29 +1,19 @@
 /// \file deposit.hpp
-/// Charge-conserving current deposition (Esirkepov 2001) with CIC shapes,
-/// and CIC charge-density deposition for diagnostics.
+/// CIC shape weights shared by the Esirkepov current scatter, and CIC
+/// charge-density deposition for diagnostics.
 ///
-/// Esirkepov's scheme guarantees the *discrete* continuity equation
+/// Esirkepov's scheme (DepositBuffer::scatterEsirkepovTile, run by the
+/// fused particle pipeline) guarantees the *discrete* continuity equation
 ///   (rho^{n+1} - rho^n)/dt + div J = 0
 /// to machine precision on the Yee grid, so Gauss's law never drifts —
 /// the property PIConGPU relies on (no Poisson cleaning step).
 ///
-/// Two parallel accumulation strategies are provided (see DepositMode):
-///
-///  * Atomic — every particle scatters straight into the global field with
-///    `#pragma omp atomic` adds. Lowest memory, but floating-point sums
-///    arrive in scheduling order, so results are not reproducible across
-///    runs or thread counts, and the atomics serialize under high
-///    particle-per-cell contention.
-///  * Tiled — the deterministic default: particles are binned into x/y
-///    domain tiles and scattered into per-tile halo-padded private
-///    accumulators (no synchronization), which are then reduced into the
-///    global field in fixed tile order. Bit-identical for any thread count
-///    and schedule (see deposit_buffer.hpp for the invariant's proof
-///    sketch, and tests/pic/test_deposit_modes.cpp for its enforcement).
-///
-/// Both strategies share the scatter kernels in `detail` below, so they
-/// compute identical per-particle contributions and differ only in the
-/// order the contributions are summed (equal up to FP reassociation).
+/// Charge deposition is tiled and deterministic: particles are binned
+/// into x/y domain tiles and scattered into per-tile halo-padded private
+/// accumulators (no synchronization), which are then reduced into the
+/// global field in fixed tile order. Bit-identical for any thread count
+/// and schedule (see deposit_buffer.hpp for the invariant's proof sketch,
+/// and tests/pic/test_deposit_modes.cpp for its enforcement).
 #pragma once
 
 #include <cmath>
@@ -35,12 +25,6 @@ namespace artsci::pic {
 
 class DepositBuffer;
 
-/// Parallel accumulation strategy for the deposition entry points.
-enum class DepositMode {
-  Atomic,  ///< global-field `omp atomic` adds; fast path for halo overlap
-  Tiled,   ///< per-tile private accumulators + ordered reduction (default)
-};
-
 namespace detail {
 
 /// CIC node weights of coordinate `x` on the 5-node stencil centered at
@@ -50,89 +34,6 @@ inline void cicWeights5(double x, long ic, double out[5]) {
     const double xi = static_cast<double>(ic + r - 2);
     const double d = std::abs(x - xi);
     out[r] = d < 1.0 ? 1.0 - d : 0.0;
-  }
-}
-
-/// Esirkepov density-decomposition scatter for one particle that moved
-/// from (x0,y0,z0) to (x1,y1,z1) in cell units (|x1-x0| < 1 cell per
-/// axis). Emits every nonzero current contribution through
-/// `sink.addJx/addJy/addJz(i, j, k, value)`; all emitted node indices lie
-/// within +-2 of (floor(x0), floor(y0), floor(z0)). The arithmetic is
-/// shared by the atomic and tiled paths so their per-particle
-/// contributions are bit-identical.
-template <class Sink>
-inline void scatterEsirkepov(const GridSpec& grid, double x0, double y0,
-                             double z0, double x1, double y1, double z1,
-                             double chargeWeight, double dt, Sink&& sink) {
-  const long icx = static_cast<long>(std::floor(x0));
-  const long icy = static_cast<long>(std::floor(y0));
-  const long icz = static_cast<long>(std::floor(z0));
-
-  double S0x[5], S0y[5], S0z[5], S1x[5], S1y[5], S1z[5];
-  cicWeights5(x0, icx, S0x);
-  cicWeights5(y0, icy, S0y);
-  cicWeights5(z0, icz, S0z);
-  cicWeights5(x1, icx, S1x);
-  cicWeights5(y1, icy, S1y);
-  cicWeights5(z1, icz, S1z);
-
-  double DSx[5], DSy[5], DSz[5];
-  for (int r = 0; r < 5; ++r) {
-    DSx[r] = S1x[r] - S0x[r];
-    DSy[r] = S1y[r] - S0y[r];
-    DSz[r] = S1z[r] - S0z[r];
-  }
-
-  // Esirkepov density decomposition weights.
-  const double invVdt = 1.0 / (grid.cellVolume() * dt);
-  const double fx = chargeWeight * grid.dx * invVdt;
-  const double fy = chargeWeight * grid.dy * invVdt;
-  const double fz = chargeWeight * grid.dz * invVdt;
-
-  // Jx: accumulate along x for each (j,k).
-  for (int j = 0; j < 5; ++j) {
-    for (int k = 0; k < 5; ++k) {
-      const double wyz = S0y[j] * S0z[k] + 0.5 * DSy[j] * S0z[k] +
-                         0.5 * S0y[j] * DSz[k] + DSy[j] * DSz[k] / 3.0;
-      if (wyz == 0.0) continue;
-      double acc = 0.0;
-      for (int i = 0; i < 5; ++i) {
-        acc -= DSx[i] * wyz;
-        if (acc != 0.0) {
-          sink.addJx(icx + i - 2, icy + j - 2, icz + k - 2, fx * acc);
-        }
-      }
-    }
-  }
-  // Jy.
-  for (int i = 0; i < 5; ++i) {
-    for (int k = 0; k < 5; ++k) {
-      const double wxz = S0x[i] * S0z[k] + 0.5 * DSx[i] * S0z[k] +
-                         0.5 * S0x[i] * DSz[k] + DSx[i] * DSz[k] / 3.0;
-      if (wxz == 0.0) continue;
-      double acc = 0.0;
-      for (int j = 0; j < 5; ++j) {
-        acc -= DSy[j] * wxz;
-        if (acc != 0.0) {
-          sink.addJy(icx + i - 2, icy + j - 2, icz + k - 2, fy * acc);
-        }
-      }
-    }
-  }
-  // Jz.
-  for (int i = 0; i < 5; ++i) {
-    for (int j = 0; j < 5; ++j) {
-      const double wxy = S0x[i] * S0y[j] + 0.5 * DSx[i] * S0y[j] +
-                         0.5 * S0x[i] * DSy[j] + DSx[i] * DSy[j] / 3.0;
-      if (wxy == 0.0) continue;
-      double acc = 0.0;
-      for (int k = 0; k < 5; ++k) {
-        acc -= DSz[k] * wxy;
-        if (acc != 0.0) {
-          sink.addJz(icx + i - 2, icy + j - 2, icz + k - 2, fz * acc);
-        }
-      }
-    }
   }
 }
 
@@ -162,37 +63,13 @@ inline void scatterCic(double x, double y, double z, double qw, Sink&& sink) {
 
 }  // namespace detail
 
-/// Deposit the current of one particle that moved from (x0,y0,z0) to
-/// (x1,y1,z1) in cell units *without periodic wrapping* (|x1-x0| < 1 cell
-/// per axis, guaranteed by CFL). `chargeWeight` is q * w.
-/// Thread-safe via atomic adds (this is the DepositMode::Atomic kernel;
-/// the rank-parallel domain driver also uses it for halo overlap).
-void depositCurrentEsirkepov(VectorField& J, const GridSpec& grid,
-                             double x0, double y0, double z0, double x1,
-                             double y1, double z1, double chargeWeight,
-                             double dt);
-
-/// Deposit current for all particles given their pre-move positions.
-/// Positions in `buffer` must already be the *new* (unwrapped) positions;
-/// `oldX/oldY/oldZ` hold the pre-move positions, which must lie inside
-/// [0, n) per axis (wrapped). With DepositMode::Tiled (the default) the
-/// result is bit-identical for any OMP thread count; `scratch`, when
-/// given, supplies reusable tile storage (must match `grid`) so steady-
-/// state callers avoid per-call allocation.
-void depositCurrent(VectorField& J, const GridSpec& grid,
-                    const ParticleBuffer& buffer,
-                    const std::vector<double>& oldX,
-                    const std::vector<double>& oldY,
-                    const std::vector<double>& oldZ, double dt,
-                    DepositMode mode = DepositMode::Tiled,
-                    DepositBuffer* scratch = nullptr);
-
 /// CIC deposit of charge density rho (units e n0) at grid nodes.
-/// Positions must lie inside [0, n) per axis (wrapped). Same mode /
-/// scratch semantics as depositCurrent.
+/// Positions must lie inside [0, n) per axis (wrapped). Accumulates into
+/// rho; the result is bit-identical for any OMP thread count. `scratch`,
+/// when given, supplies reusable tile storage (must match `grid`) so
+/// steady-state callers avoid per-call allocation.
 void depositCharge(Field3& rho, const GridSpec& grid,
                    const ParticleBuffer& buffer,
-                   DepositMode mode = DepositMode::Tiled,
                    DepositBuffer* scratch = nullptr);
 
 }  // namespace artsci::pic

@@ -228,52 +228,11 @@ void DepositBuffer::reduce(VectorField& J, const SupercellIndex& occupancy) {
   reduceComponent(J.z, 2, occupancy);
 }
 
-void DepositBuffer::depositCurrent(VectorField& J,
-                                   const ParticleBuffer& buffer,
-                                   const std::vector<double>& oldX,
-                                   const std::vector<double>& oldY,
-                                   const std::vector<double>& oldZ,
-                                   double dt) {
-  ARTSCI_EXPECTS(dt > 0);
-  ARTSCI_EXPECTS(oldX.size() == buffer.size() &&
-                 oldY.size() == buffer.size() && oldZ.size() == buffer.size());
-  ARTSCI_EXPECTS(J.x.nx() == grid_.nx && J.x.ny() == grid_.ny &&
-                 J.x.nz() == grid_.nz);
-  // Bin by the *old* position: the Esirkepov stencil is centered on
-  // floor(old), so every write lands within the +-kHalo padding no matter
-  // where the (sub-cell) move ended up.
-  binParticles(oldX, oldY, oldZ);
-
-  const double q = buffer.info().charge;
-  const std::vector<std::uint32_t>& perm = bins_.permutation();
-  const long tiles = tileCount();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-  for (long t = 0; t < tiles; ++t) {
-    const SupercellIndex::Range r = bins_.tileRange(t);
-    if (r.begin == r.end) continue;
-    const TileAccum sink = zeroedTile(t);
-    for (std::size_t s = r.begin; s < r.end; ++s) {
-      const auto i = static_cast<std::size_t>(perm[s]);
-      detail::scatterEsirkepov(grid_, oldX[i], oldY[i], oldZ[i], buffer.x[i],
-                               buffer.y[i], buffer.z[i], q * buffer.w[i], dt,
-                               sink);
-    }
-  }
-
-  reduceComponent(J.x, 0, bins_);
-  reduceComponent(J.y, 1, bins_);
-  reduceComponent(J.z, 2, bins_);
-}
-
 void DepositBuffer::depositCharge(Field3& rho, const ParticleBuffer& buffer) {
   ARTSCI_EXPECTS(rho.nx() == grid_.nx && rho.ny() == grid_.ny &&
                  rho.nz() == grid_.nz);
   binParticles(buffer.x, buffer.y, buffer.z);
 
-  // Same factorization as the atomic path (q * w * invV) so per-particle
-  // contributions are bit-identical between modes.
   const double q = buffer.info().charge;
   const double invV = 1.0 / grid_.cellVolume();
   const std::vector<std::uint32_t>& perm = bins_.permutation();

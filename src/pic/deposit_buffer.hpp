@@ -1,21 +1,19 @@
 /// \file deposit_buffer.hpp
 /// Deterministic tiled deposition: per-tile halo-padded accumulators and a
-/// fixed-order reduction, replacing `omp atomic` float accumulation in the
-/// deposition hot loop (DepositMode::Tiled).
+/// fixed-order reduction in place of `omp atomic` float accumulation.
 ///
 /// Why: the in-transit pipeline trains surrogates from live PIC output, so
 /// run-to-run bit-reproducibility of the producer is a correctness
 /// property. Atomic float adds commit in scheduling order; since FP
-/// addition is not associative, two runs (or two thread counts) produce
-/// different low-order bits. Atomics also serialize under high
-/// particle-per-cell contention, so this is a scaling lever too
-/// (bench/deposit_modes.cpp measures both effects).
+/// addition is not associative, two runs (or two thread counts) would
+/// produce different low-order bits. Atomics also serialize under high
+/// particle-per-cell contention, so this is a scaling lever too.
 ///
 /// How: the grid is partitioned into x/y tiles (full z columns — the KHI
-/// box is thin in z). Each deposition call
-///  1. *bins* particles by the tile of their (floor(x), floor(y)) cell
-///     with a stable counting sort — per-tile order is ascending particle
-///     index, independent of threads;
+/// box is thin in z). Each deposit
+///  1. *bins* particles by the tile of their (floor(x), floor(y)) cell —
+///     the fused pipeline's supercell sort for current, a stable counting
+///     sort for charge — so per-tile order is independent of threads;
 ///  2. *scatters* each tile's particles, one tile per task, into that
 ///     tile's private halo-padded accumulator — no synchronization, since
 ///     no other tile writes it (the +-2-cell Esirkepov stencil stays
@@ -55,10 +53,9 @@ struct TileDepositConfig {
 /// Steady-state callers (Simulation) keep one instance alive across steps
 /// so no allocation happens in the hot loop.
 ///
-/// Binning is a SupercellIndex with full-z tile columns (one stable
-/// counting sort shared with the supercell sort of the fused pipeline);
-/// the fused pipeline scatters into the same accumulators through
-/// zeroedTile()/reduce() below instead of calling depositCurrent.
+/// Binning is a SupercellIndex with full-z tile columns, the geometry of
+/// the fused pipeline's supercell sort; the fused pipeline scatters its
+/// current into these accumulators through zeroedTile()/reduce() below.
 class DepositBuffer {
  public:
   /// Halo width in cells around each tile's owned region, per axis and
@@ -69,16 +66,6 @@ class DepositBuffer {
   /// Sizes tile storage for `grid`; geometry is fixed for the lifetime of
   /// the buffer (rebuild for a different grid).
   explicit DepositBuffer(const GridSpec& grid, TileDepositConfig cfg = {});
-
-  /// Current deposition for all particles of `buffer` (same contract as
-  /// the free depositCurrent): `old*` are the wrapped pre-move positions
-  /// in [0, n) per axis, `buffer.x/y/z` the unwrapped post-move positions.
-  /// Accumulates into J (does not zero it first). Bit-identical for any
-  /// thread count.
-  void depositCurrent(VectorField& J, const ParticleBuffer& buffer,
-                      const std::vector<double>& oldX,
-                      const std::vector<double>& oldY,
-                      const std::vector<double>& oldZ, double dt);
 
   /// CIC charge deposition (same contract as the free depositCharge):
   /// positions wrapped into [0, n). Accumulates into rho. Bit-identical
@@ -133,14 +120,16 @@ class DepositBuffer {
     }
   };
 
-  /// Fast-path Esirkepov scatter for a tile accumulator: emits the exact
-  /// same contribution values in the exact same order as
-  /// detail::scatterEsirkepov would into the same sink — it only skips
-  /// the iterations the reference kernel's `== 0.0` guards skip (the
-  /// shape functions' zero support) and hoists the strided row pointers
-  /// out of the inner loops. The fused pipeline's per-particle scatter;
-  /// tests/pic/test_fused_pipeline.cpp asserts bitwise equality against
-  /// the reference kernel.
+  /// Esirkepov scatter of one particle that moved from (x0,y0,z0) to
+  /// (x1,y1,z1) in cell units (|x1-x0| < 1 cell per axis, unwrapped) into
+  /// a tile accumulator; `chargeWeight` is q * w. It emits the exact
+  /// contribution values, in the exact order, of the textbook
+  /// density-decomposition loops — it only skips the iterations whose
+  /// `== 0.0` guards skip (the shape functions' zero support) and hoists
+  /// the strided row pointers out of the inner loops. The fused
+  /// pipeline's per-particle scatter; tests/pic/test_fused_pipeline.cpp
+  /// asserts bitwise equality against the reference kernel kept in
+  /// tests/pic/reference_step.hpp.
   static void scatterEsirkepovTile(const GridSpec& grid, double x0, double y0,
                                    double z0, double x1, double y1, double z1,
                                    double chargeWeight, double dt,
@@ -197,8 +186,8 @@ class DepositBuffer {
                        const SupercellIndex& occ) const;
 
   GridSpec grid_;
-  /// Unified binning: x/y tiles over full z columns. Also the occupancy
-  /// source for the internal deposit entry points.
+  /// Charge binning: x/y tiles over full z columns. Also the occupancy
+  /// source for depositCharge's reduction.
   SupercellIndex bins_;
   long padX_ = 0, padY_ = 0, padZ_ = 0;  ///< padded accumulator extents
   long tileStride_ = 0;                  ///< padX_ * padY_ * padZ_

@@ -9,8 +9,6 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "pic/interpolate.hpp"
-#include "pic/pusher.hpp"
 
 namespace artsci::pic {
 
@@ -29,30 +27,14 @@ DistributedSimulation::DistributedSimulation(Config cfg)
                      "ceil(nx / tileEdgeX) = "
                          << tilesX_
                          << "; shrink Config::tiles.tileEdgeX or ranks");
-#ifndef _OPENMP
-  // The legacy split step's halo deposit uses `omp atomic` sinks; in a
-  // build without OpenMP those are plain `+=` on shared cells — a data
-  // race across the std::thread rank team, not merely nondeterminism.
-  ARTSCI_EXPECTS_MSG(
-      cfg.pipeline == ParticlePipeline::Fused || cfg.ranks == 1,
-      "ParticlePipeline::Split with multiple ranks requires an OpenMP "
-      "build (its halo deposit would be a plain data race here)");
-#endif
   particles_.resize(cfg.ranks);
-  if (cfg.pipeline == ParticlePipeline::Fused) {
-    outbox_.resize(cfg.ranks);
-    for (auto& perDst : outbox_) perDst.resize(cfg.ranks);
-    depositBuf_.reserve(cfg.ranks);
-    fused_.reserve(cfg.ranks);
-    for (std::size_t r = 0; r < cfg.ranks; ++r) {
-      depositBuf_.push_back(
-          std::make_unique<DepositBuffer>(cfg.grid, cfg.tiles));
-      fused_.push_back(std::make_unique<FusedPipeline>(cfg.grid, cfg.tiles));
-    }
-  } else {
-    inbox_.resize(cfg.ranks);
-    for (std::size_t r = 0; r < cfg.ranks; ++r)
-      inboxMutex_.push_back(std::make_unique<std::mutex>());
+  outbox_.resize(cfg.ranks);
+  for (auto& perDst : outbox_) perDst.resize(cfg.ranks);
+  depositBuf_.reserve(cfg.ranks);
+  fused_.reserve(cfg.ranks);
+  for (std::size_t r = 0; r < cfg.ranks; ++r) {
+    depositBuf_.push_back(std::make_unique<DepositBuffer>(cfg.grid, cfg.tiles));
+    fused_.push_back(std::make_unique<FusedPipeline>(cfg.grid, cfg.tiles));
   }
 }
 
@@ -61,9 +43,7 @@ std::size_t DistributedSimulation::addSpecies(const SpeciesInfo& info) {
   staging_.emplace_back(info);
   for (std::size_t r = 0; r < cfg_.ranks; ++r) {
     particles_[r].emplace_back(info);
-    if (!inbox_.empty()) inbox_[r].emplace_back();
-    if (!outbox_.empty())
-      for (std::size_t d = 0; d < cfg_.ranks; ++d) outbox_[r][d].emplace_back();
+    for (std::size_t d = 0; d < cfg_.ranks; ++d) outbox_[r][d].emplace_back();
   }
   return speciesInfo_.size() - 1;
 }
@@ -138,7 +118,7 @@ ParticleBuffer DistributedSimulation::gatherSpecies(
   return out;
 }
 
-void DistributedSimulation::stepRankFused(std::size_t rank, Barrier& barrier) {
+void DistributedSimulation::stepRank(std::size_t rank, Barrier& barrier) {
   const GridSpec& g = cfg_.grid;
   const auto [x0, x1] = slabOf(rank);
   const double dt = cfg_.dt;
@@ -214,11 +194,10 @@ void DistributedSimulation::stepRankFused(std::size_t rank, Barrier& barrier) {
     barrier.arriveAndWait();
   }
 
-  // Absorb migrants in ascending source-rank order — fixed, scheduling-
-  // independent arrival order (the mutex-inbox predecessor appended in
-  // thread arrival order, which leaked into every downstream FP sum).
-  // Migrants deposited on their source rank this step; they join the
-  // destination's buffer for the next one.
+  // Absorb migrants in ascending source-rank order — a fixed arrival
+  // order, so no thread timing leaks into rank buffer order (and from
+  // there into downstream FP sums). Migrants deposited on their source
+  // rank this step; they join the destination's buffer for the next one.
   {
     TRACE_SCOPE("domain", "migrate");
     for (std::size_t src = 0; src < cfg_.ranks; ++src) {
@@ -244,93 +223,6 @@ void DistributedSimulation::stepRankFused(std::size_t rank, Barrier& barrier) {
   barrier.arriveAndWait();
 }
 
-// Legacy split rank step, kept only as the fig4 A/B baseline: halo
-// deposits go through `omp atomic` sinks in rank arrival order (not
-// reproducible) and migration through mutex inboxes (arrival order =
-// thread scheduling). See stepRankFused for the deterministic
-// replacement.
-void DistributedSimulation::stepRankSplit(std::size_t rank, Barrier& barrier) {
-  const GridSpec& g = cfg_.grid;
-  const auto [x0, x1] = slabOf(rank);
-  const double dt = cfg_.dt;
-
-  // Phase 1: zero this rank's J slab.
-  for (long i = x0; i < x1; ++i) {
-    for (long j = 0; j < g.ny; ++j) {
-      for (long k = 0; k < g.nz; ++k) {
-        const long idx = J_.x.index(i, j, k);
-        J_.x.flat(idx) = 0.0;
-        J_.y.flat(idx) = 0.0;
-        J_.z.flat(idx) = 0.0;
-      }
-    }
-  }
-  barrier.arriveAndWait();
-
-  // Phase 2: push + deposit own particles; queue migrants.
-  for (std::size_t s = 0; s < speciesInfo_.size(); ++s) {
-    ParticleBuffer& p = particles_[rank][s];
-    const double qOverM = p.info().charge / p.info().mass;
-    const double q = p.info().charge;
-    std::vector<std::size_t> leaving;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      const Vec3d Ep = gatherE(E_, p.x[i], p.y[i], p.z[i]);
-      const Vec3d Bp = gatherB(B_, p.x[i], p.y[i], p.z[i]);
-      const Vec3d uNew =
-          borisPush({p.ux[i], p.uy[i], p.uz[i]}, Ep, Bp, qOverM, dt);
-      const double gNew = std::sqrt(1.0 + uNew.dot(uNew));
-      p.ux[i] = uNew.x;
-      p.uy[i] = uNew.y;
-      p.uz[i] = uNew.z;
-      const double ox = p.x[i], oy = p.y[i], oz = p.z[i];
-      p.x[i] += uNew.x / gNew * dt / g.dx;
-      p.y[i] += uNew.y / gNew * dt / g.dy;
-      p.z[i] += uNew.z / gNew * dt / g.dz;
-      depositCurrentEsirkepov(J_, g, ox, oy, oz, p.x[i], p.y[i], p.z[i],
-                              q * p.w[i], dt);
-      // Periodic wrap (shared helper: bit-identical to the single-rank
-      // paths).
-      p.x[i] = wrapCoordinate(p.x[i], static_cast<double>(g.nx));
-      p.y[i] = wrapCoordinate(p.y[i], static_cast<double>(g.ny));
-      p.z[i] = wrapCoordinate(p.z[i], static_cast<double>(g.nz));
-      if (p.x[i] < static_cast<double>(x0) ||
-          p.x[i] >= static_cast<double>(x1))
-        leaving.push_back(i);
-    }
-    // Hand migrants to their new owners (adjacent slab or periodic wrap).
-    for (auto it = leaving.rbegin(); it != leaving.rend(); ++it) {
-      const std::size_t i = *it;
-      const std::size_t owner = ownerOf(p.x[i]);
-      {
-        std::lock_guard<std::mutex> lock(*inboxMutex_[owner]);
-        inbox_[owner][s].push_back(Migrant{{p.x[i], p.y[i], p.z[i]},
-                                           {p.ux[i], p.uy[i], p.uz[i]},
-                                           p.w[i]});
-      }
-      p.swapRemove(i);
-    }
-  }
-  barrier.arriveAndWait();
-
-  // Phase 3: absorb inbox.
-  for (std::size_t s = 0; s < speciesInfo_.size(); ++s) {
-    auto& box = inbox_[rank][s];
-    for (const Migrant& m : box)
-      particles_[rank][s].push(m.pos, m.u, m.w);
-    box.clear();
-  }
-  barrier.arriveAndWait();
-
-  // Phase 4: field update on own slab, globally synchronized between
-  // sub-steps so halo reads see completed neighbour updates.
-  solver_.updateBHalf(B_, E_, dt, x0, x1);
-  barrier.arriveAndWait();
-  solver_.updateE(E_, B_, J_, dt, x0, x1);
-  barrier.arriveAndWait();
-  solver_.updateBHalf(B_, E_, dt, x0, x1);
-  barrier.arriveAndWait();
-}
-
 void DistributedSimulation::run(long steps) {
   ARTSCI_EXPECTS(steps >= 0);
   Barrier barrier(cfg_.ranks);
@@ -343,7 +235,6 @@ void DistributedSimulation::run(long steps) {
   const int perRankThreads =
       std::max(1, omp_get_max_threads() / static_cast<int>(cfg_.ranks));
 #endif
-  const bool fusedPath = cfg_.pipeline == ParticlePipeline::Fused;
   runRankTeam(cfg_.ranks, [&](std::size_t rank) {
 #ifdef _OPENMP
     omp_set_num_threads(perRankThreads);
@@ -364,12 +255,7 @@ void DistributedSimulation::run(long steps) {
           std::to_string(omp_get_thread_num()));
     }
 #endif
-    for (long s = 0; s < steps; ++s) {
-      if (fusedPath)
-        stepRankFused(rank, barrier);
-      else
-        stepRankSplit(rank, barrier);
-    }
+    for (long s = 0; s < steps; ++s) stepRank(rank, barrier);
   });
   // Work accounting for the FOM.
   double particles = 0;

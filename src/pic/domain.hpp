@@ -4,8 +4,8 @@
 /// shared-memory equivalent of PIConGPU's MPI domain decomposition with
 /// next-neighbour halo exchange.
 ///
-/// The default (ParticlePipeline::Fused) rank step runs the supercell-
-/// fused pipeline of fused_pipeline.hpp per rank and is bit-reproducible:
+/// Each rank step runs the supercell-fused pipeline of fused_pipeline.hpp
+/// on its own slab and is bit-reproducible:
 /// the same run produces the same fields AND the same particle multiset
 /// for any rank count, any OMP thread count, and any repetition. Three
 /// ingredients make that hold:
@@ -43,18 +43,11 @@
 /// run is bit-identical to the fused Simulation whatever the rank count.
 /// Enforced by tests/pic/test_domain.cpp.
 ///
-/// ParticlePipeline::Split keeps the legacy rank step (atomic halo
-/// deposits, mutex inboxes) for the fig4 old/new A/B bench only: it is
-/// order-nondeterministic, and without OpenMP its "atomic" sinks are
-/// plain racy adds — the ctor rejects Split with ranks > 1 in non-OpenMP
-/// builds.
-///
 /// The Fig 4 bench measures this driver's weak scaling: FOM vs ranks with
 /// the grid grown proportionally.
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "common/thread_pool.hpp"
 #include "pic/simulation.hpp"
@@ -67,10 +60,6 @@ class DistributedSimulation {
     GridSpec grid;
     double dt = 0.05;       ///< 1/omega_pe units; must satisfy CFL
     std::size_t ranks = 2;  ///< slab count; requires ranks <= x tile columns
-    /// Rank particle-update path. Fused (default) is the deterministic
-    /// supercell pipeline documented above; Split is the legacy
-    /// non-reproducible step, kept for the fig4 A/B bench.
-    ParticlePipeline pipeline = ParticlePipeline::Fused;
     /// Deposit/supercell tile geometry. Rank slabs are whole tile
     /// columns, so ceil(nx / tileEdgeX) must be >= ranks (shrink
     /// tileEdgeX for extreme decompositions, e.g. one cell per rank).
@@ -99,8 +88,6 @@ class DistributedSimulation {
   const GridSpec& grid() const { return cfg_.grid; }
   /// Number of rank slabs (thread-team size during run()).
   std::size_t ranks() const { return cfg_.ranks; }
-  /// The rank particle-update path in use (Config::pipeline).
-  ParticlePipeline particlePipeline() const { return cfg_.pipeline; }
   const VectorField& fieldE() const { return E_; }
   const VectorField& fieldB() const { return B_; }
   /// Current density deposited by the most recent step.
@@ -136,8 +123,7 @@ class DistributedSimulation {
   /// Inverse of columnsOf: the rank owning tile column `column`.
   std::size_t rankOfColumn(long column) const;
 
-  void stepRankFused(std::size_t rank, Barrier& barrier);
-  void stepRankSplit(std::size_t rank, Barrier& barrier);
+  void stepRank(std::size_t rank, Barrier& barrier);
 
   Config cfg_;
   long tileEdgeX_ = 0;  ///< x tile edge, clamped to the grid like the buffers
@@ -148,22 +134,17 @@ class DistributedSimulation {
   std::vector<ParticleBuffer> staging_;
   /// particles_[rank][species]
   std::vector<std::vector<ParticleBuffer>> particles_;
-  /// Fused path, per rank: private tile accumulators + fused driver over
+  /// Per rank: private tile accumulators + fused driver over
   /// the full grid geometry (only owned tiles are ever touched; the full
   /// extent keeps tile indices global, which the collective reduction
   /// and the cross-rank occupancy lookups rely on).
   std::vector<std::unique_ptr<DepositBuffer>> depositBuf_;
   std::vector<std::unique_ptr<FusedPipeline>> fused_;
-  /// Fused path: outbox_[src][dst][species], written only by rank `src`
+  /// outbox_[src][dst][species], written only by rank `src`
   /// during its migrant scan, drained only by rank `dst` during the
   /// absorb phase (barriers separate the two) — deterministic migration
   /// with no locks.
   std::vector<std::vector<std::vector<std::vector<Migrant>>>> outbox_;
-  /// Split path (legacy): shared inbox_[rank][species] + its mutex;
-  /// arrival order is thread scheduling — the non-reproducibility the
-  /// fused path removes.
-  std::vector<std::vector<std::vector<Migrant>>> inbox_;
-  std::vector<std::unique_ptr<std::mutex>> inboxMutex_;
   long step_ = 0;
   FomCounters fom_;
 };

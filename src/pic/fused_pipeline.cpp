@@ -66,7 +66,7 @@ void FusedPipeline::pushAndDeposit(ParticleBuffer& p, const VectorField& E,
                                    std::vector<double>* bdy,
                                    std::vector<double>* bdz) {
   pushAndScatter(p, E, B, dt, accum, bdx, bdy, bdz);
-  // Fixed-order tile reduction (shared with the split path).
+  // Fixed-order tile reduction.
   if (!p.empty()) {
     TRACE_SCOPE("pic", "reduce");
     accum.reduce(J, index_);
@@ -95,10 +95,9 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
 
   // The one binning pass of the step: supercell sort by the pre-push
   // (= Esirkepov-center) position, canonical phase-space order within
-  // each tile — the same order the split path's pre-push sort leaves the
-  // buffer in (its deposit re-binning is stable, hence order-preserving),
-  // which is what keeps the two paths bit-identical. Runs even for an
-  // empty buffer so index() always reflects *this* call's occupancy.
+  // each tile — the order the reference step of the tests scatters in,
+  // which is what keeps the two bit-identical. Runs even for an empty
+  // buffer so index() always reflects *this* call's occupancy.
   bool wrapped;
   {
     TRACE_SCOPE("pic", "supercell_sort");
@@ -193,7 +192,7 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
       // staging arrays and accumulates the 8 corners per component in
       // registers — corner terms add in (a,b,c)-ascending order with the
       // exact gatherStaggeredAt weight expression, so every field value
-      // is bit-identical to the split path's gatherE/B (pinned by
+      // is bit-identical to the scalar gatherE/B (pinned by
       // test_fused_pipeline). Keeping the corner accumulation
       // particle-outer matters: a corner-outer/particle-inner layout is
       // an indirect gather the compiler cannot vectorize, and measured
@@ -276,7 +275,7 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
                            std::abs(nz1 - oz) < 1.0;
           // (c) deposit from the unwrapped displacement, straight into the
           // tile's private accumulator — the support-clipped bit-exact
-          // replica of detail::scatterEsirkepov.
+          // replica of the reference Esirkepov kernel.
           DepositBuffer::scatterEsirkepovTile(g, ox, oy, oz, nx1, ny1, nz1,
                                               q * p.w[i], dt, sink);
           // (d) wrap in place — the old position died in this iteration's

@@ -9,24 +9,23 @@
 ///      DepositBuffer accumulator, and
 ///  (d) wraps positions in place.
 ///
-/// This replaces the legacy split path's three full-population sweeps
-/// (scalar wrapped gather + push, a re-binning deposit with its own
-/// counting sort, a separate wrap pass) and its old-position snapshot
-/// vectors — old positions live in the tile loop's registers instead.
-/// bench/particle_pipeline.cpp measures the A/B (target >= 1.5x particle
-/// updates/s on the quick-demo KHI at 8 threads).
+/// One pass over the population per step: no separate gather, deposit
+/// and wrap sweeps, and no old-position snapshot vectors — old positions
+/// live in the tile loop's registers. bench/particle_pipeline.cpp reports
+/// its particle updates/s on the quick-demo KHI.
 ///
 /// Determinism: the sort orders each tile canonically by phase-space key
 /// (a pure function of the particle multiset — see SupercellIndex), tile
-/// caches are copies, per-particle arithmetic is shared with the split
-/// path (interpolate.hpp / pusher.hpp / deposit.hpp kernels), per-tile
-/// scatter order is the sorted order, and the reduction is the fixed-
-/// order DepositBuffer reduce — so a fused step is bit-identical across
-/// OMP thread counts, schedules, and repeated runs, bit-identical to
-/// the split tiled path up to the (deterministic) particle reordering,
-/// and bit-identical to the rank-decomposed driver for any rank count
-/// (pic/domain.hpp). Enforced by tests/pic/test_fused_pipeline.cpp and
-/// tests/pic/test_domain.cpp.
+/// caches are copies, per-particle arithmetic is that of the scalar
+/// kernels (interpolate.hpp / pusher.hpp, and the Esirkepov reference
+/// loops), per-tile scatter order is the sorted order, and the reduction
+/// is the fixed-order DepositBuffer reduce — so a fused step is
+/// bit-identical across OMP thread counts, schedules, and repeated runs,
+/// bit-identical to the scalar reference step of
+/// tests/pic/reference_step.hpp (sort, scalar gather/push/move,
+/// reference scatter, reduce, wrap), and bit-identical to the
+/// rank-decomposed driver for any rank count (pic/domain.hpp). Enforced
+/// by tests/pic/test_fused_pipeline.cpp and tests/pic/test_domain.cpp.
 #pragma once
 
 #include <vector>
@@ -37,17 +36,11 @@
 
 namespace artsci::pic {
 
-/// Which particle-update path Simulation::step() runs. A/B selectable
-/// like DepositMode; both produce bit-identical fields.
-enum class ParticlePipeline {
-  Split,  ///< legacy: gather+push sweep, re-binning deposit, wrap sweep
-  Fused,  ///< supercell-tiled single pass (default; needs DepositMode::Tiled)
-};
-
-/// Driver of the fused per-tile pass. Owns the supercell index used for
-/// the per-step sort; accumulator storage and the fixed-order reduction
-/// are shared with the split path through DepositBuffer. Not thread-safe
-/// (internally OpenMP-parallel): one instance per simulation driver.
+/// Driver of the fused per-tile pass — the particle update of Simulation
+/// and DistributedSimulation. Owns the supercell index used for the
+/// per-step sort; accumulator storage and the fixed-order reduction live
+/// in DepositBuffer. Not thread-safe (internally OpenMP-parallel): one
+/// instance per simulation driver.
 class FusedPipeline {
  public:
   /// Tile geometry is taken from `accumCfg` and must match the

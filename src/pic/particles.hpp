@@ -74,8 +74,8 @@ class ParticleBuffer {
 
 /// Wrap one particle coordinate into [0, n), assuming it moved less than
 /// one domain length since it was last wrapped (the CFL displacement
-/// bound guarantees far less). Shared by every particle driver so the
-/// split, fused, and rank-decomposed paths wrap bit-identically.
+/// bound guarantees far less). Shared by the fused pipeline and the
+/// scalar reference step of the tests, so the two wrap bit-identically.
 inline double wrapCoordinate(double v, double n) {
   if (v < 0) v += n;
   if (v >= n) v -= n;

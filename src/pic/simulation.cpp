@@ -1,35 +1,22 @@
 #include "pic/simulation.hpp"
 
-#include <cmath>
-
-#include "common/log.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "pic/interpolate.hpp"
-#include "pic/pusher.hpp"
 
 namespace artsci::pic {
 
 Simulation::Simulation(SimulationConfig cfg)
-    : cfg_(cfg), solver_(cfg.grid), E_(cfg.grid), B_(cfg.grid), J_(cfg.grid) {
+    : cfg_(cfg),
+      solver_(cfg.grid),
+      depositBuffer_(cfg.grid, cfg.tiles),
+      fused_(cfg.grid, cfg.tiles),
+      E_(cfg.grid),
+      B_(cfg.grid),
+      J_(cfg.grid) {
   const double cfl = solver_.cflNumber(cfg_.dt);
   ARTSCI_EXPECTS_MSG(cfl < 1.0, "CFL violation: dt=" << cfg_.dt
                                                      << " gives CFL " << cfl);
-  if (cfg_.depositMode == DepositMode::Tiled) {
-    depositBuffer_ = std::make_unique<DepositBuffer>(cfg_.grid, cfg_.tiles);
-    if (cfg_.pipeline == ParticlePipeline::Fused) {
-      fused_ = std::make_unique<FusedPipeline>(cfg_.grid, cfg_.tiles);
-    } else {
-      // The split path shares the once-per-step supercell sort (same tile
-      // geometry as the deposit buffer): with the buffer tile-ordered,
-      // the deposit's internal re-binning becomes the identity, so the
-      // per-tile accumulation order — hence every bit of J — matches the
-      // fused path at every step.
-      supercell_ = std::make_unique<SupercellIndex>(
-          cfg_.grid, cfg_.tiles.tileEdgeX, cfg_.tiles.tileEdgeY, cfg_.grid.nz);
-    }
-  }
 }
 
 std::size_t Simulation::addSpecies(const SpeciesInfo& info) {
@@ -74,76 +61,12 @@ const std::vector<double>& Simulation::betaDotZ(std::size_t s) const {
 
 void Simulation::pushAndDeposit(std::size_t speciesIdx) {
   ParticleBuffer& p = species_[speciesIdx];
+  if (p.empty()) return;
   Scratch& scr = scratch_[speciesIdx];
-  const long n = static_cast<long>(p.size());
-  if (n == 0) return;
-
-  if (fused_) {
-    // Supercell-fused path: one stable sort, one per-tile pass, shared
-    // fixed-order reduction. No old-position snapshots, no re-binning,
-    // no separate wrap sweep.
-    std::vector<double>* bdx = cfg_.recordBetaDot ? &scr.bdx : nullptr;
-    std::vector<double>* bdy = cfg_.recordBetaDot ? &scr.bdy : nullptr;
-    std::vector<double>* bdz = cfg_.recordBetaDot ? &scr.bdz : nullptr;
-    fused_->pushAndDeposit(p, E_, B_, J_, cfg_.dt, *depositBuffer_, bdx, bdy,
-                           bdz);
-    return;
-  }
-
-  if (supercell_) supercell_->sort(p);
-
-  scr.oldX.assign(p.x.begin(), p.x.end());
-  scr.oldY.assign(p.y.begin(), p.y.end());
-  scr.oldZ.assign(p.z.begin(), p.z.end());
-  if (cfg_.recordBetaDot) {
-    scr.bdx.resize(p.size());
-    scr.bdy.resize(p.size());
-    scr.bdz.resize(p.size());
-  }
-
-  const double qOverM = p.info().charge / p.info().mass;
-  const double dt = cfg_.dt;
-  const GridSpec& g = cfg_.grid;
-
-#pragma omp parallel for schedule(static)
-  for (long ip = 0; ip < n; ++ip) {
-    const auto i = static_cast<std::size_t>(ip);
-    const Vec3d Ep = gatherE(E_, p.x[i], p.y[i], p.z[i]);
-    const Vec3d Bp = gatherB(B_, p.x[i], p.y[i], p.z[i]);
-    const Vec3d uOld{p.ux[i], p.uy[i], p.uz[i]};
-    const double gOld = std::sqrt(1.0 + uOld.dot(uOld));
-    const Vec3d uNew = borisPush(uOld, Ep, Bp, qOverM, dt);
-    const double gNew = std::sqrt(1.0 + uNew.dot(uNew));
-    p.ux[i] = uNew.x;
-    p.uy[i] = uNew.y;
-    p.uz[i] = uNew.z;
-    if (cfg_.recordBetaDot) {
-      scr.bdx[i] = (uNew.x / gNew - uOld.x / gOld) / dt;
-      scr.bdy[i] = (uNew.y / gNew - uOld.y / gOld) / dt;
-      scr.bdz[i] = (uNew.z / gNew - uOld.z / gOld) / dt;
-    }
-    // Move (positions in cell units).
-    p.x[i] += uNew.x / gNew * dt / g.dx;
-    p.y[i] += uNew.y / gNew * dt / g.dy;
-    p.z[i] += uNew.z / gNew * dt / g.dz;
-  }
-
-  // Charge-conserving deposit from the *unwrapped* displacement (old
-  // positions are wrapped, as the tiled binning requires).
-  depositCurrent(J_, g, p, scr.oldX, scr.oldY, scr.oldZ, dt,
-                 cfg_.depositMode, depositBuffer_.get());
-
-  // Periodic wrap after the deposit.
-  const double lx = static_cast<double>(g.nx);
-  const double ly = static_cast<double>(g.ny);
-  const double lz = static_cast<double>(g.nz);
-#pragma omp parallel for schedule(static)
-  for (long ip = 0; ip < n; ++ip) {
-    const auto i = static_cast<std::size_t>(ip);
-    p.x[i] = wrapCoordinate(p.x[i], lx);
-    p.y[i] = wrapCoordinate(p.y[i], ly);
-    p.z[i] = wrapCoordinate(p.z[i], lz);
-  }
+  std::vector<double>* bdx = cfg_.recordBetaDot ? &scr.bdx : nullptr;
+  std::vector<double>* bdy = cfg_.recordBetaDot ? &scr.bdy : nullptr;
+  std::vector<double>* bdz = cfg_.recordBetaDot ? &scr.bdz : nullptr;
+  fused_.pushAndDeposit(p, E_, B_, J_, cfg_.dt, depositBuffer_, bdx, bdy, bdz);
 }
 
 void Simulation::step() {

@@ -37,22 +37,10 @@ struct SimulationConfig {
   /// Record per-particle acceleration (d beta / dt) during the push; the
   /// far-field radiation plugin needs it (costs 3 extra arrays/species).
   bool recordBetaDot = false;
-  /// Current-deposition strategy. Tiled (default) makes a whole step —
-  /// gather, push, and field update are order-invariant already —
-  /// bit-reproducible across OMP thread counts; Atomic keeps the legacy
-  /// scatter for A/B comparison (bench/deposit_modes.cpp).
-  DepositMode depositMode = DepositMode::Tiled;
-  /// Particle-update path. Fused (default) runs the supercell-fused
-  /// single pass of fused_pipeline.hpp and requires DepositMode::Tiled;
-  /// with DepositMode::Atomic the split path always runs, whatever this
-  /// says. Both Tiled paths supercell-sort each species once per step
-  /// (so particles are reordered) and produce bit-identical fields and
-  /// particle state (bench/particle_pipeline.cpp measures the A/B;
-  /// tests/pic/test_fused_pipeline.cpp enforces the identity).
-  ParticlePipeline pipeline = ParticlePipeline::Fused;
-  /// Tile geometry for the Tiled deposit accumulators and the supercell
-  /// sort. The default 8x8 is right for production grids; tests shrink it
-  /// to exercise edge cases. Must match DistributedSimulation::Config::
+  /// Tile geometry for the deposit accumulators and the supercell sort
+  /// of the fused particle pipeline (fused_pipeline.hpp). The default 8x8
+  /// is right for production grids; tests shrink it to exercise edge
+  /// cases. Must match DistributedSimulation::Config::
   /// tiles when comparing the two drivers bit-for-bit (tile geometry
   /// fixes the deterministic accumulation grouping, so it is part of the
   /// bit-level contract, not just a performance knob).
@@ -96,13 +84,6 @@ class Simulation {
 
   const GridSpec& grid() const { return cfg_.grid; }
   const FieldSolver& solver() const { return solver_; }
-  /// Active deposition strategy (SimulationConfig::depositMode).
-  DepositMode depositMode() const { return cfg_.depositMode; }
-  /// The particle-update path actually running (Fused only when both
-  /// SimulationConfig::pipeline requests it and depositMode is Tiled).
-  ParticlePipeline particlePipeline() const {
-    return fused_ ? ParticlePipeline::Fused : ParticlePipeline::Split;
-  }
   double dt() const { return cfg_.dt; }
   /// Number of completed steps.
   long stepIndex() const { return step_; }
@@ -132,23 +113,17 @@ class Simulation {
 
   SimulationConfig cfg_;
   FieldSolver solver_;
-  /// Tile accumulators reused every step (allocated only in Tiled mode).
-  std::unique_ptr<DepositBuffer> depositBuffer_;
-  /// Fused-pipeline driver (allocated only when it is the active path).
-  std::unique_ptr<FusedPipeline> fused_;
-  /// Split + Tiled only: the shared once-per-step supercell sort (the
-  /// fused driver owns its own index). Keeps the split path's per-tile
-  /// deposit order equal to the fused path's, so the two stay
-  /// bit-identical (see fused_pipeline.hpp).
-  std::unique_ptr<SupercellIndex> supercell_;
+  /// Tile accumulators reused every step.
+  DepositBuffer depositBuffer_;
+  /// The particle update: supercell sort + one per-tile pass per species.
+  FusedPipeline fused_;
   VectorField E_, B_, J_;
   std::vector<ParticleBuffer> species_;
   std::vector<std::shared_ptr<Plugin>> plugins_;
   long step_ = 0;
   FomCounters fom_;
-  // scratch (per species): pre-move positions, recorded accelerations
+  // recorded accelerations, per species
   struct Scratch {
-    std::vector<double> oldX, oldY, oldZ;
     std::vector<double> bdx, bdy, bdz;
   };
   std::vector<Scratch> scratch_;

