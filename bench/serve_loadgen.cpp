@@ -171,7 +171,6 @@ serve::NetServerConfig serverConfig(std::size_t shards, long requests) {
   serve::NetServerConfig cfg;
   cfg.shards = shards;
   cfg.policy.maxBatch = 32;
-  cfg.policy.maxWaitMicros = 500;
   cfg.policy.maxQueueDepth = static_cast<std::size_t>(requests) + 64;
   cfg.pinCores = shards > 1;
   return cfg;

@@ -40,7 +40,6 @@ double servedThroughput(const std::shared_ptr<serve::ModelRegistry>& registry,
                         stats::LatencySummary* latencyOut) {
   serve::ServerConfig scfg;
   scfg.policy.maxBatch = maxBatch;
-  scfg.policy.maxWaitMicros = 500;
   scfg.policy.maxQueueDepth = static_cast<std::size_t>(requests) + 16;
   scfg.workers = workers;
   serve::InferenceServer server(scfg, registry);

@@ -35,12 +35,11 @@ int main(int argc, char** argv) {
   // [3] Start the inference service: dynamic micro-batching, async futures.
   serve::ServerConfig scfg;
   scfg.policy.maxBatch = 16;
-  scfg.policy.maxWaitMicros = 300;
   scfg.workers = static_cast<std::size_t>(cli.getInt("workers", 2));
   serve::InferenceServer server(scfg, registry);
   std::printf("[3] serving PredictSpectrum/InvertSpectrum on %zu workers "
-              "(maxBatch %ld, maxWait %ld us)\n\n",
-              scfg.workers, scfg.policy.maxBatch, scfg.policy.maxWaitMicros);
+              "(work-conserving batches of up to %ld)\n\n",
+              scfg.workers, scfg.policy.maxBatch);
 
   // [4] Clients hammer the server while the trainer keeps improving the
   // model and hot-swaps new snapshots into the registry under load.
@@ -110,7 +109,8 @@ int main(int argc, char** argv) {
   std::printf("    predict latency: %s\n",
               stats::formatLatencySummary(rep.predict.latencyMicros).c_str());
   std::printf("\nThe registry decouples training from serving: snapshots are\n"
-              "immutable, publishes are lock-free, and every response is\n"
-              "computed entirely by exactly one snapshot version.\n");
+              "immutable, publishes never pause serving, and every\n"
+              "response is computed entirely by exactly one snapshot\n"
+              "version.\n");
   return 0;
 }

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   cfg.port = port;
   cfg.shards = shards;
   cfg.policy.maxBatch = 16;
-  cfg.policy.maxWaitMicros = 300;
   serve::NetServer server(cfg, registry);
   std::printf("[1] serving on 127.0.0.1:%u with %zu shard(s)\n",
               server.port(), shards);

@@ -1,5 +1,9 @@
 #include "core/pipeline.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -11,6 +15,26 @@
 #include "obs/metrics.hpp"
 
 namespace artsci::core {
+namespace {
+
+/// Fixes glibc's mmap threshold at its 128 KiB default, once per process.
+/// Left dynamic, glibc raises the threshold to the size of every mapped
+/// block freed (up to 32 MiB), and from then on the producer's particle,
+/// deposit and per-thread scratch buffers are carved from per-thread
+/// arenas, which keep freed pages resident. Every run starts a new
+/// producer thread and OpenMP team; whether those threads reuse an idle
+/// arena or open a new one depends on when the previous team's threads
+/// exited, so the peak resident size of two identical runs could differ
+/// by a quarter. With the threshold fixed, large blocks are mapped on
+/// allocation and returned to the system on free.
+void fixMmapThreshold() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 128 * 1024); });
+#endif
+}
+
+}  // namespace
 
 PipelineConfig PipelineConfig::quickDemo() {
   PipelineConfig cfg;
@@ -34,6 +58,7 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
       static_cast<long>(cfg.producer.frequencyCount) ==
           cfg.model.spectrumDim,
       "producer frequencyCount must equal the model's spectrumDim");
+  fixMmapThreshold();
 
   Timer wall;
   auto particleEngine = std::make_shared<stream::SstEngine>(stream::SstParams{

@@ -64,11 +64,16 @@ class TrainingBuffer {
         ep_.push_back(std::move(displaced));
       }
     }
-    obs::Registry::global().counter("replay.received").add();
-    obs::Registry::global().gauge("replay.now_size").set(
-        static_cast<double>(now_.size()));
-    obs::Registry::global().gauge("replay.ep_size").set(
-        static_cast<double>(ep_.size()));
+    // Resolved once; the registry owns the metrics for the process lifetime.
+    static obs::Counter& received =
+        obs::Registry::global().counter("replay.received");
+    static obs::Gauge& nowSize =
+        obs::Registry::global().gauge("replay.now_size");
+    static obs::Gauge& epSize =
+        obs::Registry::global().gauge("replay.ep_size");
+    received.add();
+    nowSize.set(static_cast<double>(now_.size()));
+    epSize.set(static_cast<double>(ep_.size()));
   }
 
   /// True once a batch can be drawn. Only the now-buffer gates
@@ -170,7 +175,9 @@ class TrainingBuffer {
  private:
   std::vector<SampleT> sampleBatchLocked(Rng& rng) {
     TRACE_SCOPE("replay", "sample_batch");
-    obs::Registry::global().counter("replay.batches").add();
+    static obs::Counter& batches =
+        obs::Registry::global().counter("replay.batches");
+    batches.add();
     ARTSCI_CHECK_MSG(now_.size() >= cfg_.nowPerBatch,
                      "sampleBatch before buffer ready");
     std::vector<SampleT> batch;

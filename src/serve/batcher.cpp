@@ -1,5 +1,7 @@
 #include "serve/batcher.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "obs/trace.hpp"
 
@@ -7,7 +9,6 @@ namespace artsci::serve {
 
 MicroBatcher::MicroBatcher(BatchPolicy policy) : policy_(policy) {
   ARTSCI_EXPECTS(policy.maxBatch >= 1);
-  ARTSCI_EXPECTS(policy.maxWaitMicros >= 0);
   ARTSCI_EXPECTS(policy.maxQueueDepth >= 1);
 }
 
@@ -28,73 +29,47 @@ std::vector<PendingRequest> MicroBatcher::nextBatch(
   // next_batch spans in the trace, which is exactly the signal wanted.
   TRACE_SCOPE("serve", "next_batch");
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    // Sweep expired requests out before forming a batch: a request whose
-    // deadline passed while queued must not consume batch slots or engine
-    // time — its client has already given up on the answer.
-    if (!queue_.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < queue_.size();) {
-        if (queue_[i].deadline <= now) {
-          ARTSCI_CHECK_MSG(expired != nullptr,
-                           "deadline-carrying request in a batcher polled "
-                           "without an expired sink");
-          expired->push_back(std::move(queue_[i]));
-          queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
+  cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+  // Sweep expired requests out before forming a batch: a request whose
+  // deadline passed while queued must not consume batch slots or engine
+  // time — its client has already given up on the answer.
+  const auto now = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < queue_.size();) {
+    if (queue_[i].deadline <= now) {
+      ARTSCI_CHECK_MSG(expired != nullptr,
+                       "deadline-carrying request in a batcher polled "
+                       "without an expired sink");
+      expired->push_back(std::move(queue_[i]));
+      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      ++i;
     }
-    // Hand expired requests back immediately (even with a batch ready):
-    // the worker fails their promises and calls again — timeout responses
-    // must not wait out another batch-formation cycle.
-    if (expired != nullptr && !expired->empty()) return {};
-    if (queue_.empty()) {
-      if (stopping_) return {};
-      cv_.wait(lock);
-      continue;
-    }
-    if (stopping_ && !drain_) return {};
-
-    // Count requests batchable with the queue head.
-    long matching = 0;
-    for (const auto& r : queue_) {
-      if (compatible(queue_.front(), r)) {
-        if (++matching >= policy_.maxBatch) break;
-      }
-    }
-    const auto deadline =
-        queue_.front().enqueuedAt +
-        std::chrono::microseconds(policy_.maxWaitMicros);
-    const bool deadlinePassed = std::chrono::steady_clock::now() >= deadline;
-    if (matching >= policy_.maxBatch || deadlinePassed || stopping_) {
-      // Pop every request compatible with the head (up to maxBatch),
-      // preserving queue order for both the batch and the remainder.
-      // Key captured up front: the head itself is moved on iteration one.
-      const Endpoint keyEndpoint = queue_.front().endpoint;
-      const std::size_t keySize = queue_.front().input.size();
-      std::vector<PendingRequest> batch;
-      batch.reserve(static_cast<std::size_t>(matching));
-      std::deque<PendingRequest> rest;
-      for (auto& r : queue_) {
-        if (static_cast<long>(batch.size()) < policy_.maxBatch &&
-            r.endpoint == keyEndpoint && r.input.size() == keySize) {
-          batch.push_back(std::move(r));
-        } else {
-          rest.push_back(std::move(r));
-        }
-      }
-      queue_.swap(rest);
-      return batch;
-    }
-    // Wake early enough to sweep the first client deadline, not just to
-    // close the batch.
-    auto wakeAt = deadline;
-    for (const auto& r : queue_)
-      if (r.deadline < wakeAt) wakeAt = r.deadline;
-    cv_.wait_until(lock, wakeAt);
   }
+  // Hand expired requests back immediately (even with a batch ready): the
+  // worker fails their promises and calls again, so timeout responses
+  // never wait out a batch execution.
+  if (expired != nullptr && !expired->empty()) return {};
+  if (queue_.empty() || (stopping_ && !drain_)) return {};
+
+  // Pop the head and every request compatible with it (up to maxBatch),
+  // preserving queue order for both the batch and the remainder. Key
+  // captured up front: the head itself is moved on iteration one.
+  const Endpoint keyEndpoint = queue_.front().endpoint;
+  const std::size_t keySize = queue_.front().input.size();
+  std::vector<PendingRequest> batch;
+  batch.reserve(std::min(queue_.size(),
+                         static_cast<std::size_t>(policy_.maxBatch)));
+  std::deque<PendingRequest> rest;
+  for (auto& r : queue_) {
+    if (static_cast<long>(batch.size()) < policy_.maxBatch &&
+        r.endpoint == keyEndpoint && r.input.size() == keySize) {
+      batch.push_back(std::move(r));
+    } else {
+      rest.push_back(std::move(r));
+    }
+  }
+  queue_.swap(rest);
+  return batch;
 }
 
 void MicroBatcher::stop(bool drainPending) {

@@ -1,11 +1,13 @@
 /// \file batcher.hpp
 /// Dynamic micro-batching for the inference service: single requests are
-/// queued and coalesced into batches under a (max-batch-size,
-/// max-wait-microseconds) policy — the inference-time sibling of the DDP
-/// batch formation in ml/ddp.cpp. A batch closes as soon as max-batch
-/// compatible requests are queued, or when the oldest queued request has
-/// waited max-wait, whichever comes first: full load runs at peak
-/// batch efficiency, trickle load is bounded-latency.
+/// queued and coalesced into batches — the inference-time sibling of the
+/// DDP batch formation in ml/ddp.cpp. Batching is work-conserving: a
+/// worker that asks for work gets the head-of-line request plus every
+/// compatible request queued behind it, up to max-batch, at once, and
+/// waits only while the queue is empty. Batches grow with load by
+/// themselves — requests pile up while the worker executes the previous
+/// batch — so saturation runs at full batch size, and at light load no
+/// request sits in the queue while its worker is idle.
 #pragma once
 
 #include <chrono>
@@ -44,8 +46,7 @@ struct InferenceResult {
 };
 
 struct BatchPolicy {
-  long maxBatch = 32;          ///< close a batch at this many requests
-  long maxWaitMicros = 1000;   ///< ... or when the oldest has waited this long
+  long maxBatch = 32;                ///< at most this many requests per batch
   std::size_t maxQueueDepth = 4096;  ///< enqueue beyond this is rejected
 };
 
@@ -78,9 +79,10 @@ class MicroBatcher {
   /// maxQueueDepth or the batcher is stopped.
   bool enqueue(PendingRequest& r);
 
-  /// Block until a batch is ready under the policy; returns it in FIFO
-  /// order. An empty vector means "stopped and nothing left to serve":
-  /// the calling worker should exit.
+  /// Block until a request is queued, then return the head-of-line
+  /// request and every queued request compatible with it (up to
+  /// maxBatch), in FIFO order. An empty vector means "stopped and nothing
+  /// left to serve": the calling worker should exit.
   ///
   /// Deadline-expired requests are swept out of the queue *before* batch
   /// formation and handed back via `expired` (FIFO order) so the caller
@@ -105,10 +107,6 @@ class MicroBatcher {
   const BatchPolicy& policy() const { return policy_; }
 
  private:
-  static bool compatible(const PendingRequest& a, const PendingRequest& b) {
-    return a.endpoint == b.endpoint && a.input.size() == b.input.size();
-  }
-
   BatchPolicy policy_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;

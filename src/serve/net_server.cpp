@@ -224,7 +224,6 @@ ServeMetrics::Report NetServer::metrics() const {
 
 void NetServer::ioLoop() {
   std::array<epoll_event, 64> events;
-  std::vector<std::uint8_t> buf(1 << 16);
   while (!stopping_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(epollFd_, events.data(),
                                static_cast<int>(events.size()), -1);
@@ -333,6 +332,12 @@ void NetServer::dispatchFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
   if (stopping_.load(std::memory_order_acquire)) {
+    // Counted as submitted and rejected, as InferenceServer::submit counts
+    // a request to a shut-down server: every answer has a submission.
+    const Endpoint endpoint =
+        isPredict ? Endpoint::kPredictSpectrum : Endpoint::kInvertSpectrum;
+    metrics_->recordSubmitted(endpoint);
+    metrics_->recordRejected(endpoint);
     errorsOut_->add();
     writeFrame(*conn, proto::encodeError(frame.requestId,
                                          proto::ErrorCode::kShuttingDown,

@@ -1,5 +1,7 @@
 #include "serve/registry.hpp"
 
+#include <utility>
+
 #include "ml/serialize.hpp"
 
 namespace artsci::serve {
@@ -10,20 +12,21 @@ std::uint64_t ModelRegistry::publish(
   ARTSCI_EXPECTS_MSG(model != nullptr, "publish() of a null model");
   auto snap = std::make_shared<ModelSnapshot>();
   snap->model = std::move(model);
-  snap->version = ++versions_;
   snap->tag = std::move(tag);
-  const std::uint64_t version = snap->version;
-  // CAS loop instead of a blind store: with concurrent publishers the
-  // installed snapshot must never move backwards in version.
-  std::shared_ptr<const ModelSnapshot> cur = current_.load();
-  while (!cur || cur->version < version) {
-    if (current_.compare_exchange_weak(cur, snap)) break;
-  }
-  return version;
+  // Declared before the lock so the replaced snapshot, possibly the last
+  // reference to a whole model, is freed after the lock is released.
+  std::shared_ptr<const ModelSnapshot> replaced;
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Numbered and installed under one lock: with concurrent publishers the
+  // installed snapshot never moves backwards in version.
+  snap->version = ++versions_;
+  replaced = std::exchange(current_, snap);
+  return snap->version;
 }
 
 std::shared_ptr<const ModelSnapshot> ModelRegistry::current() const {
-  return current_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return current_;
 }
 
 std::uint64_t ModelRegistry::version() const {

@@ -1,16 +1,16 @@
 /// \file registry.hpp
 /// The model registry: the publication point between a (re)trainer and the
 /// serving workers. A publisher (the in-transit trainer, or a checkpoint
-/// load from disk) installs an immutable snapshot; serving workers read the
-/// current snapshot with a single lock-free atomic load per micro-batch, so
-/// weights can be hot-swapped under load without blocking in-flight
+/// load from disk) installs an immutable snapshot; serving workers copy the
+/// current snapshot pointer once per micro-batch (a short critical section),
+/// so weights can be hot-swapped under load without blocking in-flight
 /// batches — the paper's in-situ loop (train while the simulation runs)
 /// extended to inference: train while serving.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/model.hpp"
@@ -36,15 +36,20 @@ class ModelRegistry {
       std::shared_ptr<const core::ArtificialScientistModel> model,
       std::string tag = {});
 
-  /// Latest snapshot (nullptr before the first publish). Lock-free.
+  /// Latest snapshot (nullptr before the first publish).
   std::shared_ptr<const ModelSnapshot> current() const;
 
   /// Version of the latest snapshot (0 before the first publish).
   std::uint64_t version() const;
 
  private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> current_{};
-  std::atomic<std::uint64_t> versions_{0};
+  // A mutex, not std::atomic<std::shared_ptr>: libstdc++ 12 implements
+  // that with an internal spin lock whose load() releases with relaxed
+  // order, so a load racing a publish is a data race (ThreadSanitizer
+  // reports it). The critical sections only copy or swap one pointer.
+  mutable std::mutex mutex_;
+  std::shared_ptr<const ModelSnapshot> current_;  ///< guarded by mutex_
+  std::uint64_t versions_ = 0;                    ///< guarded by mutex_
 };
 
 /// Publish a servable deep copy of `model` (the common trainer-side call).

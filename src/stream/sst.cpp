@@ -147,13 +147,18 @@ void SstEngine::injectSiteFault(const char* site, const char* who,
 }
 
 void SstEngine::publishLocked(std::size_t ended) {
+  // Resolved once; the registry owns the metrics for the process lifetime.
+  static obs::Counter& bytes =
+      obs::Registry::global().counter("stream.bytes_published");
+  static obs::Counter& steps =
+      obs::Registry::global().counter("stream.steps_published");
+  static obs::Gauge& depth =
+      obs::Registry::global().gauge("stream.queue_depth");
   bytesPublished_ += assembling_->totalBytes();
-  obs::Registry::global().counter("stream.bytes_published")
-      .add(assembling_->totalBytes());
-  obs::Registry::global().counter("stream.steps_published").add();
+  bytes.add(assembling_->totalBytes());
+  steps.add();
   queue_.push_back(std::move(assembling_));
-  obs::Registry::global().gauge("stream.queue_depth")
-      .set(static_cast<double>(queue_.size()));
+  depth.set(static_cast<double>(queue_.size()));
   assembling_.reset();
   ++stepsPublished_;
   ++nextStep_;
@@ -368,8 +373,9 @@ void SstEngine::Reader::endStep() {
     if (engine_.readersEnded_ == engine_.params_.readerRanks) {
       // Releasing the step frees the writer-side buffer (queue slot).
       engine_.queue_.pop_front();
-      obs::Registry::global().gauge("stream.queue_depth")
-          .set(static_cast<double>(engine_.queue_.size()));
+      static obs::Gauge& depth =
+          obs::Registry::global().gauge("stream.queue_depth");
+      depth.set(static_cast<double>(engine_.queue_.size()));
       engine_.current_.reset();
       engine_.cv_.notify_all();
     } else {

@@ -177,7 +177,6 @@ TEST(Chaos, ServeCrashStormEveryRequestAccountedFor) {
   serve::NetServerConfig cfg;
   cfg.shards = 2;
   cfg.policy.maxBatch = 4;
-  cfg.policy.maxWaitMicros = 500;
   serve::NetServer server(cfg, registry);
 
   // Two workers die mid-batch while two clients hammer the server with

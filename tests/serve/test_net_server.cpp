@@ -57,12 +57,10 @@ std::vector<ml::Real> randomCloud(long points, Rng& rng) {
   return c;
 }
 
-NetServerConfig quickNetConfig(std::size_t shards = 1, long maxBatch = 8,
-                               long maxWaitMicros = 2000) {
+NetServerConfig quickNetConfig(std::size_t shards = 1, long maxBatch = 8) {
   NetServerConfig cfg;
   cfg.shards = shards;
   cfg.policy.maxBatch = maxBatch;
-  cfg.policy.maxWaitMicros = maxWaitMicros;
   return cfg;
 }
 
@@ -120,9 +118,7 @@ TEST(NetServer, InvertRoundTripReturnsFinitePosteriorCloud) {
 TEST(NetServer, PipelinedRequestsEachAnsweredExactlyOnce) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(73));
-  NetServer sharded(quickNetConfig(/*shards=*/2, /*maxBatch=*/4,
-                                   /*maxWaitMicros=*/500),
-                    registry);
+  NetServer sharded(quickNetConfig(/*shards=*/2, /*maxBatch=*/4), registry);
 
   Rng rng(23);
   const auto cloud = randomCloud(8, rng);
@@ -150,7 +146,7 @@ TEST(NetServer, PipelinedRequestsEachAnsweredExactlyOnce) {
 TEST(NetServer, ConcurrentClientsAcrossShards) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(74));
-  NetServer server(quickNetConfig(2, 8, 1000), registry);
+  NetServer server(quickNetConfig(2, 8), registry);
   const int clients = 4, perClient = 16;
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
@@ -221,20 +217,34 @@ TEST(NetServer, ClientSentReplyFrameIsAProtocolViolation) {
 TEST(NetServer, DeadlineExpirySurfacesOnTheWire) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(78));
-  // Batch closes only at 4 requests or after 200 ms — a lone request with
-  // a 1 ms deadline expires in the queue first, deterministically.
-  NetServer server(quickNetConfig(1, 4, 200000), registry);
+  // A large request from its own connection occupies the single worker
+  // for tens of ms: a small request with a 1 ms deadline queued behind it
+  // expires in the queue, deterministically.
+  NetServer server(quickNetConfig(1, 4), registry);
   Rng rng(31);
+  const auto bigCloud = randomCloud(131072, rng);
+  const auto cloud = randomCloud(8, rng);
+  NetClient big("127.0.0.1", server.port());
   NetClient client("127.0.0.1", server.port());
+  big.sendFrame(proto::encodeRequest(proto::MsgType::kPredictSpectrum, 1, 0,
+                                     bigCloud));
+  // Send the small request only once the large one is dispatched.
+  const auto dispatchBy =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.metrics().predict.submitted == 0 &&
+         std::chrono::steady_clock::now() < dispatchBy)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  ASSERT_EQ(server.metrics().predict.submitted, 1u);
   try {
-    client.predictSpectrum(randomCloud(8, rng), /*deadlineMicros=*/1000);
+    client.predictSpectrum(cloud, /*deadlineMicros=*/1000);
     FAIL() << "expected NetError";
   } catch (const NetError& e) {
     EXPECT_EQ(e.code(), proto::ErrorCode::kDeadlineExceeded);
   }
+  EXPECT_EQ(big.recvFrame().type, proto::MsgType::kReply);
   const auto rep = server.metrics();
   EXPECT_EQ(rep.predict.deadlineTimeouts, 1u);
-  EXPECT_EQ(rep.predict.completed, 0u);
+  EXPECT_EQ(rep.predict.completed, 1u);  // the large request only
 }
 
 TEST(NetServer, OverloadShedsOnTheWireAndCountersAgree) {
@@ -243,8 +253,7 @@ TEST(NetServer, OverloadShedsOnTheWireAndCountersAgree) {
   // Tiny queue, one-at-a-time batches: a long request occupies the worker
   // while a pipelined burst overflows the depth-2 queue — the overflow
   // must come back as kShed error frames, never silence.
-  NetServerConfig cfg = quickNetConfig(1, /*maxBatch=*/1,
-                                       /*maxWaitMicros=*/0);
+  NetServerConfig cfg = quickNetConfig(1, /*maxBatch=*/1);
   cfg.policy.maxQueueDepth = 2;
   NetServer server(cfg, registry);
   Rng rng(37);
@@ -282,7 +291,7 @@ TEST(NetServer, OverloadShedsOnTheWireAndCountersAgree) {
 TEST(NetServer, StopDrainsEveryDispatchedRequest) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(80));
-  NetServer server(quickNetConfig(2, 8, 5000), registry);
+  NetServer server(quickNetConfig(2, 8), registry);
   Rng rng(41);
   const auto cloud = randomCloud(8, rng);
   NetClient client("127.0.0.1", server.port());
@@ -339,8 +348,7 @@ TEST(ShardDispatchKernel, WrapsAroundFromTheHint) {
 double maxShortLatencyMicros(ShardDispatch mode) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(90));
-  NetServerConfig cfg = quickNetConfig(/*shards=*/2, /*maxBatch=*/1,
-                                       /*maxWaitMicros=*/0);
+  NetServerConfig cfg = quickNetConfig(/*shards=*/2, /*maxBatch=*/1);
   cfg.dispatch = mode;
   NetServer server(cfg, registry);
   Rng rng(47);
@@ -357,15 +365,21 @@ double maxShortLatencyMicros(ShardDispatch mode) {
   for (int i = 0; i < 4; ++i) shorts.predictSpectrum(smallCloud);
 
   // The big request goes out pipelined (no wait); it lands on some shard
-  // and keeps it busy. The brief sleep lets the io thread finish reading
-  // its 6 MB frame and dispatch it, so every short below is routed while
-  // the big one is genuinely in flight. Each short is a full round trip,
-  // so at dispatch time the short queues are drained — only the busy
-  // shard shows depth (queued + in-flight).
+  // and keeps it busy. Waiting until the io thread has read its 6 MB
+  // frame and dispatched it (the 5th submission) means every short below
+  // is routed while the big one is genuinely in flight; a fixed sleep was
+  // too short where decoding is slow, as under ThreadSanitizer. Each
+  // short is a full round trip, so at dispatch time the short queues are
+  // drained — only the busy shard shows depth (queued + in-flight).
   NetClient big("127.0.0.1", server.port());
   big.sendFrame(proto::encodeRequest(proto::MsgType::kPredictSpectrum, 1, 0,
                                      bigCloud));
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  const auto dispatchBy =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.metrics().predict.submitted < 5 &&
+         std::chrono::steady_clock::now() < dispatchBy)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(server.metrics().predict.submitted, 5u);
   double worst = 0.0;
   for (int i = 0; i < 8; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -436,9 +450,7 @@ TEST(NetServer, WorkerCrashIsContainedAndSupervisorRestartsIt) {
   // Two shards: the crash takes one down; the supervisor replaces it while
   // the other keeps serving. Each sequential round trip must end in
   // exactly one outcome — a reply or a typed error frame, never a hang.
-  NetServer server(quickNetConfig(/*shards=*/2, /*maxBatch=*/8,
-                                  /*maxWaitMicros=*/500),
-                   registry);
+  NetServer server(quickNetConfig(/*shards=*/2, /*maxBatch=*/8), registry);
   Rng rng(53);
   const auto cloud = randomCloud(8, rng);
   NetClient client("127.0.0.1", server.port());

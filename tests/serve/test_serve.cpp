@@ -58,32 +58,37 @@ PendingRequest makeRequest(Endpoint ep, std::size_t elements, double tag) {
 // --- MicroBatcher ---------------------------------------------------------
 
 TEST(MicroBatcher, CoalescesUpToMaxBatch) {
-  MicroBatcher b({/*maxBatch=*/4, /*maxWaitMicros=*/1000000, 64});
+  MicroBatcher b({.maxBatch = 4, .maxQueueDepth = 64});
   for (int i = 0; i < 6; ++i) {
     auto r = makeRequest(Endpoint::kPredictSpectrum, 12, i);
     ASSERT_TRUE(b.enqueue(r));
   }
   auto batch = b.nextBatch();
-  ASSERT_EQ(batch.size(), 4u);  // closed by maxBatch, not by the deadline
+  ASSERT_EQ(batch.size(), 4u);  // capped at maxBatch
   for (int i = 0; i < 4; ++i) EXPECT_EQ(batch[i].input[0], i);  // FIFO
   EXPECT_EQ(b.depth(), 2u);
 }
 
-TEST(MicroBatcher, MaxWaitClosesPartialBatch) {
-  MicroBatcher b({/*maxBatch=*/32, /*maxWaitMicros=*/500, 64});
+TEST(MicroBatcher, PartialBatchLeavesWithoutWaiting) {
+  // Work-conserving: a worker that asks for work takes what is queued
+  // now instead of holding a partial batch for more requests to arrive.
+  MicroBatcher b({.maxBatch = 32, .maxQueueDepth = 64});
   auto r0 = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   auto r1 = makeRequest(Endpoint::kPredictSpectrum, 12, 1);
   ASSERT_TRUE(b.enqueue(r0));
   ASSERT_TRUE(b.enqueue(r1));
-  auto batch = b.nextBatch();  // blocks ~500us, then flushes the partial
+  const auto t0 = std::chrono::steady_clock::now();
+  auto batch = b.nextBatch();
+  const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(b.depth(), 0u);
+  EXPECT_LT(waited, std::chrono::milliseconds(50));
 }
 
 TEST(MicroBatcher, BatchesOnlyCompatibleRequests) {
   // predict, invert, predict: head-of-line defines the batch key, so the
   // two predicts coalesce and the invert forms its own later batch.
-  MicroBatcher b({8, 0, 64});
+  MicroBatcher b({.maxBatch = 8, .maxQueueDepth = 64});
   auto p0 = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   auto iv = makeRequest(Endpoint::kInvertSpectrum, 8, 1);
   auto p1 = makeRequest(Endpoint::kPredictSpectrum, 12, 2);
@@ -101,7 +106,7 @@ TEST(MicroBatcher, BatchesOnlyCompatibleRequests) {
 }
 
 TEST(MicroBatcher, DifferentCloudSizesDoNotMix) {
-  MicroBatcher b({8, 0, 64});
+  MicroBatcher b({.maxBatch = 8, .maxQueueDepth = 64});
   auto small = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   auto large = makeRequest(Endpoint::kPredictSpectrum, 24, 1);
   ASSERT_TRUE(b.enqueue(small));
@@ -111,7 +116,7 @@ TEST(MicroBatcher, DifferentCloudSizesDoNotMix) {
 }
 
 TEST(MicroBatcher, RejectsWhenQueueFull) {
-  MicroBatcher b({4, 1000000, /*maxQueueDepth=*/2});
+  MicroBatcher b({.maxBatch = 4, .maxQueueDepth = 2});
   auto r0 = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   auto r1 = makeRequest(Endpoint::kPredictSpectrum, 12, 1);
   auto r2 = makeRequest(Endpoint::kPredictSpectrum, 12, 2);
@@ -122,7 +127,7 @@ TEST(MicroBatcher, RejectsWhenQueueFull) {
 }
 
 TEST(MicroBatcher, StopWithDrainFlushesThenSignalsExit) {
-  MicroBatcher b({32, 1000000, 64});
+  MicroBatcher b({.maxBatch = 32, .maxQueueDepth = 64});
   auto r = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   ASSERT_TRUE(b.enqueue(r));
   b.stop(/*drainPending=*/true);
@@ -133,7 +138,7 @@ TEST(MicroBatcher, StopWithDrainFlushesThenSignalsExit) {
 }
 
 TEST(MicroBatcher, StopWithoutDrainLeavesPendingForTakePending) {
-  MicroBatcher b({32, 1000000, 64});
+  MicroBatcher b({.maxBatch = 32, .maxQueueDepth = 64});
   auto r0 = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   auto r1 = makeRequest(Endpoint::kInvertSpectrum, 8, 1);
   ASSERT_TRUE(b.enqueue(r0));
@@ -309,11 +314,9 @@ TEST(InferenceEngine, MatchesGraphOnReducedConfigAndOddPointCounts) {
 
 // --- InferenceServer ------------------------------------------------------
 
-ServerConfig quickServerConfig(long maxBatch = 8, long maxWaitMicros = 2000,
-                               std::size_t workers = 1) {
+ServerConfig quickServerConfig(long maxBatch = 8, std::size_t workers = 1) {
   ServerConfig cfg;
   cfg.policy.maxBatch = maxBatch;
-  cfg.policy.maxWaitMicros = maxWaitMicros;
   cfg.workers = workers;
   return cfg;
 }
@@ -342,11 +345,14 @@ TEST(InferenceServer, PredictMatchesDirectModelCall) {
 TEST(InferenceServer, CoalescesBurstIntoOneBatch) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(52));
-  // One worker, batch closes at 8 or after 100 ms: a fast 8-burst must
-  // land in a single batch.
-  InferenceServer server(quickServerConfig(8, 100000, 1), registry);
+  // One worker, batches of up to 8. A large request occupies the worker
+  // (its input size differs from the burst's, so it batches alone); an
+  // 8-burst queued behind it must leave as a single batch.
+  InferenceServer server(quickServerConfig(8, 1), registry);
   Rng rng(10);
+  const auto bigCloud = randomCloud(131072, rng);
   const auto cloud = randomCloud(8, rng);
+  auto big = server.predictSpectrum(bigCloud);
   std::vector<std::future<InferenceResult>> futs;
   for (int i = 0; i < 8; ++i) futs.push_back(server.predictSpectrum(cloud));
   for (auto& f : futs) {
@@ -354,11 +360,11 @@ TEST(InferenceServer, CoalescesBurstIntoOneBatch) {
     EXPECT_EQ(r.batchSize, 8);
     EXPECT_EQ(r.snapshotVersion, 1u);
   }
+  EXPECT_EQ(big.get().batchSize, 1);
   const auto rep = server.metrics();
-  EXPECT_EQ(rep.predict.submitted, 8u);
-  EXPECT_EQ(rep.predict.completed, 8u);
-  EXPECT_EQ(rep.predict.batches, 1u);
-  EXPECT_DOUBLE_EQ(rep.predict.meanBatchSize, 8.0);
+  EXPECT_EQ(rep.predict.submitted, 9u);
+  EXPECT_EQ(rep.predict.completed, 9u);
+  EXPECT_EQ(rep.predict.batches, 2u);
 }
 
 TEST(InferenceServer, InvertReturnsPosteriorCloud) {
@@ -402,7 +408,7 @@ TEST(InferenceServer, HotSwapServesEachRequestFromExactlyOneVersion) {
   auto m1 = tinyModel(61);
   auto m2 = tinyModel(62);
   registry->publish(m1);
-  InferenceServer server(quickServerConfig(4, 500, 1), registry);
+  InferenceServer server(quickServerConfig(4, 1), registry);
 
   Rng rng(12);
   const long points = 8;
@@ -427,7 +433,7 @@ TEST(InferenceServer, HotSwapServesEachRequestFromExactlyOneVersion) {
 TEST(InferenceServer, ShutdownDrainCompletesEverythingAccepted) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(55));
-  InferenceServer server(quickServerConfig(8, 200, 2), registry);
+  InferenceServer server(quickServerConfig(8, 2), registry);
   Rng rng(13);
   const auto cloud = randomCloud(8, rng);
   std::vector<std::future<InferenceResult>> futs;
@@ -443,7 +449,7 @@ TEST(InferenceServer, ShutdownDrainCompletesEverythingAccepted) {
 TEST(InferenceServer, ShutdownRejectResolvesEveryFuture) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(56));
-  InferenceServer server(quickServerConfig(1, 0, 1), registry);
+  InferenceServer server(quickServerConfig(1, 1), registry);
   Rng rng(14);
   const auto cloud = randomCloud(8, rng);
   std::vector<std::future<InferenceResult>> futs;
@@ -480,7 +486,7 @@ TEST(InferenceServer, SubmitAfterShutdownIsRejected) {
 TEST(InferenceServer, LatencyMetricsPopulate) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(58));
-  InferenceServer server(quickServerConfig(4, 100, 1), registry);
+  InferenceServer server(quickServerConfig(4, 1), registry);
   Rng rng(16);
   const auto cloud = randomCloud(8, rng);
   std::vector<std::future<InferenceResult>> futs;
@@ -499,7 +505,7 @@ TEST(InferenceServer, LatencyMetricsPopulate) {
 // --- load shedding and deadlines ------------------------------------------
 
 TEST(MicroBatcher, SweepsExpiredRequestsBeforeBatching) {
-  MicroBatcher b({/*maxBatch=*/8, /*maxWaitMicros=*/1000000, 64});
+  MicroBatcher b({.maxBatch = 8, .maxQueueDepth = 64});
   auto live = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   auto dead = makeRequest(Endpoint::kPredictSpectrum, 12, 1);
   dead.deadline = std::chrono::steady_clock::now() -
@@ -521,43 +527,30 @@ TEST(MicroBatcher, SweepsExpiredRequestsBeforeBatching) {
   EXPECT_TRUE(expired.empty());
 }
 
-TEST(MicroBatcher, DeadlineWakesWaitingWorker) {
-  // A request whose deadline lands inside the batch-formation wait must be
-  // swept out at its deadline, not when maxWait finally closes the batch.
-  MicroBatcher b({/*maxBatch=*/8, /*maxWaitMicros=*/2000000, 64});
-  auto r = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
-  r.deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(20);
-  ASSERT_TRUE(b.enqueue(r));
-  std::vector<PendingRequest> expired;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto batch = b.nextBatch(&expired);
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  EXPECT_TRUE(batch.empty());
-  ASSERT_EQ(expired.size(), 1u);
-  EXPECT_LT(waited, std::chrono::seconds(1));  // not the 2 s maxWait
-}
-
 TEST(InferenceServer, ExpiredDeadlineRejectedBeforeBatching) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(63));
-  // Batch closes at 4 or after 200 ms: a lone request with a 1 ms deadline
-  // deterministically expires while queued and never reaches the engine.
-  InferenceServer server(quickServerConfig(4, 200000, 1), registry);
+  // A large request occupies the single worker for tens of ms: a small
+  // request with a 1 ms deadline queued behind it deterministically
+  // expires while queued and never reaches the engine.
+  InferenceServer server(quickServerConfig(4, 1), registry);
   Rng rng(17);
-  auto fut = server.predictSpectrum(randomCloud(8, rng),
-                                    /*deadlineMicros=*/1000);
+  const auto bigCloud = randomCloud(131072, rng);
+  const auto cloud = randomCloud(8, rng);
+  auto big = server.predictSpectrum(bigCloud);
+  auto fut = server.predictSpectrum(cloud, /*deadlineMicros=*/1000);
   EXPECT_THROW(fut.get(), DeadlineError);
+  EXPECT_NO_THROW(big.get());
   const auto rep = server.metrics();
   EXPECT_EQ(rep.predict.deadlineTimeouts, 1u);
-  EXPECT_EQ(rep.predict.completed, 0u);
-  EXPECT_EQ(rep.predict.batches, 0u);  // never consumed engine time
+  EXPECT_EQ(rep.predict.completed, 1u);  // the large request only
+  EXPECT_EQ(rep.predict.batches, 1u);  // the small one never ran
 }
 
 TEST(InferenceServer, BoundedQueueShedsNewestAndCountsIt) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(64));
-  ServerConfig cfg = quickServerConfig(/*maxBatch=*/1, /*maxWaitMicros=*/0);
+  ServerConfig cfg = quickServerConfig(/*maxBatch=*/1);
   cfg.policy.maxQueueDepth = 2;
   InferenceServer server(cfg, registry);
   Rng rng(18);
@@ -592,7 +585,7 @@ TEST(InferenceServer, BoundedQueueShedsNewestAndCountsIt) {
 TEST(InferenceServer, DeadlineZeroMeansNoDeadline) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(65));
-  InferenceServer server(quickServerConfig(4, 1000, 1), registry);
+  InferenceServer server(quickServerConfig(4, 1), registry);
   Rng rng(20);
   EXPECT_NO_THROW(server.predictSpectrum(randomCloud(8, rng), 0).get());
   const auto rep = server.metrics();

@@ -70,7 +70,6 @@ TEST(ServeStress, HotSwapUnderLoadKeepsEveryResponseSingleSnapshot) {
 
   ServerConfig cfg;
   cfg.policy.maxBatch = 8;
-  cfg.policy.maxWaitMicros = 200;
   cfg.workers = 2;
   InferenceServer server(cfg, registry);
 
@@ -147,7 +146,6 @@ TEST(ServeStress, MixedEndpointsUnderLoadStayConsistent) {
 
   ServerConfig cfg;
   cfg.policy.maxBatch = 4;
-  cfg.policy.maxWaitMicros = 150;
   cfg.workers = 2;
   InferenceServer server(cfg, registry);
 
@@ -231,7 +229,6 @@ TEST(ServeStress, NetworkHotSwapSoakKeepsEveryReplySingleSnapshot) {
   NetServerConfig cfg;
   cfg.shards = 2;
   cfg.policy.maxBatch = 8;
-  cfg.policy.maxWaitMicros = 200;
   NetServer server(cfg, registry);
 
   std::thread publisher([&] {
@@ -303,7 +300,6 @@ TEST(ServeStress, NetworkPipelinedBurstsSurviveShutdownMidFlight) {
   NetServerConfig cfg;
   cfg.shards = 2;
   cfg.policy.maxBatch = 4;
-  cfg.policy.maxWaitMicros = 300;
   NetServer server(cfg, registry);
 
   constexpr int kClients = 2;
@@ -369,7 +365,6 @@ TEST(ServeStress, ServerLifecycleChurnWithInFlightWork) {
   for (int round = 0; round < 10; ++round) {
     ServerConfig cfg;
     cfg.policy.maxBatch = 4;
-    cfg.policy.maxWaitMicros = 100;
     cfg.workers = 1 + static_cast<std::size_t>(round % 3);
     InferenceServer server(cfg, registry);
     std::vector<std::future<InferenceResult>> futs;
