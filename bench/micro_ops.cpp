@@ -3,12 +3,15 @@
 /// radiation kernel. These guard against performance regressions in the
 /// substrate and calibrate the bench harness constants.
 ///
-/// Besides the google-benchmark suite, `--acceptance[=ratio]` runs a
-/// self-contained GEMM acceptance gate: ml::matmul forward+backward (the
-/// shared blocked kernels of ml/kernels/gemm.hpp) must beat the naive
+/// Besides the google-benchmark suite, `--acceptance[=ratio]` runs two
+/// self-contained gates. GEMM: ml::matmul forward+backward (the shared
+/// blocked kernels of ml/kernels/gemm.hpp) must beat the naive
 /// triple-loop reference by the given factor (default 2.5x; the local
-/// target in ROADMAP is 3x). `--json <path>` writes the measurement as a
-/// JSON document (CI uploads it as the BENCH_micro_ops artifact).
+/// target in ROADMAP is 3x). Trainer step: an INN training step on the
+/// step arena must make zero steady-state heap allocations and match a
+/// heap step's gradients bit for bit; its time is reported. `--json
+/// <path>` writes the measurements as a JSON document (CI uploads it as
+/// the BENCH_micro_ops artifact).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -377,25 +380,21 @@ AcceptanceResult runGemmAcceptance(double threshold) {
 }
 
 // --- trainer-step acceptance gate ------------------------------------------
-// The PR 9 gate: an INN fwd+bwd training step on the arena + view path
-// must beat the pre-refactor execution by the given factor, with
-// bit-identical gradients and zero steady-state heap allocations proven
-// via Arena::stats(). The baseline runs in the pinned legacy lane
-// (ExecOptions::legacyExec: heap tensors, copying ops, hash-set topo
-// sort, div/mod elementwise backward indexing — the pre-PR 9 executor,
-// kept alive exactly so this comparison stays honest) outside any
-// ArenaScope.
+// An INN fwd+bwd training step on the step arena: once the allocation
+// plan replays, the timed steps must make zero heap allocations (proven
+// via Arena::stats()) and end with gradients bit-identical to a plain
+// heap step. The step time is reported, not gated — the end-to-end
+// benchmark (perfbench, intransit_train) gates trainer speed against the
+// parent commit.
 
 struct StepAcceptanceResult {
-  double baselineMs = 0;      ///< pre-refactor step (heap + copies)
-  double arenaMs = 0;         ///< arena + views steady-state step
-  double ratio = 0;
+  double arenaMs = 0;              ///< best-of-rounds steady-state step
   std::uint64_t steadyAllocs = 0;  ///< mallocs across the timed steps
-  bool bitIdentical = false;  ///< grads equal across both paths
+  bool bitIdentical = false;       ///< arena grads == heap-step grads
   bool pass = false;
 };
 
-StepAcceptanceResult runTrainerStepAcceptance(double threshold) {
+StepAcceptanceResult runTrainerStepAcceptance() {
   Rng rng(7);
   Inn::Config cfg;
   cfg.dim = 64;
@@ -420,75 +419,39 @@ StepAcceptanceResult runTrainerStepAcceptance(double threshold) {
   };
 
   StepAcceptanceResult r;
-
-  // Baseline: the pre-refactor executor — heap-backed results, copying
-  // slice/transpose/reshape semantics, separate activation nodes,
-  // per-tensor grad zeroing, hash-set topological sort, generic
-  // broadcast-index backward loops.
-  execOptions().legacyExec = true;
-  step();
+  step();  // heap step, outside any ArenaScope
   const std::vector<Real> reference = grads();
-  execOptions().legacyExec = false;
 
-  // Arena path: warm up until the allocation plan replays.
   Arena arena;
-  for (int i = 0; i < 3; ++i) {
+  auto arenaStep = [&] {
     arena.beginStep();
     ArenaScope scope(arena);
     step();
-  }
+  };
+  for (int i = 0; i < 3; ++i) arenaStep();  // warm up until the plan replays
   r.bitIdentical = grads() == reference;
 
-  // Time the two lanes in alternating rounds, keeping each lane's best
-  // round. Machine load varies between runs, so timing lane A fully and
-  // then lane B can skew the ratio either way; interleaving makes both
-  // lanes see the same load profile and the ratio of minima stays stable
-  // even when absolute timings drift 2x.
-  execOptions().legacyExec = true;
   long iters = 1;
-  for (;;) {  // calibrate a round to ~50 ms of legacy-lane work
+  for (;;) {  // calibrate a round to ~50 ms of work
     Timer t;
-    for (long i = 0; i < iters; ++i) step();
+    for (long i = 0; i < iters; ++i) arenaStep();
     if (t.seconds() > 0.05 || iters > (1L << 18)) break;
     iters *= 4;
   }
-  execOptions().legacyExec = false;
-
   const std::uint64_t allocsBefore = arena.stats().heapAllocations;
-  double bestLegacy = 1e300, bestArena = 1e300;
+  double best = 1e300;
   constexpr int kRounds = 7;
   for (int round = 0; round < kRounds; ++round) {
-    execOptions().legacyExec = true;
-    {
-      Timer t;
-      for (long i = 0; i < iters; ++i) step();
-      bestLegacy = std::min(bestLegacy, t.seconds() / iters);
-    }
-    execOptions().legacyExec = false;
-    {
-      Timer t;
-      for (long i = 0; i < iters; ++i) {
-        arena.beginStep();
-        ArenaScope scope(arena);
-        step();
-      }
-      bestArena = std::min(bestArena, t.seconds() / iters);
-    }
+    Timer t;
+    for (long i = 0; i < iters; ++i) arenaStep();
+    best = std::min(best, t.seconds() / static_cast<double>(iters));
   }
-  r.baselineMs = bestLegacy * 1e3;
-  r.arenaMs = bestArena * 1e3;
-  // Every timed arena step must have replayed the recorded plan without
-  // touching the heap.
+  r.arenaMs = best * 1e3;
   r.steadyAllocs = arena.stats().heapAllocations - allocsBefore;
   r.bitIdentical = r.bitIdentical && grads() == reference;
-
-  r.ratio = r.baselineMs / r.arenaMs;
-  r.pass = r.ratio >= threshold && r.steadyAllocs == 0 && r.bitIdentical;
+  r.pass = r.steadyAllocs == 0 && r.bitIdentical;
   return r;
 }
-
-/// The PR 9 trainer-step gate factor (arena+views vs pre-refactor).
-constexpr double kTrainerStepThreshold = 1.3;
 
 int acceptanceMain(double threshold, const char* jsonPath) {
   std::printf(
@@ -502,18 +465,16 @@ int acceptanceMain(double threshold, const char* jsonPath) {
 
   std::printf(
       "\nTrainer-step acceptance: INN fwd+bwd (dim=64, blocks=4, hidden "
-      "{48,48}, batch=16), arena+views vs pre-refactor path\n");
-  const StepAcceptanceResult s = runTrainerStepAcceptance(
-      kTrainerStepThreshold);
-  std::printf("  pre-refactor : %8.3f ms/step\n", s.baselineMs);
-  std::printf("  arena+views  : %8.3f ms/step\n", s.arenaMs);
+      "{48,48}, batch=16) on the step arena\n");
+  const StepAcceptanceResult s = runTrainerStepAcceptance();
+  std::printf("  arena step   : %8.3f ms/step (reported, not gated)\n",
+              s.arenaMs);
   std::printf("  steady-state heap allocations: %llu\n",
               static_cast<unsigned long long>(s.steadyAllocs));
-  std::printf("  gradients bit-identical across paths: %s\n",
+  std::printf("  gradients bit-identical to a heap step: %s\n",
               s.bitIdentical ? "yes" : "NO");
-  std::printf(
-      "acceptance (>= %.2fx, 0 allocs, bit-identical): %.2fx -> %s\n",
-      kTrainerStepThreshold, s.ratio, s.pass ? "PASS" : "FAIL");
+  std::printf("acceptance (0 allocs, bit-identical): %s\n",
+              s.pass ? "PASS" : "FAIL");
 
   if (jsonPath != nullptr) {
     std::FILE* f = std::fopen(jsonPath, "w");
@@ -534,10 +495,7 @@ int acceptanceMain(double threshold, const char* jsonPath) {
                  "  },\n"
                  "  \"trainer_step\": {\n"
                  "    \"workload\": \"inn_fwd_bwd_dim64_blocks4_batch16\",\n"
-                 "    \"baseline_ms\": %.4f,\n"
                  "    \"arena_ms\": %.4f,\n"
-                 "    \"ratio\": %.4f,\n"
-                 "    \"threshold\": %.4f,\n"
                  "    \"steady_state_heap_allocations\": %llu,\n"
                  "    \"grads_bit_identical\": %s,\n"
                  "    \"pass\": %s\n"
@@ -545,8 +503,7 @@ int acceptanceMain(double threshold, const char* jsonPath) {
                  "  \"pass\": %s\n"
                  "}\n",
                  r.naiveGflops, r.blockedGflops, r.ratio, threshold,
-                 r.pass ? "true" : "false", s.baselineMs, s.arenaMs, s.ratio,
-                 kTrainerStepThreshold,
+                 r.pass ? "true" : "false", s.arenaMs,
                  static_cast<unsigned long long>(s.steadyAllocs),
                  s.bitIdentical ? "true" : "false", s.pass ? "true" : "false",
                  (r.pass && s.pass) ? "true" : "false");

@@ -78,8 +78,8 @@ ml::LossTerms ArtificialScientistModel::lossTerms(const Tensor& clouds,
   Tensor y = inn_->forward(z);
   // Zero-copy column views into the INN output; the loss ops read them
   // through strides (or feed GEMM via lda) without materialising.
-  Tensor iPred = ml::sliceFast(y, -1, 0, cfg_.spectrumDim);
-  Tensor nPred = ml::sliceFast(y, -1, cfg_.spectrumDim, latent);
+  Tensor iPred = ml::slice(y, -1, 0, cfg_.spectrumDim);
+  Tensor nPred = ml::slice(y, -1, cfg_.spectrumDim, latent);
   terms.mse = ml::mseLoss(iPred, spectra);
   Tensor nTarget = Tensor::randn({B, noiseDim}, rng);
   terms.mmdPosterior = ml::mmdInverseMultiquadratic(nPred, nTarget);
@@ -107,15 +107,15 @@ Tensor ArtificialScientistModel::invertSpectra(const Tensor& spectra,
   Tensor noise = Tensor::randn({B, noiseDim}, rng);
   Tensor z = inn_->inverse(ml::cat({spectra, noise}, -1));
   // The decoder tail is a zero-copy reshape view; public API results are
-  // owned tensors (callers read .data()), so materialize here — the same
-  // one memcpy the pre-view copying reshape always paid.
+  // owned tensors (callers read .data()), so materialize here.
   return ml::contiguousCopy(decoder_->forward(z));
 }
 
 Tensor ArtificialScientistModel::predictSpectra(const Tensor& clouds) const {
   const auto moments = encoder_->forward(clouds);
   Tensor y = inn_->forward(moments.mu);
-  return ml::slice(y, -1, 0, cfg_.spectrumDim);
+  // An owned tensor, like invertSpectra's result, not a column view.
+  return ml::contiguousCopy(ml::slice(y, -1, 0, cfg_.spectrumDim));
 }
 
 Tensor ArtificialScientistModel::encodeMean(const Tensor& clouds) const {

@@ -4,6 +4,7 @@
 #include <malloc.h>
 #endif
 
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -78,8 +79,18 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
   KhiStreamProducer producer(cfg.producer, particleEngine, radiationEngine);
   std::string producerFault;
   std::mutex producerFaultMutex;
+  // The step deadline bounds the wait for a streamed step, not the
+  // warm-up before the first one: the consumer starts reading only once
+  // the producer has warmed up (or failed trying, which aborts both
+  // streams first).
+  std::promise<void> warmedUp;
+  std::future<void> streaming = warmedUp.get_future();
   std::thread producerThread([&] {
+    bool released = false;
     try {
+      producer.warmUp();
+      warmedUp.set_value();
+      released = true;
       producer.run();
     } catch (const std::exception& e) {
       {
@@ -88,6 +99,7 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
       }
       failBoth(std::string("producer failed: ") + e.what());
     }
+    if (!released) warmedUp.set_value();
   });
 
   openpmd::Series particleRead(
@@ -106,6 +118,7 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
   // trainer ms/step, replay occupancy, ...) at info level, one line per
   // `stepReportEvery` streamed steps.
   obs::StepReporter reporter(obs::Registry::global(), cfg.stepReportEvery);
+  streaming.wait();
   try {
     for (;;) {
       auto itP = particleRead.readNextIteration();

@@ -77,8 +77,14 @@ void KhiStreamProducer::emitIteration(long index) {
   ++iterationsStreamed_;
 }
 
-void KhiStreamProducer::run() {
+void KhiStreamProducer::warmUp() {
+  if (warmedUp_) return;
   sim_->run(cfg_.warmupSteps);
+  warmedUp_ = true;
+}
+
+void KhiStreamProducer::run() {
+  warmUp();
   for (long s = 0; s < cfg_.totalSteps; ++s) {
     sim_->step();
     if ((s + 1) % cfg_.streamEvery == 0) {

@@ -36,6 +36,12 @@ class KhiStreamProducer {
                     std::shared_ptr<stream::SstEngine> particleStream,
                     std::shared_ptr<stream::SstEngine> radiationStream);
 
+  /// Run the `warmupSteps` PIC steps that precede streaming, once; later
+  /// calls return at once. run() calls it first, so calling it yourself
+  /// is optional: it lets a caller learn when streaming is about to start
+  /// (runPipeline starts the consumer's step deadline only then).
+  void warmUp();
+
   /// Run the simulation, streaming as configured; closes both streams.
   /// Blocking — call on the producer thread.
   void run();
@@ -54,6 +60,7 @@ class KhiStreamProducer {
   std::unique_ptr<openpmd::Series> radiationSeries_;
   Rng rng_;
   long iterationsStreamed_ = 0;
+  bool warmedUp_ = false;
 };
 
 }  // namespace artsci::core

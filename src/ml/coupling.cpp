@@ -38,9 +38,9 @@ Tensor GlowCouplingBlock::runSubnet(const Subnet& s, const Tensor& in,
   }
   Tensor st = s.net->forward(input);
   // Column-slice views: zero-copy; downstream elementwise ops read them
-  // through strides, bit-identical to the former copying slices.
-  Tensor rawScale = sliceFast(st, /*axis=*/-1, 0, s.outHalf);
-  shift = sliceFast(st, /*axis=*/-1, s.outHalf, 2 * s.outHalf);
+  // through strides.
+  Tensor rawScale = slice(st, /*axis=*/-1, 0, s.outHalf);
+  shift = slice(st, /*axis=*/-1, s.outHalf, 2 * s.outHalf);
   // Soft clamp: s -> clamp * tanh(s / clamp), keeps exp(s) in
   // [exp(-clamp), exp(clamp)] so forward and inverse stay well-conditioned.
   scale = mulScalar(tanhT(mulScalar(rawScale, Real(1) / clamp_)), clamp_);
@@ -49,8 +49,8 @@ Tensor GlowCouplingBlock::runSubnet(const Subnet& s, const Tensor& in,
 
 Tensor GlowCouplingBlock::forward(const Tensor& x, const Tensor& cond) const {
   ARTSCI_EXPECTS(x.dim(-1) == dim_);
-  Tensor x1 = sliceFast(x, -1, 0, half_);
-  Tensor x2 = sliceFast(x, -1, half_, dim_);
+  Tensor x1 = slice(x, -1, 0, half_);
+  Tensor x2 = slice(x, -1, half_, dim_);
   Tensor s1, t1;
   runSubnet(s1_, x2, cond, s1, t1);
   Tensor y1 = add(mul(x1, expT(s1)), t1);
@@ -62,8 +62,8 @@ Tensor GlowCouplingBlock::forward(const Tensor& x, const Tensor& cond) const {
 
 Tensor GlowCouplingBlock::inverse(const Tensor& y, const Tensor& cond) const {
   ARTSCI_EXPECTS(y.dim(-1) == dim_);
-  Tensor y1 = sliceFast(y, -1, 0, half_);
-  Tensor y2 = sliceFast(y, -1, half_, dim_);
+  Tensor y1 = slice(y, -1, 0, half_);
+  Tensor y2 = slice(y, -1, half_, dim_);
   Tensor s2, t2;
   runSubnet(s2_, y1, cond, s2, t2);
   Tensor x2 = mul(sub(y2, t2), expT(neg(s2)));

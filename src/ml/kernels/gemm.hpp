@@ -42,7 +42,7 @@ using Real = double;
 /// ml::Activation so the mapping is a checked static_cast.
 enum class Act { kNone, kRelu, kLeakyRelu, kTanh };
 
-/// The fixed leaky-ReLU slope used across the stack (ml::activate).
+/// The fixed leaky-ReLU slope of Activation::kLeakyRelu across the stack.
 inline constexpr Real kLeakySlope = 0.01;
 
 /// C[M,N] = A[M,K] · B[K,N] (accumulate=false) or += (accumulate=true).

@@ -4,21 +4,6 @@
 
 namespace artsci::ml {
 
-Tensor activate(const Tensor& x, Activation act) {
-  switch (act) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return relu(x);
-    case Activation::kLeakyRelu:
-      return leakyRelu(x, Real(0.01));
-    case Activation::kTanh:
-      return tanhT(x);
-  }
-  ARTSCI_CHECK(false);
-  return x;
-}
-
 long Module::parameterCount() const {
   long n = 0;
   for (const auto& p : parameters()) n += p.numel();
@@ -42,7 +27,7 @@ Tensor Linear::forward(const Tensor& x, Activation act) const {
   Tensor h = x;
   Shape original = x.shape();
   const bool needReshape = x.ndim() != 2;
-  if (needReshape) h = reshapeFast(h, {x.numel() / in_, in_});
+  if (needReshape) h = reshape(h, {x.numel() / in_, in_});
   // Fused matmul+bias+activation node on the shared blocked kernels
   // (same bits as matmul-then-add-then-activate: k-ascending
   // accumulation, bias last, activation after).
@@ -50,7 +35,7 @@ Tensor Linear::forward(const Tensor& x, Activation act) const {
   if (needReshape) {
     Shape outShape = original;
     outShape.back() = out_;
-    y = reshapeFast(y, outShape);
+    y = reshape(y, outShape);
   }
   return y;
 }
@@ -72,17 +57,9 @@ Mlp::Mlp(std::vector<long> dims, Rng& rng, Activation hidden,
 
 Tensor Mlp::forward(const Tensor& x) const {
   Tensor h = x;
-  const bool legacy = execOptions().legacyExec;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const bool last = (i + 1 == layers_.size());
-    const Activation act = last ? output_ : hidden_;
-    if (legacy) {
-      // Baseline lane: separate linear and activation nodes, as the
-      // pre-fusion code built the graph.
-      h = activate(layers_[i].forward(h), act);
-    } else {
-      h = layers_[i].forward(h, act);
-    }
+    h = layers_[i].forward(h, last ? output_ : hidden_);
   }
   return h;
 }
@@ -111,10 +88,8 @@ PointNetEncoder::Moments PointNetEncoder::forward(const Tensor& x) const {
                                         << shapeToString(x.shape()));
   ARTSCI_EXPECTS(x.dim(2) == cfg_.channels.front());
   Tensor h = x;
-  const bool legacy = execOptions().legacyExec;
   for (const auto& layer : pointLayers_)
-    h = legacy ? leakyRelu(layer.forward(h), Real(0.01))
-               : layer.forward(h, Activation::kLeakyRelu);
+    h = layer.forward(h, Activation::kLeakyRelu);
   // Transposition-invariant pooling over the particle axis.
   Tensor pooled = maxAxis(h, /*axis=*/1);  // [B, feat]
   Moments m;
@@ -189,21 +164,19 @@ VoxelDecoder::VoxelDecoder(Config cfg, Rng& rng) : cfg_(std::move(cfg)) {
 Tensor VoxelDecoder::forward(const Tensor& z) const {
   ARTSCI_EXPECTS(z.ndim() == 2 && z.dim(1) == cfg_.latentDim);
   const long B = z.dim(0);
-  Tensor h = execOptions().legacyExec
-                 ? leakyRelu(fc_->forward(z), Real(0.01))
-                 : fc_->forward(z, Activation::kLeakyRelu);  // [B, V0^3*C0]
+  Tensor h = fc_->forward(z, Activation::kLeakyRelu);  // [B, V0^3*C0]
   for (std::size_t s = 0; s < deconvs_.size(); ++s) {
     const long V = gridSizes_[s];
     const long cin = cfg_.channels[s];
     // per-voxel linear map: [B*V^3, cin] -> [B*V^3, 8*cout]
-    h = reshapeFast(h, {B * V * V * V, cin});
+    h = reshape(h, {B * V * V * V, cin});
     h = deconvs_[s].forward(h);
-    h = reshapeFast(h, {B, V * V * V * 8 * cfg_.channels[s + 1]});
+    h = reshape(h, {B, V * V * V * 8 * cfg_.channels[s + 1]});
     h = permuteLast(h, shuffles_[s]);
     const bool last = (s + 1 == deconvs_.size());
     if (!last) h = leakyRelu(h, Real(0.01));
   }
-  return reshapeFast(h, {B, pointCount_, cfg_.channels.back()});
+  return reshape(h, {B, pointCount_, cfg_.channels.back()});
 }
 
 std::vector<Tensor> VoxelDecoder::parameters() const {

@@ -18,10 +18,6 @@ namespace artsci::ml {
 
 // Activation lives in ml/ops.hpp next to the fused linear op.
 
-/// Apply an activation as a separate graph op (the pre-fusion
-/// formulation; the legacy baseline lane and non-layer call sites use it).
-Tensor activate(const Tensor& x, Activation act);
-
 /// Base class for anything owning trainable parameters.
 class Module {
  public:
@@ -40,8 +36,8 @@ class Linear : public Module {
 
   /// y = act(x W + b), with the activation fused into the linear node
   /// (one elementwise epilogue instead of a separate graph op — same
-  /// bits, see ml::linear). Under ExecOptions::legacyExec the caller is
-  /// expected to apply activate() itself, as the pre-fusion code did.
+  /// bits, see ml::linear). Inputs of rank other than 2 are reshaped to
+  /// [rows, in] and the result back to [..., out]; see ml::reshape.
   Tensor forward(const Tensor& x, Activation act = Activation::kNone) const;
   std::vector<Tensor> parameters() const override;
 

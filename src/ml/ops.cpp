@@ -21,34 +21,14 @@ inline long physIdx(const TensorImpl& im, long i) {
   return im.contiguous ? i : logicalToStorage(im.shape, im.strides, i);
 }
 
-/// Map a logical flat index in `outShape` to the *storage* index of an
-/// input that broadcasts to outShape (right-aligned). `inStrides` are the
-/// input's physical strides, so stride-0 broadcast axes and view layouts
-/// are handled by the same arithmetic; for contiguous inputs this
-/// produces exactly the indices the pre-view code computed.
-long mapBroadcastIndex(long flat, const Shape& outShape,
-                       const Strides& outStrides, const Shape& inShape,
-                       const Strides& inStrides) {
-  const int offset = static_cast<int>(outShape.size() - inShape.size());
-  long idx = 0;
-  for (std::size_t d = 0; d < outShape.size(); ++d) {
-    const long coord = (flat / outStrides[d]) % outShape[d];
-    const int din = static_cast<int>(d) - offset;
-    if (din >= 0) {
-      const long dim = inShape[static_cast<std::size_t>(din)];
-      idx += (dim == 1 ? 0 : coord) * inStrides[static_cast<std::size_t>(din)];
-    }
-  }
-  return idx;
-}
-
 /// Row-major traversal cursor yielding successive storage indices of an
-/// input that broadcasts to `outShape` — the same mapping as
-/// mapBroadcastIndex, but the per-element div/mod chain is amortized to
-/// counter increments (a couple of adds per step). Traversal order and
-/// the produced indices are identical, so results are bitwise unchanged;
-/// this is what makes elementwise ops on strided views cost roughly the
-/// same as on dense tensors.
+/// input that broadcasts to `outShape` (right-aligned numpy semantics).
+/// `inStrides` are the input's physical strides, so stride-0 broadcast
+/// axes and view layouts are handled by the same arithmetic; the
+/// per-element coordinate decomposition is amortized to counter
+/// increments (a couple of adds per step), which is what makes
+/// elementwise ops on strided views cost roughly the same as on dense
+/// tensors.
 class StridedCursor {
  public:
   StridedCursor(const Shape& outShape, const Shape& inShape,
@@ -88,13 +68,6 @@ class StridedCursor {
 };
 
 bool sameShape(const Shape& a, const Shape& b) { return a == b; }
-
-/// View-producing ops materialize copies when views are toggled off OR
-/// the pre-refactor baseline lane is pinned (ExecOptions::legacyExec).
-inline bool viewsOn() {
-  const ExecOptions& o = execOptions();
-  return o.useViews && !o.legacyExec;
-}
 
 /// True if b's shape is an exact suffix of a's shape (fast bias-add path).
 bool isSuffix(const Shape& a, const Shape& b) {
@@ -167,24 +140,6 @@ Tensor binaryOp(const Tensor& a, const Tensor& b, const char* name, FwdOp fwd,
       const Real* ad2 = pa->dataPtr();
       const Real* bd2 = pb->dataPtr();
       const Real* sg = self.gradPtr();
-      if (execOptions().legacyExec) {
-        // Baseline lane: the pre-refactor div/mod index mapping per
-        // element. Identical indices and arithmetic to the cursor loop
-        // below, just recomputed from scratch each iteration.
-        const Strides outStrides = rowMajorStrides(outShape);
-        for (long i = 0; i < n2; ++i) {
-          const long ia = mapBroadcastIndex(i, outShape, outStrides,
-                                            pa->shape, pa->strides);
-          const long ib = mapBroadcastIndex(i, outShape, outStrides,
-                                            pb->shape, pb->strides);
-          const Real av = ad2[ia];
-          const Real bv = bd2[ib];
-          const Real g = sg[i];
-          if (ga) ga[ia] += g * dfdA(av, bv);
-          if (gb) gb[ib] += g * dfdB(av, bv);
-        }
-        return;
-      }
       StridedCursor ca(outShape, pa->shape, pa->strides);
       StridedCursor cb(outShape, pb->shape, pb->strides);
       for (long i = 0; i < n2; ++i) {
@@ -536,30 +491,9 @@ Tensor linear(const Tensor& x0, const Tensor& w, const Tensor& bias,
 
 Tensor transpose2d(const Tensor& a) {
   ARTSCI_EXPECTS(a.ndim() == 2);
-  const long M = a.dim(0), N = a.dim(1);
-  if (viewsOn()) {
-    const Strides& s = a.strides();
-    return makeView(a, Shape{N, M}, Strides{s[1], s[0]}, 0, "transposeView");
-  }
-  Tensor out = makeResult({N, M}, {a}, "transpose2d");
-  const TensorImpl& ai = *a.impl();
-  const Real* ad = ai.dataPtr();
-  Real* od = out.dataPtr();
-  const long sr = ai.strides[0], sc = ai.strides[1];
-  for (long i = 0; i < M; ++i)
-    for (long j = 0; j < N; ++j) od[j * M + i] = ad[i * sr + j * sc];
-  if (out.requiresGrad()) {
-    auto pa = a.impl_;
-    out.impl_->backwardFn = [pa, M, N](TensorImpl& self) {
-      Real* ga = gradOf(pa);
-      if (!ga) return;
-      const Real* sg = self.gradPtr();
-      const long sr2 = pa->strides[0], sc2 = pa->strides[1];
-      for (long i = 0; i < M; ++i)
-        for (long j = 0; j < N; ++j) ga[i * sr2 + j * sc2] += sg[j * M + i];
-    };
-  }
-  return out;
+  const Strides& s = a.strides();
+  return makeView(a, Shape{a.dim(1), a.dim(0)}, Strides{s[1], s[0]}, 0,
+                  "transposeView");
 }
 
 Tensor contiguousCopy(const Tensor& a) {
@@ -738,42 +672,7 @@ Tensor maxAxis(const Tensor& a0, int axis, bool keepdim) {
   return out;
 }
 
-Tensor reshape(const Tensor& a, Shape newShape) {
-  ARTSCI_EXPECTS_MSG(numelOf(newShape) == a.numel(),
-                     "reshape " << shapeToString(a.shape()) << " -> "
-                                << shapeToString(newShape)
-                                << " changes element count");
-  Tensor out = makeResult(std::move(newShape), {a}, "reshape");
-  const TensorImpl& ai = *a.impl();
-  const Real* ad = ai.dataPtr();
-  Real* od = out.dataPtr();
-  const long n = out.numel();
-  if (ai.contiguous) {
-    std::memcpy(od, ad, sizeof(Real) * static_cast<std::size_t>(n));
-  } else {
-    StridedCursor c(ai.shape, ai.strides);
-    for (long i = 0; i < n; ++i) od[i] = ad[c.next()];
-  }
-  if (out.requiresGrad()) {
-    auto pa = a.impl_;
-    out.impl_->backwardFn = [pa](TensorImpl& self) {
-      Real* ga = gradOf(pa);
-      if (!ga) return;
-      const Real* sg = self.gradPtr();
-      const long n2 = self.numel();
-      if (pa->contiguous) {
-        for (long i = 0; i < n2; ++i) ga[i] += sg[i];
-      } else {
-        StridedCursor c(pa->shape, pa->strides);
-        for (long i = 0; i < n2; ++i) ga[c.next()] += sg[i];
-      }
-    };
-  }
-  return out;
-}
-
-Tensor sliceFast(const Tensor& a, int axis, long start, long end) {
-  if (!viewsOn()) return slice(a, axis, start, end);
+Tensor slice(const Tensor& a, int axis, long start, long end) {
   const int nd = a.ndim();
   if (axis < 0) axis += nd;
   ARTSCI_EXPECTS(axis >= 0 && axis < nd);
@@ -788,15 +687,14 @@ Tensor sliceFast(const Tensor& a, int axis, long start, long end) {
                   start * st[static_cast<std::size_t>(axis)], "sliceView");
 }
 
-Tensor reshapeFast(const Tensor& a, Shape newShape) {
+Tensor reshape(const Tensor& a, Shape newShape) {
   ARTSCI_EXPECTS_MSG(numelOf(newShape) == a.numel(),
                      "reshape " << shapeToString(a.shape()) << " -> "
                                 << shapeToString(newShape)
                                 << " changes element count");
-  if (!viewsOn() || !a.isContiguous())
-    return reshape(a, std::move(newShape));
   Strides st = rowMajorStrides(newShape);
-  return makeView(a, std::move(newShape), std::move(st), 0, "reshapeView");
+  return makeView(asContiguous(a), std::move(newShape), std::move(st), 0,
+                  "reshapeView");
 }
 
 Tensor broadcastTo(const Tensor& a, const Shape& target) {
@@ -812,8 +710,7 @@ Tensor broadcastTo(const Tensor& a, const Shape& target) {
     st[static_cast<std::size_t>(off + d)] =
         repeated ? 0 : a.strides()[static_cast<std::size_t>(d)];
   }
-  Tensor view = makeView(a, target, std::move(st), 0, "broadcastView");
-  return viewsOn() ? view : contiguousCopy(view);
+  return makeView(a, target, std::move(st), 0, "broadcastView");
 }
 
 Tensor cat(const std::vector<Tensor>& parts0, int axis) {
@@ -875,46 +772,6 @@ Tensor cat(const std::vector<Tensor>& parts0, int axis) {
           }
         }
         axisOffset2 += len;
-      }
-    };
-  }
-  return out;
-}
-
-Tensor slice(const Tensor& a0, int axis, long start, long end) {
-  Tensor a = asContiguous(a0);
-  const int nd = a.ndim();
-  if (axis < 0) axis += nd;
-  ARTSCI_EXPECTS(axis >= 0 && axis < nd);
-  ARTSCI_EXPECTS_MSG(start >= 0 && end <= a.dim(axis) && start < end,
-                     "slice range [" << start << ", " << end
-                                     << ") out of bounds for axis size "
-                                     << a.dim(axis));
-  Shape outShape = a.shape();
-  outShape[static_cast<std::size_t>(axis)] = end - start;
-  Tensor out = makeResult(outShape, {a}, "slice");
-  long outer = 0, lenIn = 0, inner = 0;
-  axisSplit(a.shape(), axis, outer, lenIn, inner);
-  const long lenOut = end - start;
-  const Real* ad = a.dataPtr();
-  Real* od = out.dataPtr();
-  for (long o = 0; o < outer; ++o) {
-    const Real* src = ad + (o * lenIn + start) * inner;
-    Real* dst = od + o * lenOut * inner;
-    std::memcpy(dst, src,
-                sizeof(Real) * static_cast<std::size_t>(lenOut * inner));
-  }
-  if (out.requiresGrad()) {
-    auto pa = a.impl_;
-    out.impl_->backwardFn = [pa, outer, lenIn, lenOut, inner,
-                             start](TensorImpl& self) {
-      Real* ga = gradOf(pa);
-      if (!ga) return;
-      const Real* sg = self.gradPtr();
-      for (long o = 0; o < outer; ++o) {
-        const Real* src = sg + o * lenOut * inner;
-        Real* dst = ga + (o * lenIn + start) * inner;
-        for (long i = 0; i < lenOut * inner; ++i) dst[i] += src[i];
       }
     };
   }

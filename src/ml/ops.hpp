@@ -69,8 +69,7 @@ enum class Activation { kNone, kRelu, kLeakyRelu, kTanh };
 /// training hot path — ml::Linear routes through it.
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias,
               Activation act = Activation::kNone);
-/// [M,N] -> [N,M]. With execOptions().useViews (default) this is a
-/// zero-copy stride-swap view; otherwise a materialized copy node.
+/// [M,N] -> [N,M] as a zero-copy stride-swap view.
 Tensor transpose2d(const Tensor& a);
 
 // --- reductions ------------------------------------------------------------
@@ -84,28 +83,29 @@ Tensor meanAxis(const Tensor& a, int axis, bool keepdim = false);
 Tensor maxAxis(const Tensor& a, int axis, bool keepdim = false);
 
 // --- views (zero-copy; ml/shape.hpp stride machinery) -----------------------
+// transpose2d, slice, reshape and broadcastTo return views that alias their
+// input's storage; consumers read them through strides and accumulate
+// gradients straight into the base. contiguousCopy is the only op that
+// materializes one.
+
 /// Materialized contiguous copy node of any (possibly strided) tensor.
-/// Backward scatters one gradient add per storage slot, so the result is
-/// bit-identical to the copy ops the views replaced.
+/// Backward scatters one gradient add per storage slot.
 Tensor contiguousCopy(const Tensor& a);
 /// `a` itself if already contiguous, else contiguousCopy(a).
 Tensor asContiguous(const Tensor& a);
-/// slice() as a zero-copy view (offset + unchanged strides); falls back
-/// to the copying slice() when execOptions().useViews is off.
-Tensor sliceFast(const Tensor& a, int axis, long start, long end);
-/// reshape() as a zero-copy view when `a` is contiguous; copying
-/// reshape() otherwise (or when useViews is off).
-Tensor reshapeFast(const Tensor& a, Shape newShape);
-/// Broadcast `a` to `target` as a stride-0 view (numpy right-aligned);
-/// materialized when useViews is off.
+/// The [start, end) range along `axis` as a view (offset + unchanged
+/// strides). A column slice of a matrix is row-strided, which the GEMM
+/// kernels read in place via their leading dimension.
+Tensor slice(const Tensor& a, int axis, long start, long end);
+/// Same elements under `newShape` as a row-major view. A non-contiguous
+/// input is first materialized with asContiguous.
+Tensor reshape(const Tensor& a, Shape newShape);
+/// Broadcast `a` to `target` as a stride-0 view (numpy right-aligned).
 Tensor broadcastTo(const Tensor& a, const Shape& target);
 
 // --- shape manipulation -----------------------------------------------------
-Tensor reshape(const Tensor& a, Shape newShape);
 /// Concatenate along `axis`; all other dims must match.
 Tensor cat(const std::vector<Tensor>& parts, int axis);
-/// Copy of the [start, end) range along `axis`.
-Tensor slice(const Tensor& a, int axis, long start, long end);
 /// Last-axis permutation: y[..., i] = x[..., perm[i]]; perm must be a
 /// bijection on [0, lastDim). Used for the voxel-shuffle deconvolution and
 /// for the INN's fixed channel permutations.

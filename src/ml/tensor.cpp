@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <sstream>
-#include <unordered_set>
 
 namespace artsci::ml {
 
@@ -21,11 +20,6 @@ std::string shapeToString(const Shape& shape) {
   std::ostringstream os;
   os << shape;
   return os.str();
-}
-
-ExecOptions& execOptions() {
-  static ExecOptions opts;
-  return opts;
 }
 
 namespace {
@@ -155,12 +149,8 @@ std::atomic<std::uint64_t> gVisitEpoch{0};
 void Tensor::backward() {
   ARTSCI_EXPECTS_MSG(numel() == 1, "backward() requires a scalar loss");
   // Iterative post-order DFS to get a topological order. Visited nodes
-  // are marked with a per-traversal epoch stamped on the node itself —
-  // profiling showed the former unordered_set membership test dominating
-  // the whole step (~40% in the pre-refactor binary). The legacy lane
-  // keeps the hash set so the acceptance bench's baseline pays the same
-  // bookkeeping the pre-refactor executor did. Both produce the same DFS
-  // visit order, hence the same gradient accumulation order and bits.
+  // are marked with a per-traversal epoch stamped on the node itself, so
+  // the visited test is one compare instead of a hash-set lookup.
   std::vector<TensorImpl*> topo;
   struct Frame {
     TensorImpl* node;
@@ -168,35 +158,20 @@ void Tensor::backward() {
   };
   std::vector<Frame> stack;
   stack.push_back({impl(), 0});
-  if (execOptions().legacyExec) {
-    std::unordered_set<TensorImpl*> visited;
-    visited.insert(impl());
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.nextParent < f.node->parents.size()) {
-        TensorImpl* p = f.node->parents[f.nextParent++].get();
-        if (visited.insert(p).second) stack.push_back({p, 0});
-      } else {
-        topo.push_back(f.node);
-        stack.pop_back();
+  const std::uint64_t epoch =
+      gVisitEpoch.fetch_add(1, std::memory_order_relaxed) + 1;
+  impl()->visitMark = epoch;
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    if (f.nextParent < f.node->parents.size()) {
+      TensorImpl* p = f.node->parents[f.nextParent++].get();
+      if (p->visitMark != epoch) {
+        p->visitMark = epoch;
+        stack.push_back({p, 0});
       }
-    }
-  } else {
-    const std::uint64_t epoch =
-        gVisitEpoch.fetch_add(1, std::memory_order_relaxed) + 1;
-    impl()->visitMark = epoch;
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.nextParent < f.node->parents.size()) {
-        TensorImpl* p = f.node->parents[f.nextParent++].get();
-        if (p->visitMark != epoch) {
-          p->visitMark = epoch;
-          stack.push_back({p, 0});
-        }
-      } else {
-        topo.push_back(f.node);
-        stack.pop_back();
-      }
+    } else {
+      topo.push_back(f.node);
+      stack.pop_back();
     }
   }
   // Seed and propagate in reverse topological order. View nodes have no

@@ -9,8 +9,7 @@
 /// we train, and double precision makes finite-difference gradient checks
 /// in the test-suite exact to ~1e-8.
 ///
-/// Storage model (PR 9). A node's elements live in exactly one of three
-/// places:
+/// Storage model. A node's elements live in exactly one of three places:
 ///  - heap vectors (`data`/`grad`) — every leaf (parameters, batches) and
 ///    any result built outside an ArenaScope. The `data()`/`grad()`
 ///    vector accessors only work here, which keeps the optimizer,
@@ -19,11 +18,12 @@
 ///  - an Arena (`arenaData`/`arenaGrad`) — results built under an
 ///    ArenaScope get step-lifetime bump storage; see ml/arena.hpp.
 ///  - another node (`viewBase` + `offset`/`strides`) — zero-copy views
-///    produced by transpose2d / sliceFast / broadcasts. Views have
+///    produced by transpose2d / slice / reshape / broadcastTo. Views have
 ///    parents (so autograd reaches them) but no backwardFn: consumers
-///    accumulate straight into the aliased base gradient, which is
-///    bit-identical to the copy-node formulation because each storage
-///    slot receives the same additions in the same topological order.
+///    accumulate straight into the aliased base gradient. Only
+///    contiguousCopy materializes a view; tests/ml/reference_graph.hpp
+///    builds the copy-per-view formulation from it and checks that both
+///    produce the same bits.
 ///
 /// `dataPtr()`/`gradPtr()` resolve the active storage per call; all ops
 /// go through them. Strided (non-contiguous) tensors are handled by the
@@ -51,27 +51,6 @@ long numelOf(const Shape& shape);
 /// "[2, 3, 4]" — for error messages.
 std::string shapeToString(const Shape& shape);
 
-/// Process-wide execution switches, mainly for A/B benchmarks and
-/// bit-identity tests. Not thread-safe to mutate mid-graph.
-struct ExecOptions {
-  /// When false, the view-producing ops (transpose2d, sliceFast,
-  /// reshapeFast, broadcast views) materialize copies exactly as the
-  /// pre-view code path did. The determinism tests verify bitwise-equal
-  /// gradients across both settings.
-  bool useViews = true;
-  /// Pin the pre-refactor executor so a single binary can measure an
-  /// honest "before" lane: copying view ops (overrides useViews), the
-  /// hash-set-based topological sort in backward(), and the generic
-  /// div/mod broadcast indexing in elementwise backward loops. The
-  /// arithmetic per element is unchanged — both lanes produce
-  /// bit-identical values and gradients (bench-verified every run) —
-  /// only the bookkeeping around it reverts. The acceptance bench runs
-  /// its baseline in this lane (outside any ArenaScope); nothing else
-  /// should set it.
-  bool legacyExec = false;
-};
-ExecOptions& execOptions();
-
 struct TensorImpl {
   Shape shape;
   Strides strides;        ///< element strides; stride 0 = broadcast axis
@@ -87,9 +66,8 @@ struct TensorImpl {
   Real* arenaGrad = nullptr;
 
   bool requiresGrad = false;
-  /// Last backward() traversal that visited this node (0 = never). An
-  /// epoch compare replaces the former unordered_set membership test in
-  /// the topological sort — same DFS, same visit order, no hashing.
+  /// Last backward() traversal that visited this node (0 = never); the
+  /// topological sort's visited test is one epoch compare.
   std::uint64_t visitMark = 0;
   std::vector<std::shared_ptr<TensorImpl>> parents;
   /// Propagates this node's grad into its parents' grads. The node itself

@@ -38,14 +38,17 @@ struct ChaosCase {
   bool expectDegraded;      ///< plan is fatal to the stream vs recoverable
 };
 
-/// Three seeded plans spanning the taxonomy: a writer group peer death
+/// Seeded plans spanning the taxonomy: a writer group peer death
 /// mid-stream, a recoverable mix (torn checkpoint write + consumer
-/// stall), and a generic producer failure.
+/// stall), a generic producer failure, and a 2.5 s PIC stall during the
+/// producer's warm-up — longer than the 2 s step deadline, which must
+/// not start before the first streamed step is due.
 const ChaosCase kCases[] = {
     {101, "sst.writer.end_step@4:die", true},
     {202, "ckpt.write@1:torn=128;sst.reader.begin_step@3:delay=20000",
      false},
     {303, "producer.step@6:error", true},
+    {404, "pic.step@2:delay=2500000", false},
 };
 
 /// `ARTSCI_CHAOS_SEED` narrows the battery to one case (CI shards the

@@ -1,19 +1,24 @@
-/// Tests of the PR 9 step arena: results built under an ArenaScope live in
+/// Tests of the step arena: results built under an ArenaScope live in
 /// arena storage (heap vector access trips the guard), the recorded
 /// allocation plan replays with zero steady-state heap allocations
 /// (proven via Arena::stats()), deviation re-records cleanly, and — the
-/// hard contract — gradients are bit-identical across {1,2,8} threads and
-/// across every {arena, views} on/off combination.
+/// hard contract — values and gradients are bit-identical across {1,2,8}
+/// threads, across heap and arena storage, and to the reference graph of
+/// tests/ml/reference_graph.hpp (copied views, separate activation nodes)
+/// for every layer type the model uses.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "ml/arena.hpp"
+#include "ml/coupling.hpp"
 #include "ml/layers.hpp"
 #include "ml/ops.hpp"
 #include "ml/tensor.hpp"
+#include "reference_graph.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -21,12 +26,6 @@
 
 namespace artsci::ml {
 namespace {
-
-/// RAII toggle for execOptions().useViews.
-struct ViewsOff {
-  ViewsOff() { execOptions().useViews = false; }
-  ~ViewsOff() { execOptions().useViews = true; }
-};
 
 /// A small fixed training step: MLP forward + scalar loss + backward.
 /// Heap-backed leaves (params, input) with all intermediates arena-backed
@@ -140,19 +139,72 @@ TEST(Arena, DeviationReRecordsThenReplays) {
   EXPECT_EQ(s.planReplays, 1u);
 }
 
-TEST(Arena, GradsBitIdenticalAcrossArenaAndViewModes) {
+/// Output values and gradients (in `leaves` order) of one fwd+bwd of
+/// sum(forward()^2).
+struct StepBits {
+  std::vector<Real> out;
+  std::vector<Real> grads;
+};
+
+template <typename Forward>
+StepBits runStep(const std::vector<Tensor>& leaves, Forward&& forward) {
+  for (Tensor p : leaves) p.zeroGrad();
+  Tensor out = forward();
+  sumAll(square(out)).backward();
+  StepBits bits{out.toVector(), {}};
+  for (const Tensor& p : leaves) {
+    const Real* g = p.gradPtr();
+    bits.grads.insert(bits.grads.end(), g, g + p.numel());
+  }
+  return bits;
+}
+
+template <typename Forward>
+StepBits runArenaStep(Arena& arena, const std::vector<Tensor>& leaves,
+                      Forward&& forward) {
+  arena.beginStep();
+  ArenaScope scope(arena);
+  return runStep(leaves, forward);
+}
+
+/// The production graph and the reference graph give the same values and
+/// gradients, bit for bit, on the heap and in an arena (the recording
+/// step, the consolidating step and a replayed step).
+template <typename Prod, typename Ref>
+void expectMatchesReference(const std::vector<Tensor>& leaves, Prod&& prod,
+                            Ref&& ref) {
+  const StepBits expect = runStep(leaves, prod);
+  const StepBits heapRef = runStep(leaves, ref);
+  EXPECT_EQ(heapRef.out, expect.out) << "heap: values";
+  EXPECT_EQ(heapRef.grads, expect.grads) << "heap: gradients";
+  Arena prodArena, refArena;
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE("arena step " + std::to_string(step));
+    const StepBits p = runArenaStep(prodArena, leaves, prod);
+    const StepBits r = runArenaStep(refArena, leaves, ref);
+    EXPECT_EQ(p.out, expect.out) << "arena: production values";
+    EXPECT_EQ(p.grads, expect.grads) << "arena: production gradients";
+    EXPECT_EQ(r.out, expect.out) << "arena: reference values";
+    EXPECT_EQ(r.grads, expect.grads) << "arena: reference gradients";
+  }
+  EXPECT_EQ(prodArena.stats().planDeviations, 0u);
+  EXPECT_EQ(refArena.stats().planDeviations, 0u);
+}
+
+/// Parameters followed by the extra leaves whose gradients also count.
+std::vector<Tensor> leavesOf(const Module& m, std::vector<Tensor> extra) {
+  std::vector<Tensor> leaves = m.parameters();
+  for (Tensor& t : extra) leaves.push_back(std::move(t));
+  return leaves;
+}
+
+TEST(Arena, GradsBitIdenticalAcrossArenaAndReferenceGraph) {
   Rng rng(4);
   StepFixture fixture(rng);
 
-  // Reference: plain heap execution, views on (the default path).
+  // Reference: plain heap execution.
   const std::vector<Real> reference = fixture.step();
-
-  // Heap + views off.
-  {
-    ViewsOff off;
-    EXPECT_EQ(fixture.step(), reference);
-  }
-  // Arena + views on, warm-up and steady-state steps.
+  // Arena, warm-up and steady-state steps.
   {
     Arena arena;
     for (int i = 0; i < 3; ++i) {
@@ -161,14 +213,69 @@ TEST(Arena, GradsBitIdenticalAcrossArenaAndViewModes) {
       EXPECT_EQ(fixture.step(), reference);
     }
   }
-  // Arena + views off.
-  {
-    ViewsOff off;
-    Arena arena;
-    arena.beginStep();
-    ArenaScope scope(arena);
-    EXPECT_EQ(fixture.step(), reference);
+
+  // The trainer-step workload of bench_micro_ops --acceptance: an INN
+  // (dim 64, 4 blocks, hidden {48, 48}, batch 16) against the reference
+  // graph with copied column slices and separate leaky-ReLU nodes.
+  Rng innRng(7);
+  Inn::Config cfg;
+  cfg.dim = 64;
+  cfg.blocks = 4;
+  cfg.hidden = {48, 48};
+  Inn inn(cfg, innRng);
+  Tensor x = Tensor::randn({16, 64}, innRng, Real(1), /*requiresGrad=*/true);
+  expectMatchesReference(
+      leavesOf(inn, {x}), [&] { return inn.forward(x); },
+      [&] { return reference::inn(inn, x); });
+}
+
+TEST(Arena, MlpMatchesReferenceGraphForEveryActivationPair) {
+  const Activation hiddens[] = {Activation::kRelu, Activation::kLeakyRelu,
+                                Activation::kTanh};
+  const Activation outputs[] = {Activation::kNone, Activation::kTanh,
+                                Activation::kRelu};
+  for (Activation hidden : hiddens) {
+    for (Activation output : outputs) {
+      SCOPED_TRACE("hidden " + std::to_string(static_cast<int>(hidden)) +
+                   " output " + std::to_string(static_cast<int>(output)));
+      Rng rng(21);
+      Mlp mlp({8, 16, 12, 5}, rng, hidden, output);
+      // Rank 3, so Linear flattens and restores it through reshape.
+      Tensor x = Tensor::randn({3, 4, 8}, rng, Real(1), /*requiresGrad=*/true);
+      expectMatchesReference(
+          leavesOf(mlp, {x}), [&] { return mlp.forward(x); },
+          [&] { return reference::mlp(mlp, x); });
+    }
   }
+}
+
+TEST(Arena, PointNetEncoderMatchesReferenceGraph) {
+  Rng rng(22);
+  PointNetEncoder::Config cfg;
+  cfg.channels = {6, 8, 16};
+  cfg.headHidden = 12;
+  cfg.latentDim = 10;
+  PointNetEncoder enc(cfg, rng);
+  Tensor x = Tensor::randn({2, 24, 6}, rng, Real(1), /*requiresGrad=*/true);
+  auto joined = [](const PointNetEncoder::Moments& m) {
+    return cat({m.mu, m.logvar}, -1);
+  };
+  expectMatchesReference(
+      leavesOf(enc, {x}), [&] { return joined(enc.forward(x)); },
+      [&] { return joined(reference::encoder(enc, x)); });
+}
+
+TEST(Arena, VoxelDecoderMatchesReferenceGraph) {
+  Rng rng(23);
+  VoxelDecoder::Config cfg;
+  cfg.latentDim = 10;
+  cfg.baseGrid = 2;
+  cfg.channels = {8, 4, 6};
+  VoxelDecoder dec(cfg, rng);
+  Tensor z = Tensor::randn({2, 10}, rng, Real(1), /*requiresGrad=*/true);
+  expectMatchesReference(
+      leavesOf(dec, {z}), [&] { return dec.forward(z); },
+      [&] { return reference::decoder(dec, z); });
 }
 
 TEST(Arena, PlanReplayBitIdenticalAcrossThreadCounts) {
