@@ -15,14 +15,6 @@ double ringAllReduceSeconds(long ranks, double bytes, double bandwidth,
   return 2.0 * (p - 1.0) * (latency + (bytes / p) / bandwidth);
 }
 
-double allGatherSeconds(long ranks, double bytesPerRank, double bandwidth,
-                        double latency) {
-  ARTSCI_EXPECTS(ranks >= 1 && bytesPerRank >= 0 && bandwidth > 0);
-  if (ranks == 1) return 0.0;
-  const double p = static_cast<double>(ranks);
-  return (p - 1.0) * (latency + bytesPerRank / bandwidth);
-}
-
 TrainingBatchCost trainingBatchCost(const ClusterSpec& cluster, long gcds,
                                     const TrainingScalingModel& model) {
   ARTSCI_EXPECTS(gcds >= 1);

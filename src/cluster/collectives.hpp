@@ -12,10 +12,6 @@ namespace artsci::cluster {
 double ringAllReduceSeconds(long ranks, double bytes, double bandwidth,
                             double latency);
 
-/// All-gather of `bytesPerRank` from each of `ranks`.
-double allGatherSeconds(long ranks, double bytesPerRank, double bandwidth,
-                        double latency);
-
 /// Fig 8 model: per-batch wall time of the data-parallel in-transit
 /// training on `gcds` GCDs. Terms:
 ///  * compute: fixed per-rank batch time (batch size 8/GCD, weak scaling);

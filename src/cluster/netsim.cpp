@@ -40,17 +40,6 @@ DataPlaneModel DataPlaneModel::mpi() {
   return m;
 }
 
-DataPlaneModel DataPlaneModel::tcpFallback() {
-  DataPlaneModel m;
-  m.name = "TCP (fallback)";
-  m.readerRate = 1.2e9;
-  m.perOpOverhead = 300e-6;
-  m.batchSize = 0;
-  m.congestionCoeff = 0.15;  // does not scale; fallback only
-  m.maxNodesAllAtOnce = 0;
-  return m;
-}
-
 StreamStepResult simulateStreamStep(const ClusterSpec& cluster, long nodes,
                                     const DataPlaneModel& plane,
                                     const StreamStepConfig& cfg, Rng& rng) {

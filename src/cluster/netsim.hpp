@@ -52,7 +52,6 @@ struct DataPlaneModel {
   static DataPlaneModel libfabricAllAtOnce();
   static DataPlaneModel libfabricBatched(int batchSize = 10);
   static DataPlaneModel mpi();
-  static DataPlaneModel tcpFallback();
 };
 
 struct StreamStepConfig {

@@ -28,7 +28,6 @@ struct ClusterSpec {
   int gpusPerNode = 4;  ///< MI250X modules ("GPUs" in Fig 4's axis)
 
   long totalGpus() const { return nodes * gpusPerNode; }
-  long totalGcds() const { return nodes * node.gcdsPerNode; }
 
   static ClusterSpec frontier();
   static ClusterSpec summit();

@@ -39,8 +39,6 @@ double uptimeSeconds() {
   return std::chrono::duration<double>(Clock::now() - epoch).count();
 }
 
-thread_local std::string t_label;
-
 const char* levelName(Level level) {
   switch (level) {
     case Level::kDebug:
@@ -64,15 +62,12 @@ void setLevel(Level level) {
 
 Level level() { return levelSlot().load(std::memory_order_relaxed); }
 
-void setThreadLabel(std::string label) { t_label = std::move(label); }
-
 void write(Level lvl, const std::string& tag, const std::string& message) {
   char stamp[32];
   std::snprintf(stamp, sizeof(stamp), "%9.3fs", uptimeSeconds());
   std::lock_guard<std::mutex> lock(sinkMutex());
-  std::cerr << "[" << stamp << "][" << levelName(lvl) << "]";
-  if (!t_label.empty()) std::cerr << "[" << t_label << "]";
-  std::cerr << "[" << tag << "] " << message << '\n';
+  std::cerr << "[" << stamp << "][" << levelName(lvl) << "][" << tag << "] "
+            << message << '\n';
 }
 
 }  // namespace artsci::log

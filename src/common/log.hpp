@@ -5,9 +5,8 @@
 ///
 /// Every line carries a monotonic timestamp (seconds since the first log
 /// call) so concurrent producer/trainer/serve output can be ordered by
-/// eye; a thread may additionally claim a label (its rank, say) that is
-/// prefixed to its lines. The initial threshold honors the ARTSCI_LOG
-/// environment variable (debug|info|warn|error|off; default info).
+/// eye. The initial threshold honors the ARTSCI_LOG environment variable
+/// (debug|info|warn|error|off; default info).
 #pragma once
 
 #include <mutex>
@@ -23,12 +22,8 @@ enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void setLevel(Level level);
 Level level();
 
-/// Label the calling thread ("rank 2", "serve worker 0"); prefixed to its
-/// subsequent lines. An empty label clears it.
-void setThreadLabel(std::string label);
-
-/// Core sink: writes "[  12.345s][level][label][tag] message" to stderr
-/// under a mutex (the "[label]" field only for threads that set one).
+/// Core sink: writes "[  12.345s][level][tag] message" to stderr under a
+/// mutex.
 void write(Level level, const std::string& tag, const std::string& message);
 
 namespace detail {

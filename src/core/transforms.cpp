@@ -75,16 +75,6 @@ std::vector<double> normalizeSpectrum(const std::vector<double>& intensity,
   return out;
 }
 
-std::vector<double> denormalizeSpectrum(const std::vector<double>& norm,
-                                        const TransformConfig& cfg) {
-  std::vector<double> out(norm.size());
-  for (std::size_t i = 0; i < norm.size(); ++i) {
-    out[i] =
-        (std::pow(10.0, norm[i] * cfg.spectrumScale) - 1.0) * cfg.spectrumRef;
-  }
-  return out;
-}
-
 double cloudMomentumX(const std::vector<double>& cloud, std::size_t point,
                       const TransformConfig& cfg) {
   ARTSCI_EXPECTS((point + 1) * 6 <= cloud.size());

@@ -36,10 +36,6 @@ std::vector<double> extractRegionCloud(const pic::ParticleBuffer& particles,
 std::vector<double> normalizeSpectrum(const std::vector<double>& intensity,
                                       const TransformConfig& cfg);
 
-/// Invert normalizeSpectrum (for plotting predictions in physical units).
-std::vector<double> denormalizeSpectrum(const std::vector<double>& norm,
-                                        const TransformConfig& cfg);
-
 /// Momentum (u = gamma beta) of normalized cloud entry `i`, x component —
 /// inverse of the cloud normalization, for histogramming predictions.
 double cloudMomentumX(const std::vector<double>& cloud, std::size_t point,

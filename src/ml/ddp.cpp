@@ -8,7 +8,6 @@ namespace artsci::ml {
 Communicator::Communicator(std::size_t ranks)
     : ranks_(ranks), barrier_(ranks), commSeconds_(ranks, 0.0) {
   ARTSCI_EXPECTS(ranks > 0);
-  gatherSlots_.resize(ranks, nullptr);
   reduceSlots_.resize(ranks, nullptr);
   gradBuckets_.resize(ranks);
 }
@@ -34,8 +33,7 @@ void Communicator::allReduceMean(std::size_t rank,
   barrier_.arriveAndWait();
   ARTSCI_CHECK_MSG(buffer.size() == reduceLength_,
                    "allReduceMean length mismatch on rank " << rank);
-  // Phase 2: everyone publishes a pointer to its contribution (zero-copy,
-  // like allGather).
+  // Phase 2: everyone publishes a pointer to its contribution (zero-copy).
   reduceSlots_[rank] = &buffer;
   barrier_.arriveAndWait();
   // Phase 3: each rank reduces its own contiguous index chunk, summing the
@@ -64,37 +62,9 @@ void Communicator::allReduceMean(std::size_t rank,
   commSeconds_[rank] += timer.seconds();
 }
 
-std::vector<Real> Communicator::allGather(std::size_t rank,
-                                          const std::vector<Real>& local) {
-  TRACE_SCOPE("train", "allgather");
-  ARTSCI_EXPECTS(rank < ranks_);
-  Timer timer;
-  if (ranks_ == 1) {
-    commSeconds_[rank] += timer.seconds();
-    return local;
-  }
-  gatherSlots_[rank] = &local;
-  barrier_.arriveAndWait();
-  std::vector<Real> out;
-  std::size_t total = 0;
-  for (const auto* slot : gatherSlots_) total += slot->size();
-  out.reserve(total);
-  for (const auto* slot : gatherSlots_)
-    out.insert(out.end(), slot->begin(), slot->end());
-  barrier_.arriveAndWait();
-  gatherSlots_[rank] = nullptr;
-  barrier_.arriveAndWait();
-  commSeconds_[rank] += timer.seconds();
-  return out;
-}
-
 double Communicator::communicationSeconds(std::size_t rank) const {
   ARTSCI_EXPECTS(rank < ranks_);
   return commSeconds_[rank];
-}
-
-void Communicator::resetTimers() {
-  for (auto& s : commSeconds_) s = 0.0;
 }
 
 void allReduceGradients(Communicator& comm, std::size_t rank,
@@ -126,30 +96,6 @@ void allReduceGradients(Communicator& comm, std::size_t rank,
     std::copy(bucket.begin() + static_cast<long>(offset),
               bucket.begin() + static_cast<long>(offset + n), g);
     offset += static_cast<std::size_t>(n);
-  }
-}
-
-void broadcastParameters(Communicator& comm, std::size_t rank,
-                         const std::vector<Tensor>& params) {
-  // Implemented as an all-reduce of rank-0's values: ranks != 0 contribute
-  // zeros, then everyone multiplies by the rank count.
-  std::vector<Real> bucket;
-  for (const auto& p : params) {
-    const auto& d = p.data();
-    if (rank == 0) {
-      bucket.insert(bucket.end(), d.begin(), d.end());
-    } else {
-      bucket.insert(bucket.end(), d.size(), Real(0));
-    }
-  }
-  comm.allReduceMean(rank, bucket);
-  const Real scale = static_cast<Real>(comm.ranks());
-  std::size_t offset = 0;
-  for (const auto& p : params) {
-    auto& d = const_cast<std::vector<Real>&>(p.data());
-    for (std::size_t i = 0; i < d.size(); ++i)
-      d[i] = bucket[offset + i] * scale;
-    offset += d.size();
   }
 }
 

@@ -1,14 +1,11 @@
 /// \file ddp.hpp
 /// Distributed-data-parallel training support, the stand-in for PyTorch DDP
 /// with the N/RCCL backend. Ranks are threads; the Communicator implements
-/// the collectives the paper's training uses:
-///   * all-reduce (gradient averaging after each backward pass), and
-///   * all-gather (the MMD loss terms "amount to matrix dot products with
-///     data distributed across all ranks"; the paper gathers activations
-///     with torch.distributed.all_gather_into_tensor, which breaks the
-///     autograd graph — our allGather likewise returns detached data).
-/// Collective wall-times are accumulated per rank so the Fig 8 bench can
-/// attribute the efficiency deficit to communication.
+/// the collective the training uses: a mean all-reduce that averages the
+/// gradients after each backward pass. Each rank computes the MMD loss
+/// terms on its local batch, so no all-gather is needed. Collective
+/// wall-times are accumulated per rank so the Fig 8 bench can attribute
+/// the efficiency deficit to communication.
 #pragma once
 
 #include <vector>
@@ -30,16 +27,10 @@ class Communicator {
   /// of thread scheduling (NCCL-style deterministic reduction).
   void allReduceMean(std::size_t rank, std::vector<Real>& buffer);
 
-  /// Gather each rank's buffer; returns the concatenation in rank order.
-  /// Buffers may differ in length. Result is plain data (no autograd).
-  std::vector<Real> allGather(std::size_t rank,
-                              const std::vector<Real>& local);
-
   void barrier() { barrier_.arriveAndWait(); }
 
   /// Cumulative seconds each rank spent inside collectives.
   double communicationSeconds(std::size_t rank) const;
-  void resetTimers();
 
   /// Persistent per-rank gradient-flattening buffer for allReduceGradients.
   /// Sized on first use and reused every step afterwards, so the collective
@@ -52,7 +43,6 @@ class Communicator {
   std::vector<const std::vector<Real>*> reduceSlots_;  ///< one per rank
   std::vector<Real> reduceScratch_;  ///< chunk-reduced result staging
   std::size_t reduceLength_ = 0;
-  std::vector<const std::vector<Real>*> gatherSlots_;
   std::vector<double> commSeconds_;
   std::vector<std::vector<Real>> gradBuckets_;  ///< one per rank
 };
@@ -61,10 +51,5 @@ class Communicator {
 /// into one buffer per call, like DDP's gradient buckets).
 void allReduceGradients(Communicator& comm, std::size_t rank,
                         const std::vector<Tensor>& params);
-
-/// Broadcast rank-0 parameter *values* to all ranks so replicas start
-/// identical (DDP does this at construction).
-void broadcastParameters(Communicator& comm, std::size_t rank,
-                         const std::vector<Tensor>& params);
 
 }  // namespace artsci::ml

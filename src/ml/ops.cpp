@@ -16,11 +16,6 @@ static_assert(std::is_same_v<Real, kernels::Real>,
 
 namespace {
 
-/// Storage index of logical flat index `i` for any layout.
-inline long physIdx(const TensorImpl& im, long i) {
-  return im.contiguous ? i : logicalToStorage(im.shape, im.strides, i);
-}
-
 /// Row-major traversal cursor yielding successive storage indices of an
 /// input that broadcasts to `outShape` (right-aligned numpy semantics).
 /// `inStrides` are the input's physical strides, so stride-0 broadcast
@@ -268,46 +263,10 @@ Tensor tanhT(const Tensor& a) {
       [](Real, Real y) { return Real(1) - y * y; });
 }
 
-Tensor sigmoid(const Tensor& a) {
-  return unaryOp(
-      a, "sigmoid", [](Real x) { return Real(1) / (Real(1) + std::exp(-x)); },
-      [](Real, Real y) { return y * (Real(1) - y); });
-}
-
 Tensor expT(const Tensor& a) {
   return unaryOp(
       a, "exp", [](Real x) { return std::exp(x); },
       [](Real, Real y) { return y; });
-}
-
-Tensor logT(const Tensor& a) {
-  // Validate outside the (OpenMP) elementwise loop: exceptions must not
-  // escape a parallel region.
-  {
-    const TensorImpl& ai = *a.impl();
-    const Real* ad = ai.dataPtr();
-    for (long i = 0; i < ai.numel_; ++i) {
-      const Real x = ad[physIdx(ai, i)];
-      ARTSCI_CHECK_MSG(x > Real(0), "log of non-positive value " << x);
-    }
-  }
-  return unaryOp(
-      a, "log", [](Real x) { return std::log(x); },
-      [](Real x, Real) { return Real(1) / x; });
-}
-
-Tensor sqrtT(const Tensor& a) {
-  {
-    const TensorImpl& ai = *a.impl();
-    const Real* ad = ai.dataPtr();
-    for (long i = 0; i < ai.numel_; ++i) {
-      const Real x = ad[physIdx(ai, i)];
-      ARTSCI_CHECK_MSG(x >= Real(0), "sqrt of negative value " << x);
-    }
-  }
-  return unaryOp(
-      a, "sqrt", [](Real x) { return std::sqrt(x); },
-      [](Real, Real y) { return Real(0.5) / std::max(y, Real(1e-12)); });
 }
 
 Tensor square(const Tensor& a) {
@@ -320,16 +279,6 @@ Tensor reciprocal(const Tensor& a) {
   return unaryOp(
       a, "reciprocal", [](Real x) { return Real(1) / x; },
       [](Real x, Real) { return Real(-1) / (x * x); });
-}
-
-Tensor softplus(const Tensor& a) {
-  return unaryOp(
-      a, "softplus",
-      [](Real x) {
-        // numerically stable log(1 + e^x)
-        return x > Real(20) ? x : std::log1p(std::exp(x));
-      },
-      [](Real x, Real) { return Real(1) / (Real(1) + std::exp(-x)); });
 }
 
 Tensor matmul(const Tensor& a0, const Tensor& b0) {
@@ -618,13 +567,6 @@ Tensor sumAxis(const Tensor& a0, int axis, bool keepdim) {
     };
   }
   return out;
-}
-
-Tensor meanAxis(const Tensor& a, int axis, bool keepdim) {
-  if (axis < 0) axis += a.ndim();
-  const Real scale =
-      Real(1) / static_cast<Real>(a.dim(axis));
-  return mulScalar(sumAxis(a, axis, keepdim), scale);
 }
 
 Tensor maxAxis(const Tensor& a0, int axis, bool keepdim) {

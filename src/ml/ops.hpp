@@ -37,13 +37,9 @@ Tensor neg(const Tensor& a);
 Tensor relu(const Tensor& a);
 Tensor leakyRelu(const Tensor& a, Real slope = Real(0.01));
 Tensor tanhT(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
 Tensor expT(const Tensor& a);
-Tensor logT(const Tensor& a);  ///< natural log; inputs must be > 0
-Tensor sqrtT(const Tensor& a);
 Tensor square(const Tensor& a);
 Tensor reciprocal(const Tensor& a);
-Tensor softplus(const Tensor& a);
 
 // --- linear algebra --------------------------------------------------------
 /// Matrix product [M,K] x [K,N] -> [M,N]. Forward and both backward
@@ -77,7 +73,6 @@ Tensor sumAll(const Tensor& a);   ///< -> scalar
 Tensor meanAll(const Tensor& a);  ///< -> scalar
 /// Sum over one axis. keepdim retains a size-1 axis.
 Tensor sumAxis(const Tensor& a, int axis, bool keepdim = false);
-Tensor meanAxis(const Tensor& a, int axis, bool keepdim = false);
 /// Max over one axis; backward routes gradient to argmax positions
 /// (the PointNet max-pool over the particle axis).
 Tensor maxAxis(const Tensor& a, int axis, bool keepdim = false);

@@ -37,7 +37,6 @@ class Adam {
   /// Change a group's learning rate (index into the constructor order).
   void setLearningRate(std::size_t group, Real lr);
   Real learningRate(std::size_t group) const;
-  std::size_t groupCount() const { return groups_.size(); }
   long stepCount() const { return t_; }
 
   /// Flatten the full optimizer state — first/second moments in

@@ -96,15 +96,6 @@ Real Tensor::at(long flatIndex) const {
   return im->dataPtr()[idx];
 }
 
-void Tensor::setAt(long flatIndex, Real value) {
-  ARTSCI_EXPECTS(flatIndex >= 0 && flatIndex < numel());
-  TensorImpl* im = impl();
-  const long idx = im->contiguous
-                       ? flatIndex
-                       : logicalToStorage(im->shape, im->strides, flatIndex);
-  im->dataPtr()[idx] = value;
-}
-
 std::vector<Real> Tensor::toVector() const {
   const TensorImpl* im = impl();
   std::vector<Real> out(static_cast<std::size_t>(im->numel_));

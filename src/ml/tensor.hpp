@@ -180,7 +180,6 @@ class Tensor {
 
   /// Element access by logical flat index (bounds-checked, stride-aware).
   Real at(long flatIndex) const;
-  void setAt(long flatIndex, Real value);
 
   /// Run reverse-mode AD from this scalar; accumulates into .grad() of all
   /// reachable tensors with requiresGrad.

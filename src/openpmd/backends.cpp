@@ -1,13 +1,6 @@
 #include "openpmd/backends.hpp"
 
-#include <algorithm>
-#include <cstdint>
-#include <filesystem>
-#include <fstream>
-
 namespace artsci::openpmd {
-
-// --- StreamBackend ----------------------------------------------------------
 
 StreamBackend::StreamBackend(std::shared_ptr<stream::SstEngine> engine,
                              std::size_t rank, bool isWriter)
@@ -78,187 +71,14 @@ std::optional<IterationData> StreamBackend::readNextIteration() {
   if (!step) return std::nullopt;
   IterationData out;
   out.index = step->step;
-  for (const auto& [name, blocks] : step->variables) {
+  for (const auto& variable : step->variables) {
+    const std::string& name = variable.first;
     out.data[name] = step->assemble(name);
     out.extents[name] = step->globalExtents.at(name);
-    for (const auto& b : blocks) reader_->recordRead(b.bytes());
   }
   out.numericAttributes = step->numericAttributes;
   out.stringAttributes = step->stringAttributes;
   reader_->endStep();
-  return out;
-}
-
-std::size_t StreamBackend::bytesRead() const {
-  return reader_ ? reader_->bytesRead() : 0;
-}
-
-// --- FileBackend ------------------------------------------------------------
-
-namespace {
-constexpr std::uint64_t kBpMagic = 0x42504C4954453031ULL;  // "BPLITE01"
-
-void writeString(std::ofstream& os, const std::string& s) {
-  const std::uint64_t n = s.size();
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(s.data(), static_cast<std::streamsize>(n));
-}
-
-std::string readString(std::ifstream& is) {
-  std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  return s;
-}
-
-void writeU64(std::ofstream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-std::uint64_t readU64(std::ifstream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-}  // namespace
-
-FileBackend::FileBackend(std::string directory, std::string seriesName)
-    : directory_(std::move(directory)), seriesName_(std::move(seriesName)) {
-  std::filesystem::create_directories(directory_);
-}
-
-std::string FileBackend::fileFor(long index) const {
-  return directory_ + "/" + seriesName_ + "_" + std::to_string(index) +
-         ".bp";
-}
-
-void FileBackend::openIteration(long index) {
-  ARTSCI_CHECK_MSG(!pending_, "previous iteration still open");
-  pending_ = std::make_unique<stream::StepData>();
-  pending_->step = index;
-  pendingIndex_ = index;
-}
-
-void FileBackend::writeChunk(const std::string& path,
-                             const std::vector<long>& globalExtent,
-                             const std::vector<long>& offset,
-                             const std::vector<long>& extent,
-                             std::vector<double> data) {
-  ARTSCI_CHECK_MSG(pending_, "writeChunk without open iteration");
-  stream::Block block;
-  block.offset = offset;
-  block.extent = extent;
-  block.payload = std::move(data);
-  auto [it, inserted] =
-      pending_->globalExtents.emplace(path, globalExtent);
-  if (!inserted) ARTSCI_CHECK(it->second == globalExtent);
-  pending_->variables[path].push_back(std::move(block));
-}
-
-void FileBackend::writeAttribute(const std::string& name, double value) {
-  ARTSCI_CHECK(pending_);
-  pending_->numericAttributes[name] = value;
-}
-
-void FileBackend::writeAttribute(const std::string& name,
-                                 const std::string& value) {
-  ARTSCI_CHECK(pending_);
-  pending_->stringAttributes[name] = value;
-}
-
-void FileBackend::closeIteration() {
-  ARTSCI_CHECK_MSG(pending_, "closeIteration without open iteration");
-  std::ofstream os(fileFor(pendingIndex_), std::ios::binary | std::ios::trunc);
-  ARTSCI_CHECK_MSG(os.good(), "cannot write " << fileFor(pendingIndex_));
-  writeU64(os, kBpMagic);
-  writeU64(os, static_cast<std::uint64_t>(pendingIndex_));
-
-  writeU64(os, pending_->variables.size());
-  for (const auto& [path, blocks] : pending_->variables) {
-    writeString(os, path);
-    const auto& global = pending_->globalExtents.at(path);
-    writeU64(os, global.size());
-    for (long d : global) writeU64(os, static_cast<std::uint64_t>(d));
-    // Store the assembled dense array (files hold complete datasets).
-    const auto dense = pending_->assemble(path);
-    writeU64(os, dense.size());
-    os.write(reinterpret_cast<const char*>(dense.data()),
-             static_cast<std::streamsize>(dense.size() * sizeof(double)));
-  }
-  writeU64(os, pending_->numericAttributes.size());
-  for (const auto& [name, value] : pending_->numericAttributes) {
-    writeString(os, name);
-    os.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  }
-  writeU64(os, pending_->stringAttributes.size());
-  for (const auto& [name, value] : pending_->stringAttributes) {
-    writeString(os, name);
-    writeString(os, value);
-  }
-  ARTSCI_CHECK_MSG(os.good(), "write failed: " << fileFor(pendingIndex_));
-  pending_.reset();
-}
-
-void FileBackend::closeSeries() {}
-
-std::optional<IterationData> FileBackend::readNextIteration() {
-  if (!scanned_) {
-    const std::string prefix = seriesName_ + "_";
-    for (const auto& entry :
-         std::filesystem::directory_iterator(directory_)) {
-      const std::string fname = entry.path().filename().string();
-      if (fname.rfind(prefix, 0) == 0 &&
-          fname.size() > prefix.size() + 3 &&
-          fname.substr(fname.size() - 3) == ".bp") {
-        const std::string num =
-            fname.substr(prefix.size(), fname.size() - prefix.size() - 3);
-        try {
-          readableIterations_.push_back(std::stol(num));
-        } catch (...) {
-          // Not one of ours; skip.
-        }
-      }
-    }
-    std::sort(readableIterations_.begin(), readableIterations_.end());
-    scanned_ = true;
-  }
-  if (readCursor_ >= readableIterations_.size()) return std::nullopt;
-  const long index = readableIterations_[readCursor_++];
-
-  std::ifstream is(fileFor(index), std::ios::binary);
-  ARTSCI_CHECK_MSG(is.good(), "cannot read " << fileFor(index));
-  ARTSCI_CHECK_MSG(readU64(is) == kBpMagic,
-                   fileFor(index) << " is not a BP-lite file");
-  IterationData out;
-  out.index = static_cast<long>(readU64(is));
-
-  const std::uint64_t nVars = readU64(is);
-  for (std::uint64_t v = 0; v < nVars; ++v) {
-    const std::string path = readString(is);
-    const std::uint64_t nd = readU64(is);
-    std::vector<long> extent(nd);
-    for (auto& d : extent) d = static_cast<long>(readU64(is));
-    const std::uint64_t count = readU64(is);
-    std::vector<double> data(count);
-    is.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(count * sizeof(double)));
-    out.extents[path] = std::move(extent);
-    out.data[path] = std::move(data);
-  }
-  const std::uint64_t nNum = readU64(is);
-  for (std::uint64_t a = 0; a < nNum; ++a) {
-    const std::string name = readString(is);
-    double value = 0;
-    is.read(reinterpret_cast<char*>(&value), sizeof(value));
-    out.numericAttributes[name] = value;
-  }
-  const std::uint64_t nStr = readU64(is);
-  for (std::uint64_t a = 0; a < nStr; ++a) {
-    const std::string name = readString(is);
-    out.stringAttributes[name] = readString(is);
-  }
-  ARTSCI_CHECK_MSG(is.good(), "read failed: " << fileFor(index));
   return out;
 }
 

@@ -1,11 +1,7 @@
 /// \file backends.hpp
-/// The two openPMD backends of the paper's software stack (Fig 5):
-///
-///  * StreamBackend — maps iterations onto nanoSST steps; this is the
-///    ADIOS2-SST in-transit path that never touches the filesystem.
-///  * FileBackend — a compact self-describing binary container ("BP-lite",
-///    one file per iteration), the classic file-based workflow the paper
-///    migrates away from; used for checkpointing and offline tests.
+/// The openPMD backend of the paper's software stack (Fig 5):
+/// StreamBackend maps iterations onto nanoSST steps, the ADIOS2-SST
+/// in-transit path that never touches the filesystem.
 #pragma once
 
 #include <memory>
@@ -15,32 +11,27 @@
 
 namespace artsci::openpmd {
 
-class StreamBackend : public IBackend {
+class StreamBackend {
  public:
   /// Writer-side backend for one producer rank.
   static std::shared_ptr<StreamBackend> forWriter(
       std::shared_ptr<stream::SstEngine> engine, std::size_t rank);
-  /// Reader-side backend for one consumer rank. When `onlyMyBlocks` is
-  /// true, the assembled arrays contain only this rank's locality-assigned
-  /// blocks' data (others remain zero) — set false (default) to assemble
-  /// everything.
+  /// Reader-side backend for one consumer rank; each iteration it reads
+  /// holds every writer's blocks, assembled into global arrays.
   static std::shared_ptr<StreamBackend> forReader(
       std::shared_ptr<stream::SstEngine> engine, std::size_t rank);
 
-  void openIteration(long index) override;
+  void openIteration(long index);
   void writeChunk(const std::string& path,
                   const std::vector<long>& globalExtent,
                   const std::vector<long>& offset,
                   const std::vector<long>& extent,
-                  std::vector<double> data) override;
-  void writeAttribute(const std::string& name, double value) override;
-  void writeAttribute(const std::string& name,
-                      const std::string& value) override;
-  void closeIteration() override;
-  void closeSeries() override;
-  std::optional<IterationData> readNextIteration() override;
-
-  std::size_t bytesRead() const;
+                  std::vector<double> data);
+  void writeAttribute(const std::string& name, double value);
+  void writeAttribute(const std::string& name, const std::string& value);
+  void closeIteration();
+  void closeSeries();
+  std::optional<IterationData> readNextIteration();
 
  private:
   StreamBackend(std::shared_ptr<stream::SstEngine> engine, std::size_t rank,
@@ -48,36 +39,6 @@ class StreamBackend : public IBackend {
   std::shared_ptr<stream::SstEngine> engine_;
   std::unique_ptr<stream::SstEngine::Writer> writer_;
   std::unique_ptr<stream::SstEngine::Reader> reader_;
-};
-
-class FileBackend : public IBackend {
- public:
-  /// Files are named <directory>/<seriesName>_<iteration>.bp.
-  FileBackend(std::string directory, std::string seriesName);
-
-  void openIteration(long index) override;
-  void writeChunk(const std::string& path,
-                  const std::vector<long>& globalExtent,
-                  const std::vector<long>& offset,
-                  const std::vector<long>& extent,
-                  std::vector<double> data) override;
-  void writeAttribute(const std::string& name, double value) override;
-  void writeAttribute(const std::string& name,
-                      const std::string& value) override;
-  void closeIteration() override;
-  void closeSeries() override;
-  std::optional<IterationData> readNextIteration() override;
-
- private:
-  std::string fileFor(long index) const;
-
-  std::string directory_, seriesName_;
-  std::unique_ptr<stream::StepData> pending_;
-  long pendingIndex_ = 0;
-  // read cursor
-  std::vector<long> readableIterations_;
-  std::size_t readCursor_ = 0;
-  bool scanned_ = false;
 };
 
 }  // namespace artsci::openpmd

@@ -1,5 +1,7 @@
 #include "openpmd/series.hpp"
 
+#include "openpmd/backends.hpp"
+
 namespace artsci::openpmd {
 
 const std::vector<double>& IterationData::at(const std::string& path) const {
@@ -82,13 +84,6 @@ Mesh& Mesh::setUnitDimension(const UnitDimension& dims) {
   return *this;
 }
 
-Mesh& Mesh::setGridSpacing(const std::vector<double>& spacing) {
-  for (std::size_t i = 0; i < spacing.size(); ++i)
-    iteration_.backend_.writeAttribute(
-        path_ + ".gridSpacing." + std::to_string(i), spacing[i]);
-  return *this;
-}
-
 ParticleSpecies::ParticleSpecies(WriteIteration& it, std::string path)
     : iteration_(it), path_(std::move(path)) {}
 
@@ -98,7 +93,7 @@ Record ParticleSpecies::record(const std::string& name) {
 
 // --- WriteIteration -----------------------------------------------------------
 
-WriteIteration::WriteIteration(IBackend& backend, long index)
+WriteIteration::WriteIteration(StreamBackend& backend, long index)
     : backend_(backend), index_(index) {
   backend_.openIteration(index);
 }
@@ -138,7 +133,7 @@ void WriteIteration::close() {
 // --- Series -------------------------------------------------------------------
 
 Series::Series(std::string name, Access access,
-               std::shared_ptr<IBackend> backend)
+               std::shared_ptr<StreamBackend> backend)
     : name_(std::move(name)), access_(access), backend_(std::move(backend)) {
   ARTSCI_EXPECTS(backend_ != nullptr);
 }

@@ -3,9 +3,9 @@
 /// the application describes particle-mesh data through the standard's
 /// hierarchy — Series > Iteration > Meshes / ParticleSpecies > Records >
 /// RecordComponents with unitSI / unitDimension attributes — and a
-/// *backend* decides where the bytes go: a file on disk or an in-transit
-/// nanoSST stream. Swapping the backend is the paper's central loose-
-/// coupling move; nothing in the producer/consumer code changes.
+/// StreamBackend (backends.hpp) carries the bytes: each iteration is one
+/// nanoSST step, so producer and consumer share the standard's data model
+/// while no file sits between them.
 #pragma once
 
 #include <array>
@@ -42,28 +42,7 @@ struct IterationData {
   double attribute(const std::string& name, double fallback = 0.0) const;
 };
 
-/// Backend interface (file or stream).
-class IBackend {
- public:
-  virtual ~IBackend() = default;
-
-  // write side
-  virtual void openIteration(long index) = 0;
-  virtual void writeChunk(const std::string& path,
-                          const std::vector<long>& globalExtent,
-                          const std::vector<long>& offset,
-                          const std::vector<long>& extent,
-                          std::vector<double> data) = 0;
-  virtual void writeAttribute(const std::string& name, double value) = 0;
-  virtual void writeAttribute(const std::string& name,
-                              const std::string& value) = 0;
-  virtual void closeIteration() = 0;
-  virtual void closeSeries() = 0;
-
-  // read side
-  virtual std::optional<IterationData> readNextIteration() = 0;
-};
-
+class StreamBackend;
 class WriteIteration;
 
 /// A pending record component within an open iteration.
@@ -112,7 +91,6 @@ class Mesh {
   RecordComponent component(const std::string& name);
   RecordComponent scalar();
   Mesh& setUnitDimension(const UnitDimension& dims);
-  Mesh& setGridSpacing(const std::vector<double>& spacing);
 
  private:
   friend class WriteIteration;
@@ -134,8 +112,7 @@ class ParticleSpecies {
 
 class Series;
 
-/// An open, writable iteration. close() flushes everything to the backend
-/// (for the stream backend: publishes the SST step).
+/// An open, writable iteration. close() publishes its SST step.
 class WriteIteration {
  public:
   Mesh mesh(const std::string& name);
@@ -153,8 +130,8 @@ class WriteIteration {
   friend class RecordComponent;
   friend class Record;
   friend class Mesh;
-  WriteIteration(IBackend& backend, long index);
-  IBackend& backend_;
+  WriteIteration(StreamBackend& backend, long index);
+  StreamBackend& backend_;
   long index_;
   bool open_ = true;
 };
@@ -162,7 +139,8 @@ class WriteIteration {
 /// The root object, as in openPMD-api.
 class Series {
  public:
-  Series(std::string name, Access access, std::shared_ptr<IBackend> backend);
+  Series(std::string name, Access access,
+         std::shared_ptr<StreamBackend> backend);
   ~Series();
 
   Series(const Series&) = delete;
@@ -171,10 +149,10 @@ class Series {
   /// Open iteration `index` for writing (Access::kCreate only).
   WriteIteration writeIteration(long index);
 
-  /// Next iteration in stream/file order; nullopt at end (kRead only).
+  /// Next iteration in stream order; nullopt at end (kRead only).
   std::optional<IterationData> readNextIteration();
 
-  /// Flush & finish (stream backends signal end-of-stream).
+  /// Finish; a writer signals end-of-stream to its readers.
   void close();
 
   const std::string& name() const { return name_; }
@@ -182,7 +160,7 @@ class Series {
  private:
   std::string name_;
   Access access_;
-  std::shared_ptr<IBackend> backend_;
+  std::shared_ptr<StreamBackend> backend_;
   bool closed_ = false;
 };
 

@@ -31,31 +31,4 @@ double fitGrowthRate(const std::vector<double>& magneticEnergies,
   return 0.5 * stats::linearFit(t, logE).slope;
 }
 
-Histogram1D momentumHistogram(
-    const ParticleBuffer& particles, int component, double lo, double hi,
-    std::size_t bins, const std::function<bool(std::size_t)>& predicate) {
-  ARTSCI_EXPECTS(component >= 0 && component < 3);
-  Histogram1D h(lo, hi, bins);
-  const std::vector<double>* u = component == 0   ? &particles.ux
-                                 : component == 1 ? &particles.uy
-                                                  : &particles.uz;
-  for (std::size_t i = 0; i < particles.size(); ++i) {
-    if (predicate && !predicate(i)) continue;
-    h.fill((*u)[i], particles.w[i]);
-  }
-  return h;
-}
-
-Histogram1D khiRegionMomentumHistogram(const ParticleBuffer& particles,
-                                       long ny, KhiRegion region,
-                                       double vortexHalfWidthCells,
-                                       int component, double lo, double hi,
-                                       std::size_t bins) {
-  return momentumHistogram(
-      particles, component, lo, hi, bins, [&](std::size_t i) {
-        return classifyKhiRegion(particles.y[i], ny, vortexHalfWidthCells) ==
-               region;
-      });
-}
-
 }  // namespace artsci::pic

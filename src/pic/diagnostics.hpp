@@ -1,13 +1,9 @@
 /// \file diagnostics.hpp
-/// Physics diagnostics: energy budget, KHI growth-rate estimation, and
-/// momentum histograms (the ground-truth side of Fig 9 b).
+/// Physics diagnostics: energy budget and KHI growth-rate estimation.
 #pragma once
 
-#include <functional>
 #include <vector>
 
-#include "common/histogram.hpp"
-#include "pic/khi.hpp"
 #include "pic/simulation.hpp"
 
 namespace artsci::pic {
@@ -31,20 +27,5 @@ EnergyReport energyReport(const Simulation& sim);
 double fitGrowthRate(const std::vector<double>& magneticEnergies,
                      double dtSample, std::size_t fitBegin,
                      std::size_t fitEnd);
-
-/// Histogram of one momentum component (u = gamma beta) over the particles
-/// selected by `predicate(index)`; weighted by macroparticle weight. This
-/// is the "charge density vs momentum" panel of Fig 9(b).
-Histogram1D momentumHistogram(
-    const ParticleBuffer& particles, int component, double lo, double hi,
-    std::size_t bins,
-    const std::function<bool(std::size_t)>& predicate = nullptr);
-
-/// Convenience: momentum histogram of all particles in a KHI region.
-Histogram1D khiRegionMomentumHistogram(const ParticleBuffer& particles,
-                                       long ny, KhiRegion region,
-                                       double vortexHalfWidthCells,
-                                       int component, double lo, double hi,
-                                       std::size_t bins);
 
 }  // namespace artsci::pic

@@ -83,16 +83,6 @@ double ParticleBuffer::kineticEnergy() const {
   return e;
 }
 
-Vec3d ParticleBuffer::totalMomentum() const {
-  Vec3d p{};
-  for (std::size_t i = 0; i < size(); ++i) {
-    p.x += w[i] * ux[i] * info_.mass;
-    p.y += w[i] * uy[i] * info_.mass;
-    p.z += w[i] * uz[i] * info_.mass;
-  }
-  return p;
-}
-
 namespace {
 
 long clampedEdge(long edge, long cells) {
@@ -124,16 +114,6 @@ long SupercellIndex::tileOf(double xCell, double yCell, double zCell) const {
   tj = std::clamp(tj, 0L, tilesY_ - 1);
   tk = std::clamp(tk, 0L, tilesZ_ - 1);
   return (ti * tilesY_ + tj) * tilesZ_ + tk;
-}
-
-Vec3d SupercellIndex::tileCenter(long tile) const {
-  ARTSCI_EXPECTS(tile >= 0 && tile < tileCount());
-  const long tk = tile % tilesZ_;
-  const long tj = (tile / tilesZ_) % tilesY_;
-  const long ti = tile / (tilesY_ * tilesZ_);
-  return {(static_cast<double>(ti) + 0.5) * static_cast<double>(edgeX_),
-          (static_cast<double>(tj) + 0.5) * static_cast<double>(edgeY_),
-          (static_cast<double>(tk) + 0.5) * static_cast<double>(edgeZ_)};
 }
 
 bool SupercellIndex::bin(const double* xs, const double* ys, const double* zs,

@@ -60,8 +60,6 @@ class ParticleBuffer {
   Vec3d velocity(std::size_t i) const;
   /// Total kinetic energy sum w * (gamma - 1) * m (plasma units).
   double kineticEnergy() const;
-  /// Total momentum sum w * u * m.
-  Vec3d totalMomentum() const;
 
   // SoA columns; kept public for hot loops (pusher/deposit/radiation).
   std::vector<double> x, y, z;     ///< cell units
@@ -148,10 +146,6 @@ class SupercellIndex {
   long tileEdge() const { return edgeX_; }
   long tileEdgeX() const { return edgeX_; }
   long tileEdgeY() const { return edgeY_; }
-  long tileEdgeZ() const { return edgeZ_; }
-
-  /// Center of a tile in cell units.
-  Vec3d tileCenter(long tile) const;
 
  private:
   long edgeX_, edgeY_, edgeZ_;

@@ -97,7 +97,6 @@ class Simulation {
   void run(long steps);
 
   const FomCounters& fom() const { return fom_; }
-  void resetFom() { fom_ = {}; }
 
   /// Per-particle acceleration recorded in the last step (empty unless
   /// cfg.recordBetaDot). Index parallel to species(i)'s SoA columns.

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/units.hpp"
 
 namespace artsci::radiation {
 
@@ -187,10 +186,6 @@ std::array<std::complex<double>, 3> SpectralAccumulator::amplitude(
   return {amp_[slot(directionIdx, freqIdx, 0)],
           amp_[slot(directionIdx, freqIdx, 1)],
           amp_[slot(directionIdx, freqIdx, 2)]};
-}
-
-double expectedDopplerUpshift(double betaTowardDetector) {
-  return units::dopplerFactor(betaTowardDetector);
 }
 
 }  // namespace artsci::radiation

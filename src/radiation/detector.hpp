@@ -120,8 +120,4 @@ class SpectralAccumulator {
   RegionRanges all_;        ///< one region: every particle, in order
 };
 
-/// Analytic check helper: relativistic Doppler cutoff of a gyrating
-/// particle seen along +x when it moves with beta_x toward the detector.
-double expectedDopplerUpshift(double betaTowardDetector);
-
 }  // namespace artsci::radiation

@@ -4,16 +4,6 @@
 
 namespace artsci::radiation {
 
-RadiationPlugin::RadiationPlugin(DetectorConfig cfg, std::size_t speciesIdx)
-    : speciesIdx_(speciesIdx), acc_(std::move(cfg)) {}
-
-void RadiationPlugin::onStepEnd(pic::Simulation& sim) {
-  const auto& particles = sim.species(speciesIdx_);
-  acc_.accumulate(particles, sim.betaDotX(speciesIdx_),
-                  sim.betaDotY(speciesIdx_), sim.betaDotZ(speciesIdx_),
-                  sim.time(), sim.dt(), sim.grid());
-}
-
 RegionRadiationPlugin::RegionRadiationPlugin(DetectorConfig cfg,
                                              std::size_t speciesIdx,
                                              double vortexHalfWidthCells)

@@ -1,7 +1,7 @@
 /// \file plugin.hpp
 /// PIConGPU-style simulation plugin wiring the far-field detector into the
-/// PIC loop, optionally resolved by KHI region so the in-transit producer
-/// can pair each region's point cloud with "its" spectrum (Fig 9).
+/// PIC loop, resolved by KHI region so the in-transit producer can pair
+/// each region's point cloud with "its" spectrum (Fig 9).
 #pragma once
 
 #include <cstdint>
@@ -12,26 +12,10 @@
 
 namespace artsci::radiation {
 
-class RadiationPlugin : public pic::Plugin {
- public:
-  /// Observes species `speciesIdx` of the simulation. The Simulation must
-  /// record accelerations (SimulationConfig::recordBetaDot = true).
-  RadiationPlugin(DetectorConfig cfg, std::size_t speciesIdx);
-
-  const char* name() const override { return "radiation"; }
-  void onStepEnd(pic::Simulation& sim) override;
-
-  const SpectralAccumulator& accumulator() const { return acc_; }
-  SpectralAccumulator& accumulator() { return acc_; }
-
- private:
-  std::size_t speciesIdx_;
-  SpectralAccumulator acc_;
-};
-
-/// Region-resolved variant: one accumulator per KHI region. Each step
-/// sorts the electrons into per-region ranges and runs one RadiationKernel
-/// call for all three regions.
+/// One accumulator per KHI region. Each step sorts the electrons into
+/// per-region ranges and runs one RadiationKernel call for all three
+/// regions. The Simulation must record accelerations
+/// (SimulationConfig::recordBetaDot = true).
 class RegionRadiationPlugin : public pic::Plugin {
  public:
   RegionRadiationPlugin(DetectorConfig cfg, std::size_t speciesIdx,

@@ -26,11 +26,6 @@ namespace artsci::serve {
 /// inverse problem (spectrum -> posterior point-cloud draw).
 enum class Endpoint { kPredictSpectrum, kInvertSpectrum };
 
-/// Human-readable endpoint label for logs and metrics reports.
-inline const char* endpointName(Endpoint e) {
-  return e == Endpoint::kPredictSpectrum ? "PredictSpectrum" : "InvertSpectrum";
-}
-
 /// What a client's future resolves to.
 struct InferenceResult {
   /// PredictSpectrum: the spectrum [spectrumDim]. InvertSpectrum: one

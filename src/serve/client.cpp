@@ -19,20 +19,11 @@
 namespace artsci::serve {
 
 NetClient::NetClient(const std::string& host, std::uint16_t port,
-                     std::size_t maxPayloadBytes)
-    : NetClient(host, port, [&] {
-        NetClientOptions o;
-        o.maxPayloadBytes = maxPayloadBytes;
-        return o;
-      }()) {}
-
-NetClient::NetClient(const std::string& host, std::uint16_t port,
                      NetClientOptions options)
     : host_(host),
       port_(port),
       options_(options),
-      jitterRng_(options.jitterSeed),
-      decoder_(options.maxPayloadBytes) {
+      jitterRng_(options.jitterSeed) {
   connectSocket();
 }
 
@@ -191,7 +182,7 @@ NetReply NetClient::roundTrip(proto::MsgType type,
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       if (fd_ >= 0) ::close(fd_);
       fd_ = -1;
-      decoder_ = proto::FrameDecoder(options_.maxPayloadBytes);
+      decoder_ = proto::FrameDecoder();
       connectSocket();
     }
   }

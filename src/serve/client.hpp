@@ -65,18 +65,15 @@ struct NetClientOptions {
   std::uint64_t backoffBaseMillis = 5;  ///< doubles per attempt...
   std::uint64_t backoffMaxMillis = 200; ///< ...capped here
   std::uint64_t jitterSeed = 0x7ab1eULL;  ///< deterministic jitter stream
-  std::size_t maxPayloadBytes = proto::kDefaultMaxPayloadBytes;
 };
 
 class NetClient {
  public:
-  /// Connects (blocking) to host:port; throws RuntimeError on failure.
+  /// Connects to host:port (blocking by default); throws RuntimeError on
+  /// connect failure, NetTimeoutError when the connect deadline expires.
+  /// Reply frames are capped at proto::kDefaultMaxPayloadBytes.
   NetClient(const std::string& host, std::uint16_t port,
-            std::size_t maxPayloadBytes = proto::kDefaultMaxPayloadBytes);
-  /// Connect with timeout/retry options; throws RuntimeError on connect
-  /// failure, NetTimeoutError when the connect deadline expires.
-  NetClient(const std::string& host, std::uint16_t port,
-            NetClientOptions options);
+            NetClientOptions options = {});
   ~NetClient();
 
   NetClient(const NetClient&) = delete;
@@ -105,8 +102,6 @@ class NetClient {
   /// Throws NetTimeoutError when the recv deadline expires, RuntimeError
   /// on EOF/reset or a protocol violation from the server side.
   proto::Frame recvFrame();
-  /// Next request id this client will stamp (monotonic from 1).
-  std::uint64_t nextRequestId() const { return nextId_; }
 
   /// Half-close the write side (server sees EOF, replies still readable).
   void shutdownWrite();

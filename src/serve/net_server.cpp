@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <limits>
 
@@ -22,6 +23,10 @@
 namespace artsci::serve {
 
 namespace {
+
+/// How often the supervisor checks shard health: a crashed shard returns
+/// to service within about this long.
+constexpr std::chrono::milliseconds kSupervisorPoll{2};
 
 void setNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -119,8 +124,7 @@ NetServer::NetServer(NetServerConfig cfg,
   for (auto& shard : shards_)
     shard->collector = std::thread([this, &shard] { collectorLoop(*shard); });
 
-  if (cfg_.superviseWorkers)
-    supervisorThread_ = std::thread([this] { supervisorLoop(); });
+  supervisorThread_ = std::thread([this] { supervisorLoop(); });
 
   ioThread_ = std::thread([this] { ioLoop(); });
   log::info("serve.net", "listening on ", cfg_.host, ":", port_, " with ",
@@ -143,8 +147,7 @@ std::shared_ptr<InferenceServer> NetServer::makeShardServer(
 
 void NetServer::supervisorLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(cfg_.supervisorPollMillis));
+    std::this_thread::sleep_for(kSupervisorPoll);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       const std::shared_ptr<InferenceServer> current = shardServer(shard);
@@ -243,7 +246,7 @@ void NetServer::ioLoop() {
           if (cfd < 0) break;  // EAGAIN: accepted everything pending
           const int one = 1;
           ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          auto conn = std::make_shared<Connection>(cfg_.maxPayloadBytes);
+          auto conn = std::make_shared<Connection>();
           conn->fd = cfd;
           conn->id = nextConnId_++;
           conns_.emplace(conn->id, conn);
@@ -344,8 +347,7 @@ void NetServer::dispatchFrame(const std::shared_ptr<Connection>& conn,
                                          "server is stopping"));
     return;
   }
-  const std::uint64_t deadline =
-      frame.meta > 0 ? frame.meta : cfg_.defaultDeadlineMicros;
+  const std::uint64_t deadline = frame.meta;  // 0 = none
   Shard& shard = *shards_[pickShard()];
   // Pin this request to one incarnation: copy the pointer once so a
   // supervisor swap mid-dispatch cannot split submit and reply routing.
@@ -364,10 +366,9 @@ void NetServer::dispatchFrame(const std::shared_ptr<Connection>& conn,
 }
 
 std::size_t NetServer::pickShard() {
+  if (shards_.size() == 1) return 0;
   const std::uint64_t hint =
       nextShard_.fetch_add(1, std::memory_order_relaxed);
-  if (shards_.size() == 1 || cfg_.dispatch == ShardDispatch::kRoundRobin)
-    return static_cast<std::size_t>(hint % shards_.size());
   // Snapshot the per-shard queue depths (the gauges the batchers already
   // maintain), then pick the shallowest; the rotating hint both spreads
   // ties and keeps the scan O(shards) worst case.

@@ -5,10 +5,11 @@
 /// InferenceEngine workers (one InferenceServer of one worker per shard,
 /// optionally pinned to distinct cores), with admission control and
 /// deadline-based load shedding on every shard's bounded queue. Dispatch
-/// is least-loaded by default: each request goes to the shard with the
-/// shallowest queue (ties broken by a rotating hint so idle shards share
-/// work evenly); a long request can no longer head-of-line-block the
-/// short requests a fixed rotation would have put behind it.
+/// is least-loaded: each request goes to the shard with the least queued
+/// and in-flight work (ties broken by a rotating hint so idle shards share
+/// work evenly), so a long request cannot head-of-line-block the short
+/// requests a fixed rotation would put behind it. A supervisor thread
+/// restarts crashed shard workers.
 ///
 /// Data flow:
 ///
@@ -50,19 +51,6 @@
 
 namespace artsci::serve {
 
-/// How dispatchFrame picks a shard for each decoded request.
-enum class ShardDispatch {
-  /// Route to the shard with the shallowest batcher queue, scanning from
-  /// a rotating start so ties spread evenly. Under skewed request sizes
-  /// (a few expensive inversions among cheap predictions) this keeps
-  /// short requests off the shard digesting a long one, collapsing their
-  /// tail latency versus a fixed rotation.
-  kLeastLoaded,
-  /// Legacy fixed rotation, kept for A/B comparison and as the baseline
-  /// the p99 test measures against.
-  kRoundRobin,
-};
-
 /// Pure shard-selection kernel (unit-testable without sockets): returns
 /// the index with the minimum depth, scanning the `count` depths starting
 /// from `hint % count` and keeping the first minimum encountered — i.e.
@@ -75,24 +63,9 @@ struct NetServerConfig {
   std::uint16_t port = 0;          ///< 0 = ephemeral; NetServer::port() tells
   std::size_t shards = 1;          ///< MicroBatcher+engine workers
   BatchPolicy policy;              ///< per-shard batching policy
-  ShardDispatch dispatch = ShardDispatch::kLeastLoaded;
   /// Pin shard k's worker to CPU slot k of the process's allowed set.
   bool pinCores = false;
-  /// Deadline applied to requests that carry none on the wire (0 = none).
-  std::uint64_t defaultDeadlineMicros = 0;
-  /// Per-frame payload cap enforced by the decoder before any allocation.
-  std::size_t maxPayloadBytes = proto::kDefaultMaxPayloadBytes;
   std::uint64_t seed = 0xced5ULL;  ///< base seed for posterior-draw RNGs
-  /// Restart crashed shard workers. A supervisor thread polls shard
-  /// health; when a worker died (simulated via
-  /// FAULT_POINT("serve.worker_batch")) it builds a fresh InferenceServer
-  /// from the registry snapshot, swaps it in, and fails the dead one's
-  /// queued requests with typed kShuttingDown errors — every request
-  /// still gets exactly one reply, and the shard returns to service
-  /// within ~supervisorPollMillis. Each restart bumps the
-  /// `serve.worker_restarts` counter.
-  bool superviseWorkers = true;
-  std::uint64_t supervisorPollMillis = 2;
 };
 
 /// The network front end. Construction binds, listens, and starts the I/O
@@ -128,16 +101,16 @@ class NetServer {
 
  private:
   /// One live client connection. The fd closes when the last reference
-  /// drops, so collector threads mid-write never race a reused fd.
+  /// drops, so collector threads mid-write never race a reused fd. The
+  /// decoder caps each frame's payload at proto::kDefaultMaxPayloadBytes
+  /// before allocating it.
   struct Connection {
     ~Connection();
     int fd = -1;
     std::uint64_t id = 0;
-    proto::FrameDecoder decoder{proto::kDefaultMaxPayloadBytes};
+    proto::FrameDecoder decoder;
     std::mutex writeMutex;       ///< serializes reply writes
     std::atomic<bool> closed{false};
-
-    explicit Connection(std::size_t maxPayload) : decoder(maxPayload) {}
   };
 
   /// A dispatched request awaiting its future in a shard's FIFO.
@@ -169,14 +142,20 @@ class NetServer {
     std::lock_guard<std::mutex> lock(shard.serverMutex);
     return shard.server;
   }
+  /// Polls shard health every 2 ms. When a worker died
+  /// (simulated via FAULT_POINT("serve.worker_batch")) it builds a fresh
+  /// InferenceServer from the registry snapshot, swaps it in, and fails
+  /// the dead one's queued requests with typed kShuttingDown errors —
+  /// every request still gets exactly one reply. Each restart bumps the
+  /// `serve.worker_restarts` counter.
   void supervisorLoop();
 
   void ioLoop();
   void handleReadable(const std::shared_ptr<Connection>& conn);
   void dispatchFrame(const std::shared_ptr<Connection>& conn,
                      proto::Frame&& frame);
-  /// Applies cfg_.dispatch: queue-depth scan (kLeastLoaded) or fixed
-  /// rotation (kRoundRobin). Called from the single I/O thread.
+  /// The least-loaded shard (pickLeastLoadedShard over the shards'
+  /// queueDepth()). Called from the single I/O thread.
   std::size_t pickShard();
   void collectorLoop(Shard& shard);
   void closeConnection(std::uint64_t connId);

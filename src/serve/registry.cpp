@@ -34,12 +34,6 @@ std::uint64_t ModelRegistry::version() const {
   return snap ? snap->version : 0;
 }
 
-std::uint64_t publishCopy(ModelRegistry& registry,
-                          const core::ArtificialScientistModel& model,
-                          std::string tag) {
-  return registry.publish(core::cloneForInference(model), std::move(tag));
-}
-
 std::uint64_t publishCheckpoint(ModelRegistry& registry,
                                 core::ArtificialScientistModel::Config cfg,
                                 const std::string& path, std::string tag) {

@@ -52,11 +52,6 @@ class ModelRegistry {
   std::uint64_t versions_ = 0;                    ///< guarded by mutex_
 };
 
-/// Publish a servable deep copy of `model` (the common trainer-side call).
-std::uint64_t publishCopy(ModelRegistry& registry,
-                          const core::ArtificialScientistModel& model,
-                          std::string tag = {});
-
 /// Build a model of `cfg`, load the checkpoint at `path` into it
 /// (ml::loadParameters — versioned, shape-checked), and publish it.
 std::uint64_t publishCheckpoint(ModelRegistry& registry,

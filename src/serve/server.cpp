@@ -157,9 +157,7 @@ void InferenceServer::workerLoop(std::size_t workerIndex) {
       continue;
     }
     if (snap != bound) {
-      InferenceEngine::Options opts;
-      opts.ompRowParallel = cfg_.ompRowParallel && cfg_.workers == 1;
-      engine = std::make_unique<InferenceEngine>(snap->model, opts);
+      engine = std::make_unique<InferenceEngine>(snap->model);
       bound = snap;
       metrics_->recordEngineSwap();
     }

@@ -45,14 +45,6 @@ struct ServerConfig {
   BatchPolicy policy;
   std::size_t workers = 1;   ///< inference worker threads
   std::uint64_t seed = 0xced5ULL;  ///< base seed for posterior-draw RNGs
-  /// Let a *single-worker* server's engine parallelize each batch over
-  /// OpenMP row chunks (bit-identical results; InferenceEngine::Options).
-  /// Opt-in: enable on hosts dedicated to serving so a multi-core box
-  /// speeds up individual batches; leave off (default) when the server
-  /// co-runs with other OpenMP work — the in-transit pipeline's usual
-  /// deployment — or with workers > 1 (ignored there anyway: the worker
-  /// threads already own the cores).
-  bool ompRowParallel = false;
   /// Pin worker w to CPU slot (pinCoreBase + w) of the process's allowed
   /// set (common/thread_pool.hpp::pinThisThreadToCpuSlot). -1 = no pinning.
   /// The TCP front end (net_server.hpp) uses this to give each shard's

@@ -174,15 +174,11 @@ class SstEngine {
                                        const std::string& variable) const;
 
     std::size_t rank() const { return rank_; }
-    std::size_t bytesRead() const { return bytesRead_; }
-    /// Account a Get (for throughput bookkeeping).
-    void recordRead(std::size_t bytes) { bytesRead_ += bytes; }
 
    private:
     SstEngine& engine_;
     std::size_t rank_;
     bool inStep_ = false;
-    std::size_t bytesRead_ = 0;
   };
 
   Writer makeWriter(std::size_t rank) { return Writer(*this, rank); }

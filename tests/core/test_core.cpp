@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/evaluate.hpp"
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
@@ -24,6 +27,16 @@ Sample makeSample(Rng& rng, long points, long specDim, int region,
   for (auto& v : s.spectrum) v = 0.5 + 0.1 * uxMean + rng.normal(0, 0.01);
   s.region = region;
   return s;
+}
+
+/// Inverse of normalizeSpectrum: (10^(n * scale) - 1) * ref.
+std::vector<double> denormalizeSpectrum(const std::vector<double>& norm,
+                                        const TransformConfig& cfg) {
+  std::vector<double> out(norm.size());
+  for (std::size_t i = 0; i < norm.size(); ++i)
+    out[i] =
+        (std::pow(10.0, norm[i] * cfg.spectrumScale) - 1.0) * cfg.spectrumRef;
+  return out;
 }
 
 TEST(Transforms, SpectrumNormalizationRoundTrip) {

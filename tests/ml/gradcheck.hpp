@@ -1,14 +1,32 @@
-#include "ml/gradcheck.hpp"
+/// \file gradcheck.hpp
+/// Test-only finite-difference gradient verification, used throughout
+/// tests/ml to check every backward formula of the ml ops against central
+/// differences.
+#pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <vector>
+
+#include "ml/tensor.hpp"
 
 namespace artsci::ml {
 
-GradCheckResult gradCheck(
+struct GradCheckResult {
+  Real maxAbsError = Real(0);
+  Real maxRelError = Real(0);
+  bool ok = true;
+};
+
+/// Verify d(fn)/d(inputs) by central differences.
+/// `fn` must build a fresh graph from the inputs and return a scalar.
+/// Checks every element when the input has <= `maxElements` entries,
+/// otherwise a deterministic stride-sampled subset.
+inline GradCheckResult gradCheck(
     const std::function<Tensor(const std::vector<Tensor>&)>& fn,
-    std::vector<Tensor> inputs, Real epsilon, Real tolerance,
-    long maxElements) {
+    std::vector<Tensor> inputs, Real epsilon = Real(1e-5),
+    Real tolerance = Real(1e-6), long maxElements = 512) {
   for (auto& in : inputs) in.setRequiresGrad(true);
 
   // Analytic gradients.

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "gradcheck.hpp"
 #include "ml/coupling.hpp"
-#include "ml/gradcheck.hpp"
 
 namespace artsci::ml {
 namespace {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "ml/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "ml/kernels/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/ops.hpp"

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "ml/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "ml/layers.hpp"
 
 namespace artsci::ml {

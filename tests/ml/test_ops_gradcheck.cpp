@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "ml/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "ml/ops.hpp"
 
 namespace artsci::ml {
@@ -44,14 +44,10 @@ INSTANTIATE_TEST_SUITE_P(
         UnaryCase{"leakyRelu",
                   [](const Tensor& x) { return leakyRelu(x, 0.1); }},
         UnaryCase{"tanh", [](const Tensor& x) { return tanhT(x); }},
-        UnaryCase{"sigmoid", [](const Tensor& x) { return sigmoid(x); }},
         UnaryCase{"exp", [](const Tensor& x) { return expT(x); }},
-        UnaryCase{"log", [](const Tensor& x) { return logT(x); }, true},
-        UnaryCase{"sqrt", [](const Tensor& x) { return sqrtT(x); }, true},
         UnaryCase{"square", [](const Tensor& x) { return square(x); }},
         UnaryCase{"reciprocal",
                   [](const Tensor& x) { return reciprocal(x); }, true},
-        UnaryCase{"softplus", [](const Tensor& x) { return softplus(x); }},
         UnaryCase{"addScalar",
                   [](const Tensor& x) { return addScalar(x, 1.7); }},
         UnaryCase{"mulScalar",
@@ -116,30 +112,6 @@ TEST(OpsGradCheck, SumAxisKeepdim) {
   }
 }
 
-TEST(OpsGradCheck, MeanAxis) {
-  Rng rng(6);
-  Tensor x = Tensor::randn({4, 5}, rng);
-  auto loss = [&](const std::vector<Tensor>& in) {
-    return sumAll(square(meanAxis(in[0], 1)));
-  };
-  EXPECT_TRUE(gradCheck(loss, {x}).ok);
-}
-
-TEST(OpsGradCheck, MeanAxisKeepdimAllAxes) {
-  Rng rng(15);
-  Tensor x = Tensor::randn({2, 3, 4}, rng);
-  for (int axis = 0; axis < 3; ++axis) {
-    for (bool keepdim : {false, true}) {
-      auto loss = [&](const std::vector<Tensor>& in) {
-        return sumAll(square(meanAxis(in[0], axis, keepdim)));
-      };
-      const auto r = gradCheck(loss, {x});
-      EXPECT_TRUE(r.ok) << "axis=" << axis << " keepdim=" << keepdim
-                        << " err=" << r.maxRelError;
-    }
-  }
-}
-
 TEST(OpsGradCheck, MeanAll) {
   Rng rng(16);
   Tensor x = Tensor::randn({3, 7}, rng);
@@ -182,21 +154,6 @@ TEST(OpsGradCheck, LeakyReluSlopes) {
     const auto r = gradCheck(loss, {x}, 1e-6, 1e-5);
     EXPECT_TRUE(r.ok) << "slope=" << slope << " err=" << r.maxRelError;
   }
-}
-
-TEST(OpsGradCheck, SoftplusExtremeRegimes) {
-  // Large |x| probes the saturated branches (gradient -> 1 and -> 0),
-  // where a naive exp-based implementation overflows.
-  Tensor x = Tensor::fromVector(
-      {6}, {Real(-30), Real(-4), Real(-0.1), Real(0.1), Real(4), Real(30)});
-  auto loss = [&](const std::vector<Tensor>& in) {
-    return sumAll(mul(softplus(in[0]), in[0]));
-  };
-  const auto r = gradCheck(loss, {x}, 1e-6, 1e-5);
-  EXPECT_TRUE(r.ok) << r.maxRelError;
-  // Forward values must stay finite deep into saturation.
-  Tensor y = softplus(x);
-  for (Real v : y.data()) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST(OpsGradCheck, SubAndDivBroadcast) {

@@ -100,24 +100,11 @@ TEST(Communicator, AllReduceRepeatedCalls) {
   EXPECT_FALSE(bad.load());
 }
 
-TEST(Communicator, AllGatherConcatenatesInRankOrder) {
-  constexpr std::size_t kRanks = 3;
-  Communicator comm(kRanks);
-  std::vector<std::vector<Real>> results(kRanks);
-  runRankTeam(kRanks, [&](std::size_t rank) {
-    std::vector<Real> local(rank + 1, static_cast<Real>(rank));
-    results[rank] = comm.allGather(rank, local);
-  });
-  const std::vector<Real> expected{0, 1, 1, 2, 2, 2};
-  for (const auto& r : results) EXPECT_EQ(r, expected);
-}
-
 TEST(Communicator, SingleRankIsNoop) {
   Communicator comm(1);
   std::vector<Real> buf{5.0};
   comm.allReduceMean(0, buf);
   EXPECT_EQ(buf[0], 5.0);
-  EXPECT_EQ(comm.allGather(0, buf), buf);
 }
 
 TEST(Communicator, TracksCommunicationTime) {
@@ -127,8 +114,7 @@ TEST(Communicator, TracksCommunicationTime) {
     for (int i = 0; i < 5; ++i) comm.allReduceMean(rank, buf);
   });
   EXPECT_GT(comm.communicationSeconds(0), 0.0);
-  comm.resetTimers();
-  EXPECT_EQ(comm.communicationSeconds(0), 0.0);
+  EXPECT_GT(comm.communicationSeconds(1), 0.0);
 }
 
 TEST(Ddp, GradientAveragingMatchesSerialBigBatch) {
@@ -175,26 +161,6 @@ TEST(Ddp, GradientAveragingMatchesSerialBigBatch) {
             << "rank " << r << " param " << p << " elem " << i;
       }
     }
-  }
-}
-
-TEST(Ddp, BroadcastParametersSynchronizesReplicas) {
-  constexpr std::size_t kRanks = 3;
-  Communicator comm(kRanks);
-  std::vector<std::unique_ptr<Linear>> replicas(kRanks);
-  for (std::size_t r = 0; r < kRanks; ++r) {
-    Rng rngR(100 + r);  // deliberately different init
-    replicas[r] = std::make_unique<Linear>(4, 4, rngR);
-  }
-  runRankTeam(kRanks, [&](std::size_t rank) {
-    broadcastParameters(comm, rank, replicas[rank]->parameters());
-  });
-  const auto& ref = replicas[0]->parameters();
-  for (std::size_t r = 1; r < kRanks; ++r) {
-    const auto params = replicas[r]->parameters();
-    for (std::size_t p = 0; p < ref.size(); ++p)
-      for (std::size_t i = 0; i < ref[p].data().size(); ++i)
-        EXPECT_NEAR(params[p].data()[i], ref[p].data()[i], 1e-12);
   }
 }
 

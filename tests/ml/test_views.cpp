@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "ml/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "ml/ops.hpp"
 #include "ml/shape.hpp"
 #include "ml/tensor.hpp"

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <thread>
 
 #include "common/thread_pool.hpp"
@@ -10,22 +9,17 @@
 namespace artsci::openpmd {
 namespace {
 
-class FileBackendTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = "/tmp/artsci_openpmd_test_" +
-           std::to_string(reinterpret_cast<std::uintptr_t>(this));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::string dir_;
-};
+/// One writer and one reader on a queue of 2: a test can write a step,
+/// then read it back on the same thread.
+std::shared_ptr<stream::SstEngine> oneToOneEngine() {
+  return std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 2});
+}
 
-TEST_F(FileBackendTest, WriteReadRoundTrip) {
+TEST(SeriesTest, WriteReadRoundTrip) {
+  auto engine = oneToOneEngine();
   {
-    Series series("khi", Access::kCreate,
-                  std::make_shared<FileBackend>(dir_, "khi"));
-    auto it = series.writeIteration(100);
+    Series series("khi", Access::kCreate, StreamBackend::forWriter(engine, 0));
+    auto it = series.writeIteration(0);
     it.particles("e")
         .record("momentum")
         .component("x")
@@ -35,39 +29,23 @@ TEST_F(FileBackendTest, WriteReadRoundTrip) {
     it.close();
     series.close();
   }
-  Series read("khi", Access::kRead,
-              std::make_shared<FileBackend>(dir_, "khi"));
+  Series read("khi", Access::kRead, StreamBackend::forReader(engine, 0));
   auto it = read.readNextIteration();
   ASSERT_TRUE(it.has_value());
-  EXPECT_EQ(it->index, 100);
+  EXPECT_EQ(it->index, 0);
   EXPECT_EQ(it->at("particles/e/momentum/x"),
             (std::vector<double>{0.1, 0.2, 0.3}));
+  EXPECT_EQ(it->extents.at("particles/e/momentum/x"), (std::vector<long>{3}));
   EXPECT_EQ(it->at("meshes/spectrum"), (std::vector<double>{1.0, 2.0}));
   EXPECT_DOUBLE_EQ(it->attribute("time"), 5.0);
   EXPECT_DOUBLE_EQ(it->attribute("dt"), 0.1);
   EXPECT_FALSE(read.readNextIteration().has_value());
 }
 
-TEST_F(FileBackendTest, IterationsReadInOrder) {
+TEST(SeriesTest, UnitDimensionAttributesStored) {
+  auto engine = oneToOneEngine();
   {
-    Series series("s", Access::kCreate,
-                  std::make_shared<FileBackend>(dir_, "s"));
-    for (long i : {30L, 10L, 20L}) {
-      auto it = series.writeIteration(i);
-      it.mesh("v").scalar().store({double(i)}, {1});
-      it.close();
-    }
-  }
-  Series read("s", Access::kRead, std::make_shared<FileBackend>(dir_, "s"));
-  std::vector<long> order;
-  while (auto it = read.readNextIteration()) order.push_back(it->index);
-  EXPECT_EQ(order, (std::vector<long>{10, 20, 30}));
-}
-
-TEST_F(FileBackendTest, UnitDimensionAttributesStored) {
-  {
-    Series series("u", Access::kCreate,
-                  std::make_shared<FileBackend>(dir_, "u"));
+    Series series("u", Access::kCreate, StreamBackend::forWriter(engine, 0));
     auto it = series.writeIteration(0);
     auto rec = it.particles("e").record("momentum");
     rec.setUnitDimension(kMomentum);
@@ -75,7 +53,7 @@ TEST_F(FileBackendTest, UnitDimensionAttributesStored) {
         2.73092453e-22);  // m_e c
     it.close();
   }
-  Series read("u", Access::kRead, std::make_shared<FileBackend>(dir_, "u"));
+  Series read("u", Access::kRead, StreamBackend::forReader(engine, 0));
   auto it = read.readNextIteration();
   ASSERT_TRUE(it.has_value());
   // unitDimension of momentum: L^1 M^1 T^-1.
@@ -89,8 +67,9 @@ TEST_F(FileBackendTest, UnitDimensionAttributesStored) {
               2.73092453e-22, 1e-30);
 }
 
-TEST_F(FileBackendTest, WriteOnReadOnlySeriesRejected) {
-  Series read("x", Access::kRead, std::make_shared<FileBackend>(dir_, "x"));
+TEST(SeriesTest, WriteOnReadOnlySeriesRejected) {
+  auto engine = oneToOneEngine();
+  Series read("x", Access::kRead, StreamBackend::forReader(engine, 0));
   EXPECT_THROW(read.writeIteration(0), ContractError);
 }
 

@@ -214,6 +214,17 @@ TEST(Detector, FormFactorSuppressesHighFrequencies) {
   EXPECT_LT(withFF[1] / without[1], 0.1);
 }
 
+double totalIntensity(const SpectralAccumulator& acc) {
+  double total = 0;
+  for (std::size_t d = 0; d < acc.directionCount(); ++d)
+    for (double v : acc.intensity(d)) total += v;
+  return total;
+}
+
+constexpr pic::KhiRegion kRegions[] = {pic::KhiRegion::kApproaching,
+                                       pic::KhiRegion::kReceding,
+                                       pic::KhiRegion::kVortex};
+
 TEST(RadiationPluginTest, AccumulatesOverSimulationSteps) {
   pic::SimulationConfig sc;
   sc.grid = GridSpec{8, 8, 8, 0.3, 0.3, 0.3};
@@ -225,13 +236,13 @@ TEST(RadiationPluginTest, AccumulatesOverSimulationSteps) {
   sim.fieldB().z.fill(1.0);  // gyration -> radiation
 
   DetectorConfig cfg = DetectorConfig::defaultKhi(24);
-  auto plugin = std::make_shared<RadiationPlugin>(cfg, s);
+  auto plugin = std::make_shared<RegionRadiationPlugin>(cfg, s, 2.0);
   sim.addPlugin(plugin);
   sim.run(200);
 
-  const auto spec = plugin->accumulator().intensity(0);
   double total = 0;
-  for (double v : spec) total += v;
+  for (auto region : kRegions)
+    total += totalIntensity(plugin->accumulator(region));
   EXPECT_GT(total, 0.0);
 }
 
@@ -243,8 +254,8 @@ TEST(RadiationPluginTest, RequiresBetaDotRecording) {
   pic::Simulation sim(sc);
   const auto s = sim.addSpecies({-1.0, 1.0, "e"});
   sim.species(s).push({4, 4, 4}, {0.1, 0, 0}, 1.0);
-  auto plugin =
-      std::make_shared<RadiationPlugin>(DetectorConfig::defaultKhi(8), s);
+  auto plugin = std::make_shared<RegionRadiationPlugin>(
+      DetectorConfig::defaultKhi(8), s, 2.0);
   sim.addPlugin(plugin);
   EXPECT_THROW(sim.step(), ContractError);
 }
@@ -310,6 +321,27 @@ class ReferenceDetector {
   std::vector<std::complex<double>> amp_;
 };
 
+/// The one-region plugin: one accumulator over every electron, summed in
+/// particle order through SpectralAccumulator::accumulate.
+class AllParticlesPlugin : public pic::Plugin {
+ public:
+  AllParticlesPlugin(DetectorConfig cfg, std::size_t speciesIdx)
+      : speciesIdx_(speciesIdx), acc_(std::move(cfg)) {}
+
+  const char* name() const override { return "radiation/all"; }
+  void onStepEnd(pic::Simulation& sim) override {
+    acc_.accumulate(sim.species(speciesIdx_), sim.betaDotX(speciesIdx_),
+                    sim.betaDotY(speciesIdx_), sim.betaDotZ(speciesIdx_),
+                    sim.time(), sim.dt(), sim.grid());
+  }
+
+  const SpectralAccumulator& accumulator() const { return acc_; }
+
+ private:
+  std::size_t speciesIdx_;
+  SpectralAccumulator acc_;
+};
+
 /// Runs ReferenceDetector beside the plugins under test: one detector over
 /// every particle, and one per KHI region over its ascending index set.
 class ReferencePlugin : public pic::Plugin {
@@ -373,16 +405,10 @@ void expectBitIdentical(const SpectralAccumulator& acc,
   EXPECT_EQ(mismatches, 0u) << what;
 }
 
-double totalIntensity(const SpectralAccumulator& acc) {
-  double total = 0;
-  for (std::size_t d = 0; d < acc.directionCount(); ++d)
-    for (double v : acc.intensity(d)) total += v;
-  return total;
-}
-
-/// KHI box with both region plugins and the reference beside them.
+/// KHI box with the all-particles and region plugins and the reference
+/// beside them.
 struct OracleRun {
-  std::shared_ptr<RadiationPlugin> single;
+  std::shared_ptr<AllParticlesPlugin> single;
   std::shared_ptr<RegionRadiationPlugin> regions;
   std::shared_ptr<ReferencePlugin> reference;
 };
@@ -402,7 +428,7 @@ OracleRun runOracle(const DetectorConfig& det, double vortexHalfWidthCells,
   pic::Simulation sim(sc);
   const auto sp = initializeKhi(sim, kcfg);
   OracleRun run{
-      std::make_shared<RadiationPlugin>(det, sp.electrons),
+      std::make_shared<AllParticlesPlugin>(det, sp.electrons),
       std::make_shared<RegionRadiationPlugin>(det, sp.electrons,
                                               vortexHalfWidthCells),
       std::make_shared<ReferencePlugin>(det, sp.electrons,
@@ -413,10 +439,6 @@ OracleRun runOracle(const DetectorConfig& det, double vortexHalfWidthCells,
   sim.run(steps);
   return run;
 }
-
-constexpr pic::KhiRegion kRegions[] = {pic::KhiRegion::kApproaching,
-                                       pic::KhiRegion::kReceding,
-                                       pic::KhiRegion::kVortex};
 
 TEST(RadiationKernelOracle, BitIdenticalToPerFrequencyLoop) {
   // Two directions (one oblique, so n x ... mixes all components), with

@@ -10,7 +10,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -342,76 +341,64 @@ TEST(ShardDispatchKernel, WrapsAroundFromTheHint) {
   EXPECT_EQ(pickLeastLoadedShard(tail, 3, 1), 2u);
 }
 
-/// Skewed workload for the dispatch A/B: one expensive request occupies a
-/// shard while cheap requests trickle in as sequential round trips.
-/// Returns the worst (p100 of 8 == p99-ish) short-request latency.
-double maxShortLatencyMicros(ShardDispatch mode) {
+TEST(NetServer, LeastLoadedDispatchKeepsShortsOffTheBusyShard) {
+  // Skewed load: one expensive request occupies a shard while cheap
+  // requests follow as sequential round trips. Shard depth counts queued
+  // and in-flight work (InferenceServer::queueDepth), so least-loaded
+  // dispatch sends every short to the idle shard and all of them are
+  // answered while the big request still computes. A fixed rotation
+  // would queue the 2nd short behind the big request; a shard's collector
+  // answers in FIFO order, so that short's reply would follow the big one.
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(90));
-  NetServerConfig cfg = quickNetConfig(/*shards=*/2, /*maxBatch=*/1);
-  cfg.dispatch = mode;
-  NetServer server(cfg, registry);
+  NetServer server(quickNetConfig(/*shards=*/2, /*maxBatch=*/1), registry);
   Rng rng(47);
-  // ~16000x a short request: the big service time (tens of ms) must dwarf
-  // scheduler noise (single-digit ms) for the comparison to be stable.
+  // ~16000x a short request: the big service time (tens of ms) dwarfs
+  // eight short round trips.
   const auto bigCloud = randomCloud(131072, rng);
   const auto smallCloud = randomCloud(8, rng);
 
+  // One connection carries every request, so replies arrive in the order
+  // the shards' collectors wrote them.
+  NetClient client("127.0.0.1", server.port());
   // Warm-up: with empty queues the tie-break rotates, so these round
-  // trips alternate shards and build both engines up front — otherwise
-  // the first short on the idle shard pays the lazy engine construction
-  // and that cost, identical in both modes, swamps the comparison.
-  NetClient shorts("127.0.0.1", server.port());
-  for (int i = 0; i < 4; ++i) shorts.predictSpectrum(smallCloud);
+  // trips alternate shards and build both engines up front.
+  for (int i = 0; i < 4; ++i) client.predictSpectrum(smallCloud);
 
-  // The big request goes out pipelined (no wait); it lands on some shard
-  // and keeps it busy. Waiting until the io thread has read its 6 MB
-  // frame and dispatched it (the 5th submission) means every short below
-  // is routed while the big one is genuinely in flight; a fixed sleep was
-  // too short where decoding is slow, as under ThreadSanitizer. Each
-  // short is a full round trip, so at dispatch time the short queues are
-  // drained — only the busy shard shows depth (queued + in-flight).
-  NetClient big("127.0.0.1", server.port());
-  big.sendFrame(proto::encodeRequest(proto::MsgType::kPredictSpectrum, 1, 0,
-                                     bigCloud));
+  // The big request goes out pipelined (no wait). Waiting until the io
+  // thread has read its 6 MB frame and dispatched it (the 5th
+  // submission) means every short below is routed while the big one is
+  // in flight; a fixed sleep was too short where decoding is slow, as
+  // under ThreadSanitizer.
+  constexpr std::uint64_t kBigId = 100;
+  client.sendFrame(proto::encodeRequest(proto::MsgType::kPredictSpectrum,
+                                        kBigId, 0, bigCloud));
   const auto dispatchBy =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.metrics().predict.submitted < 5 &&
          std::chrono::steady_clock::now() < dispatchBy)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(server.metrics().predict.submitted, 5u);
-  double worst = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    shorts.predictSpectrum(smallCloud);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count();
-    worst = std::max(worst, micros);
-  }
-  (void)big.recvFrame();  // drain the big reply before teardown
-  return worst;
-}
+  ASSERT_EQ(server.metrics().predict.submitted, 5u);
 
-TEST(NetServer, LeastLoadedDispatchImprovesSkewedTailLatency) {
-  // Round-robin alternates blindly, so the 2nd short lands behind the big
-  // request and its round trip absorbs most of the big service time.
-  // Least-loaded sees the busy shard's depth (queued + in-flight) and
-  // keeps every short on the idle shard. Timing is inherently noisy, so
-  // compare best-of-3 worst-short latencies: the round-robin worst is
-  // structurally lower-bounded by the big request's remaining service
-  // time, which no scheduler hiccup can erase.
-  double bestLeastLoaded = 1e30, bestRoundRobin = 1e30;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    bestLeastLoaded = std::min(
-        bestLeastLoaded, maxShortLatencyMicros(ShardDispatch::kLeastLoaded));
-    bestRoundRobin = std::min(
-        bestRoundRobin, maxShortLatencyMicros(ShardDispatch::kRoundRobin));
+  // Eight sequential short round trips, noting every reply id in arrival
+  // order; then the big reply if it has not come yet.
+  std::vector<std::uint64_t> arrivals, expected;
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    expected.push_back(id);
+    client.sendFrame(proto::encodeRequest(proto::MsgType::kPredictSpectrum,
+                                          id, 0, smallCloud));
+    for (;;) {
+      const proto::Frame f = client.recvFrame();
+      EXPECT_EQ(f.type, proto::MsgType::kReply);
+      arrivals.push_back(f.requestId);
+      if (f.requestId == id) break;
+    }
   }
-  EXPECT_LT(bestLeastLoaded, bestRoundRobin)
-      << "least-loaded p99 " << bestLeastLoaded
-      << "us should beat round-robin p99 " << bestRoundRobin << "us";
+  expected.push_back(kBigId);
+  if (arrivals.size() < expected.size())
+    arrivals.push_back(client.recvFrame().requestId);
+  EXPECT_EQ(arrivals, expected)
+      << "a short reply arrived after the big one";
 }
 
 /// Minimal TCP listener for client-side fault tests: binds an ephemeral

@@ -183,7 +183,7 @@ TEST(ModelRegistry, PublishCopyIsImmuneToLaterTraining) {
   const ml::Tensor before = m.predictSpectra(probe);
 
   ModelRegistry reg;
-  publishCopy(reg, m, "pre-training");
+  reg.publish(core::cloneForInference(m), "pre-training");
   // "Training step": perturb every weight of the source model.
   for (auto& p : m.parameters())
     for (auto& v : p.data()) v += 0.5;
