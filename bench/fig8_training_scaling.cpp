@@ -69,17 +69,10 @@ double measuredBatchSeconds(std::size_t ranks, long iterations) {
 
 int main(int argc, char** argv) {
   // The measured part maps one rank thread to one "GCD", so OpenMP inside
-  // the kernels must be off. libgomp fixes its thread count from the
-  // environment at process start (later setenv calls don't reach rank
-  // threads), so re-exec once with OMP_NUM_THREADS=1.
+  // the kernels must be off. The trainer's rank threads take the team
+  // size of the thread that calls trainIterations, this one.
 #ifdef _OPENMP
-  if (getenv("ARTSCI_FIG8_CHILD") == nullptr) {
-    setenv("OMP_NUM_THREADS", "1", 1);
-    setenv("ARTSCI_FIG8_CHILD", "1", 1);
-    execv("/proc/self/exe", argv);
-    // exec failed (no procfs?): continue with a best-effort setting.
-    omp_set_num_threads(1);
-  }
+  omp_set_num_threads(1);
 #endif
   const char* jsonPath = nullptr;
   for (int i = 1; i < argc; ++i) {

@@ -3,19 +3,23 @@
 /// radiation kernel. These guard against performance regressions in the
 /// substrate and calibrate the bench harness constants.
 ///
-/// Besides the google-benchmark suite, `--acceptance[=ratio]` runs two
+/// Besides the google-benchmark suite, `--acceptance[=ratio]` runs three
 /// self-contained gates. GEMM: ml::matmul forward+backward (the shared
 /// blocked kernels of ml/kernels/gemm.hpp) must beat the naive
 /// triple-loop reference by the given factor (default 2.5x; the local
 /// target in ROADMAP is 3x); the two sides run in alternating rounds and
 /// each keeps its fastest. Trainer step: an INN training step on the
 /// step arena must make zero steady-state heap allocations and match a
-/// heap step's gradients bit for bit; its time is reported. `--json
-/// <path>` writes the measurements as a JSON document (CI uploads it as
-/// the BENCH_micro_ops artifact).
+/// heap step's gradients bit for bit; its time is reported. Activation
+/// branch: the fused ml::linear node (fwd+bwd, leaky ReLU) may cost at
+/// most 1.3x as much on random-sign pre-activations as on all-positive
+/// ones, so a data-dependent branch in its activation loops fails it.
+/// `--json <path>` writes the measurements as a JSON document (CI uploads
+/// it as the BENCH_micro_ops artifact).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -476,6 +480,60 @@ StepAcceptanceResult runTrainerStepAcceptance() {
   return r;
 }
 
+// --- activation-branch gate ----------------------------------------------
+// The fused linear node's activation loops (the forward epilogue and the
+// backward's g * act'(out)) must not branch on the data: a branch on the
+// sign of each value mispredicts on half of random-sign inputs. The gate
+// times ml::linear fwd+bwd at the PointNet's third per-point layer
+// ([1024,32] -> 64, leaky ReLU) on random-sign inputs and on all-positive
+// inputs (every value taking the same branch), in interleaved rounds on
+// the step arena, and fails when random-sign takes more than
+// kBranchRatioLimit times as long.
+
+constexpr double kBranchRatioLimit = 1.3;
+
+struct BranchAcceptanceResult {
+  double randomSignMs = 0;   ///< best-of-rounds fwd+bwd, random signs
+  double allPositiveMs = 0;  ///< best-of-rounds fwd+bwd, all positive
+  double ratio = 0;          ///< randomSignMs / allPositiveMs
+  bool pass = false;
+};
+
+BranchAcceptanceResult runActivationBranchAcceptance() {
+  const long rows = 1024, in = 32, out = 64;
+  Rng rng(9);
+  // Input, weight and bias of one layer; all-positive operands make every
+  // pre-activation positive.
+  auto layer = [&](bool positive) {
+    std::vector<Tensor> p = {
+        Tensor::randn({rows, in}, rng, 1, /*requiresGrad=*/true),
+        Tensor::randn({in, out}, rng, 1, /*requiresGrad=*/true),
+        Tensor::randn({out}, rng, 1, /*requiresGrad=*/true)};
+    if (positive)
+      for (Tensor& t : p)
+        for (Real& v : t.data()) v = std::abs(v);
+    return p;
+  };
+  std::vector<Tensor> randomSign = layer(false);
+  std::vector<Tensor> allPositive = layer(true);
+  Arena randomArena, positiveArena;
+  auto step = [](std::vector<Tensor>& p, Arena& arena) {
+    for (Tensor& t : p) t.zeroGrad();
+    arena.beginStep();
+    ArenaScope scope(arena);
+    sumAll(linear(p[0], p[1], p[2], Activation::kLeakyRelu)).backward();
+  };
+  const auto [randomSeconds, positiveSeconds] = interleavedMinSeconds(
+      [&] { step(randomSign, randomArena); },
+      [&] { step(allPositive, positiveArena); });
+  BranchAcceptanceResult r;
+  r.randomSignMs = randomSeconds * 1e3;
+  r.allPositiveMs = positiveSeconds * 1e3;
+  r.ratio = randomSeconds / positiveSeconds;
+  r.pass = r.ratio <= kBranchRatioLimit;
+  return r;
+}
+
 int acceptanceMain(double threshold, const char* jsonPath) {
   std::printf(
       "GEMM acceptance: ml::matmul fwd+bwd (shared blocked kernels) vs the "
@@ -501,6 +559,18 @@ int acceptanceMain(double threshold, const char* jsonPath) {
   std::printf("acceptance (0 allocs, bit-identical): %s\n",
               s.pass ? "PASS" : "FAIL");
 
+  std::printf(
+      "\nActivation-branch acceptance: ml::linear fwd+bwd [1024,32]->64 "
+      "leaky ReLU, random-sign vs all-positive inputs, best of %d "
+      "alternating rounds per side\n",
+      kGemmRounds);
+  const BranchAcceptanceResult b = runActivationBranchAcceptance();
+  std::printf("  random sign  : %8.3f ms\n", b.randomSignMs);
+  std::printf("  all positive : %8.3f ms\n", b.allPositiveMs);
+  std::printf("acceptance (random-sign <= %.2fx all-positive): %.2fx -> %s\n",
+              kBranchRatioLimit, b.ratio, b.pass ? "PASS" : "FAIL");
+  const bool pass = r.pass && s.pass && b.pass;
+
   if (jsonPath != nullptr) {
     std::FILE* f = std::fopen(jsonPath, "w");
     if (f == nullptr) {
@@ -525,16 +595,25 @@ int acceptanceMain(double threshold, const char* jsonPath) {
                  "    \"grads_bit_identical\": %s,\n"
                  "    \"pass\": %s\n"
                  "  },\n"
+                 "  \"activation_branch\": {\n"
+                 "    \"workload\": \"linear_fwd_bwd_1024x32x64_leaky_relu\",\n"
+                 "    \"random_sign_ms\": %.4f,\n"
+                 "    \"all_positive_ms\": %.4f,\n"
+                 "    \"ratio\": %.4f,\n"
+                 "    \"limit\": %.4f,\n"
+                 "    \"pass\": %s\n"
+                 "  },\n"
                  "  \"pass\": %s\n"
                  "}\n",
                  r.naiveGflops, r.blockedGflops, r.ratio, threshold,
                  r.pass ? "true" : "false", s.arenaMs,
                  static_cast<unsigned long long>(s.steadyAllocs),
                  s.bitIdentical ? "true" : "false", s.pass ? "true" : "false",
-                 (r.pass && s.pass) ? "true" : "false");
+                 b.randomSignMs, b.allPositiveMs, b.ratio, kBranchRatioLimit,
+                 b.pass ? "true" : "false", pass ? "true" : "false");
     std::fclose(f);
   }
-  return (r.pass && s.pass) ? 0 : 1;
+  return pass ? 0 : 1;
 }
 
 }  // namespace

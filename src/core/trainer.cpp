@@ -2,6 +2,10 @@
 
 #include <string>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "fault/fault.hpp"
@@ -126,7 +130,16 @@ void InTransitTrainer::trainIterations(long iterations) {
   static obs::Histogram& stepMs =
       obs::Registry::global().histogram("train.step_ms");
 
+#ifdef _OPENMP
+  // libgomp ICVs do not propagate to fresh pthreads: a rank thread would
+  // fork teams of the process-wide default, whatever the caller set with
+  // omp_set_num_threads. Each rank takes the caller's team size instead.
+  const int callerThreads = omp_get_max_threads();
+#endif
   runRankTeam(cfg_.ranks, [&](std::size_t rank) {
+#ifdef _OPENMP
+    omp_set_num_threads(callerThreads);
+#endif
     obs::TraceRecorder::instance().setThreadName("trainer rank " +
                                                  std::to_string(rank));
     auto& model = *replicas_[rank];

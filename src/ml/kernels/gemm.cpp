@@ -13,13 +13,25 @@ namespace {
 /// so a sanitizer-instrumented resolver (GCC instruments them) faults in
 /// __tsan_func_entry before the runtime exists. Hence no clones under
 /// ASan *or* TSan.
+/// "arch=x86-64-v3" is AVX2 *with* FMA in one clone; a separate "avx2,fma"
+/// entry makes GCC emit an FMA-less ".avx2" clone that AVX2+FMA hosts
+/// would run.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
     defined(__linux__) && !defined(__SANITIZE_ADDRESS__) &&            \
     !defined(__SANITIZE_THREAD__)
 #define ARTSCI_GEMM_CLONES \
-  __attribute__((target_clones("avx512f", "avx2,fma", "default")))
+  __attribute__((target_clones("avx512f", "arch=x86-64-v3", "default")))
 #else
 #define ARTSCI_GEMM_CLONES
+#endif
+
+/// Contraction off for one function: its `a - b * c` must round the
+/// product first in the FMA clones too, as the baseline-built graph
+/// nodes it stands in for do.
+#if defined(__GNUC__) && !defined(__clang__)
+#define ARTSCI_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define ARTSCI_NO_FP_CONTRACT
 #endif
 
 /// Row-chunk size of the OpenMP partition. A multiple of the 4-row
@@ -34,16 +46,20 @@ constexpr long kParChunk = 32;
 /// depends on K alone.
 constexpr long kDotLanes = 8;
 
+/// The activations of the relu/leakyRelu/tanhT graph nodes, bit for bit.
+/// Both ReLUs select between values already computed (a max), with no
+/// branch and no conditionally executed multiply, so they vectorize in
+/// every clone. `max(c, slope * c)` is the node's `c > 0 ? c : slope * c`
+/// for every c, −0, ±inf and NaN included.
 inline void activateRow(Real* c, long n, Act act) {
   switch (act) {
     case Act::kNone:
       break;
     case Act::kRelu:
-      for (long j = 0; j < n; ++j) c[j] = c[j] < 0 ? Real(0) : c[j];
+      for (long j = 0; j < n; ++j) c[j] = c[j] > 0 ? c[j] : Real(0);
       break;
     case Act::kLeakyRelu:
-      for (long j = 0; j < n; ++j)
-        if (c[j] < 0) c[j] *= kLeakySlope;
+      for (long j = 0; j < n; ++j) c[j] = std::max(c[j], kLeakySlope * c[j]);
       break;
     case Act::kTanh:
       for (long j = 0; j < n; ++j) c[j] = std::tanh(c[j]);
@@ -392,6 +408,31 @@ void linear_forward(const Real* a, const Real* w, const Real* bias, Real* c,
              /*accumulate=*/false);
     if (epilogue) biasActEpilogue(bias, c + i0 * n, rows, n, act);
   }
+}
+
+/// The ReLU-family factor is selected into `out` first and multiplied in a
+/// second pass. Written as one `g * (y > 0 ? 1 : s)`, GCC folds g·1 to g
+/// and emits a branch around g·s, which it may not run speculatively
+/// (-ftrapping-math), so no clone but AVX-512 vectorized it. Both passes
+/// vectorize in every clone; g·1 == g and g·s round as the graph node did.
+ARTSCI_GEMM_CLONES ARTSCI_NO_FP_CONTRACT
+void activation_grad(const Real* __restrict g, const Real* __restrict y,
+                     Real* __restrict out, long n, Act act) {
+  switch (act) {
+    case Act::kNone:
+      std::copy(g, g + n, out);
+      return;
+    case Act::kRelu:
+      for (long i = 0; i < n; ++i) out[i] = y[i] > 0 ? Real(1) : Real(0);
+      break;
+    case Act::kLeakyRelu:
+      for (long i = 0; i < n; ++i) out[i] = y[i] > 0 ? Real(1) : kLeakySlope;
+      break;
+    case Act::kTanh:
+      for (long i = 0; i < n; ++i) out[i] = Real(1) - y[i] * y[i];
+      break;
+  }
+  for (long i = 0; i < n; ++i) out[i] = g[i] * out[i];
 }
 
 void colsum(const Real* g, Real* out, long m, long n, bool accumulate) {

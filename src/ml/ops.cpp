@@ -13,6 +13,17 @@ namespace artsci::ml {
 // the two must agree for the raw-buffer calls below.
 static_assert(std::is_same_v<Real, kernels::Real>,
               "ml::Real and kernels::Real diverged");
+// Training and serving hand ml::Activation to the kernels as a
+// static_cast, so the enum layouts must stay in lockstep.
+static_assert(static_cast<int>(Activation::kNone) ==
+                      static_cast<int>(kernels::Act::kNone) &&
+                  static_cast<int>(Activation::kRelu) ==
+                      static_cast<int>(kernels::Act::kRelu) &&
+                  static_cast<int>(Activation::kLeakyRelu) ==
+                      static_cast<int>(kernels::Act::kLeakyRelu) &&
+                  static_cast<int>(Activation::kTanh) ==
+                      static_cast<int>(kernels::Act::kTanh),
+              "ml::Activation and kernels::Act layouts diverged");
 
 namespace {
 
@@ -319,44 +330,6 @@ Tensor matmul(const Tensor& a0, const Tensor& b0) {
   return out;
 }
 
-namespace {
-
-/// Forward/backward formulas of the fused linear epilogue — element for
-/// element the same arithmetic as the relu/leakyRelu/tanhT unary nodes.
-/// The backward form is derived from the *output*: for the monotone
-/// sign-preserving relu family `out > 0` decides exactly like `x > 0`
-/// did, and tanh' already reads the output, so the fused gradients match
-/// the separate-node gradients.
-inline Real actForward(Real x, Activation act) {
-  switch (act) {
-    case Activation::kRelu:
-      return x > 0 ? x : Real(0);
-    case Activation::kLeakyRelu:
-      return x > 0 ? x : kernels::kLeakySlope * x;
-    case Activation::kTanh:
-      return std::tanh(x);
-    case Activation::kNone:
-      break;
-  }
-  return x;
-}
-
-inline Real actGradFromOut(Real y, Activation act) {
-  switch (act) {
-    case Activation::kRelu:
-      return y > 0 ? Real(1) : Real(0);
-    case Activation::kLeakyRelu:
-      return y > 0 ? Real(1) : kernels::kLeakySlope;
-    case Activation::kTanh:
-      return Real(1) - y * y;
-    case Activation::kNone:
-      break;
-  }
-  return Real(1);
-}
-
-}  // namespace
-
 Tensor linear(const Tensor& x0, const Tensor& w, const Tensor& bias,
               Activation act) {
   ARTSCI_EXPECTS_MSG(x0.ndim() == 2 && w.ndim() == 2,
@@ -377,32 +350,18 @@ Tensor linear(const Tensor& x0, const Tensor& w, const Tensor& bias,
                                                << shapeToString(bias.shape()));
   Tensor out = hasBias ? makeResult({M, N}, {x, wc, bias}, "linear")
                        : makeResult({M, N}, {x, wc}, "linear");
-  const bool par = gemmParallel(M, N, K);
-  Real* C = out.dataPtr();
-  kernels::gemm_nn(x.dataPtr(), wc.dataPtr(), C, M, N, K,
-                   /*accumulate=*/false, par, lda);
-  if (hasBias) {
-    // Bias rides after the k-accumulation, exactly like matmul+add did —
-    // per-element bit pattern is unchanged by the fusion.
-    const Real* bptr = bias.dataPtr();
-#pragma omp parallel for schedule(static) if (par)
-    for (long i = 0; i < M; ++i) {
-      Real* crow = C + i * N;
-      for (long j = 0; j < N; ++j) crow[j] += bptr[j];
-    }
-  }
-  if (act != Activation::kNone) {
-    // Activation after the bias, elementwise in place — the sequence the
-    // former separate activation node produced.
-    const long total = M * N;
-#pragma omp parallel for schedule(static) if (par)
-    for (long i = 0; i < total; ++i) C[i] = actForward(C[i], act);
-  }
+  const auto kact = static_cast<kernels::Act>(act);
+  // The serving epilogue: k-ascending GEMM, then the bias, then the
+  // activation — the sequence matmul, add and the activation node produced.
+  kernels::linear_forward(x.dataPtr(), wc.dataPtr(),
+                          hasBias ? bias.dataPtr() : nullptr, out.dataPtr(),
+                          M, K, N, kact, gemmParallel(M, N, K), lda);
   if (out.requiresGrad()) {
     auto px = x.impl_;
     auto pw = wc.impl_;
     auto pb = hasBias ? bias.impl_ : nullptr;
-    out.impl_->backwardFn = [px, pw, pb, M, K, N, lda, act](TensorImpl& self) {
+    out.impl_->backwardFn = [px, pw, pb, M, K, N, lda,
+                             kact](TensorImpl& self) {
       const Real* G = self.gradPtr();
       const bool par2 = gemmParallel(M, N, K);
       // Pre-activation gradient: g * act'(out), exactly what the separate
@@ -410,7 +369,7 @@ Tensor linear(const Tensor& x0, const Tensor& w, const Tensor& bias,
       // scratch comes from the arena when one is active (recorded in the
       // step plan like any other allocation).
       std::vector<Real> scratch;
-      if (act != Activation::kNone) {
+      if (kact != kernels::Act::kNone) {
         const long total = M * N;
         Real* gp;
         if (Arena* ar = currentArena()) {
@@ -419,9 +378,7 @@ Tensor linear(const Tensor& x0, const Tensor& w, const Tensor& bias,
           scratch.resize(static_cast<std::size_t>(total));
           gp = scratch.data();
         }
-        const Real* outData = self.dataPtr();
-        for (long i = 0; i < total; ++i)
-          gp[i] = G[i] * actGradFromOut(outData[i], act);
+        kernels::activation_grad(G, self.dataPtr(), gp, total, kact);
         G = gp;
       }
       if (Real* gx = gradOf(px))
@@ -579,21 +536,35 @@ Tensor maxAxis(const Tensor& a0, int axis, bool keepdim) {
   std::vector<long> argmax(static_cast<std::size_t>(outer * inner), 0);
   const Real* ad = a.dataPtr();
   Real* od = out.dataPtr();
+  long* am = argmax.data();
+  // The reduced axis runs outside and the contiguous inner axis inside:
+  // each l-step folds one row into the running maxima with selects. Strict
+  // `>` with l ascending keeps the first maximum. The index select and the
+  // max are separate passes (the index pass reads the maxima before the
+  // row), since GCC vectorizes neither when one comparison feeds both.
+  // Tasks are (outer, inner chunk) pairs, so large shapes split even when
+  // outer is 1; every output element is one task's, whatever the team.
+  constexpr long kInnerChunk = 512;
+  const long chunks = (inner + kInnerChunk - 1) / kInnerChunk;
 #pragma omp parallel for schedule(static) if (outer * inner > (1L << 12))
-  for (long oi = 0; oi < outer * inner; ++oi) {
-    const long o = oi / inner;
-    const long i = oi % inner;
-    Real best = ad[o * len * inner + i];
-    long bestL = 0;
-    for (long l = 1; l < len; ++l) {
-      const Real v = ad[(o * len + l) * inner + i];
-      if (v > best) {
-        best = v;
-        bestL = l;
-      }
+  for (long t = 0; t < outer * chunks; ++t) {
+    const long o = t / chunks;
+    const long i0 = (t % chunks) * kInnerChunk;
+    const long width = std::min(kInnerChunk, inner - i0);
+    const Real* __restrict src = ad + o * len * inner + i0;
+    Real* __restrict best = od + o * inner + i0;
+    long* __restrict bestL = am + o * inner + i0;
+    for (long i = 0; i < width; ++i) {
+      best[i] = src[i];
+      bestL[i] = 0;
     }
-    od[oi] = best;
-    argmax[static_cast<std::size_t>(oi)] = bestL;
+    for (long l = 1; l < len; ++l) {
+      const Real* __restrict row = src + l * inner;
+      for (long i = 0; i < width; ++i)
+        bestL[i] = row[i] > best[i] ? l : bestL[i];
+      for (long i = 0; i < width; ++i)
+        best[i] = row[i] > best[i] ? row[i] : best[i];
+    }
   }
   if (out.requiresGrad()) {
     auto pa = a.impl_;
@@ -772,47 +743,64 @@ Tensor chamferDistance(const Tensor& a0, const Tensor& b0) {
   // Per-batch partials summed in index order afterwards: an OpenMP `+`
   // reduction combines in thread-arrival order, which is not run-invariant.
   std::vector<Real> partial(static_cast<std::size_t>(B));
+  // Each cloud pair's N×M squared distances are computed once, one row
+  // (fixed a-point i) at a time, and both directions read that row. The
+  // target clouds are transposed to [B,D,M] so the row loop runs j
+  // innermost over contiguous memory. Per-batch scratch: the row and the
+  // running column minima.
+  std::vector<Real> bT(static_cast<std::size_t>(B * D * M));
+  for (long bi = 0; bi < B; ++bi)
+    for (long j = 0; j < M; ++j)
+      for (long d = 0; d < D; ++d)
+        bT[static_cast<std::size_t>((bi * D + d) * M + j)] =
+            Bd[(bi * M + j) * D + d];
+  std::vector<Real> rowScratch(static_cast<std::size_t>(B * M));
+  std::vector<Real> colScratch(static_cast<std::size_t>(B * M));
 
 #pragma omp parallel for schedule(static)
   for (long bi = 0; bi < B; ++bi) {
     const Real* ab = A + bi * N * D;
-    const Real* bb = Bd + bi * M * D;
+    const Real* bt = bT.data() + bi * D * M;
+    Real* __restrict d2 = rowScratch.data() + bi * M;
+    Real* __restrict colBest = colScratch.data() + bi * M;
+    long* __restrict colArg = nnBA.data() + bi * M;
+    std::fill(colBest, colBest + M, Real(1e300));
+    std::fill(colArg, colArg + M, 0L);
     Real sumA = Real(0);
     for (long i = 0; i < N; ++i) {
+      // d2[j] sums its D squared differences in ascending d, as the
+      // per-pair loop did (this file is built without FMA contraction).
+      std::fill(d2, d2 + M, Real(0));
+      for (long d = 0; d < D; ++d) {
+        const Real x = ab[i * D + d];
+        const Real* __restrict bd = bt + d * M;
+        for (long j = 0; j < M; ++j) {
+          const Real diff = x - bd[j];
+          d2[j] += diff * diff;
+        }
+      }
+      // a → b: the row's argmin, j ascending, strict `<` (first minimum
+      // wins). Its branch is taken only when the minimum improves.
       Real best = Real(1e300);
       long bestJ = 0;
       for (long j = 0; j < M; ++j) {
-        Real d2 = Real(0);
-        for (long d = 0; d < D; ++d) {
-          const Real diff = ab[i * D + d] - bb[j * D + d];
-          d2 += diff * diff;
-        }
-        if (d2 < best) {
-          best = d2;
+        if (d2[j] < best) {
+          best = d2[j];
           bestJ = j;
         }
       }
       nnAB[static_cast<std::size_t>(bi * N + i)] = bestJ;
       sumA += best;
+      // b → a: fold the row into the running column argmins with selects
+      // (index pass first, as in maxAxis); i ascends, and strict `<`
+      // keeps the first minimum.
+      for (long j = 0; j < M; ++j)
+        colArg[j] = d2[j] < colBest[j] ? i : colArg[j];
+      for (long j = 0; j < M; ++j)
+        colBest[j] = d2[j] < colBest[j] ? d2[j] : colBest[j];
     }
     Real sumB = Real(0);
-    for (long j = 0; j < M; ++j) {
-      Real best = Real(1e300);
-      long bestI = 0;
-      for (long i = 0; i < N; ++i) {
-        Real d2 = Real(0);
-        for (long d = 0; d < D; ++d) {
-          const Real diff = ab[i * D + d] - bb[j * D + d];
-          d2 += diff * diff;
-        }
-        if (d2 < best) {
-          best = d2;
-          bestI = i;
-        }
-      }
-      nnBA[static_cast<std::size_t>(bi * M + j)] = bestI;
-      sumB += best;
-    }
+    for (long j = 0; j < M; ++j) sumB += colBest[j];
     partial[static_cast<std::size_t>(bi)] =
         sumA / static_cast<Real>(N) + sumB / static_cast<Real>(M);
   }

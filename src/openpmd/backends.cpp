@@ -2,6 +2,14 @@
 
 namespace artsci::openpmd {
 
+namespace {
+/// The step attribute that carries the openPMD iteration index through the
+/// stream, named as in openPMD's variable-based encoding; no record or
+/// user attribute path starts with '/'. A double holds every index below
+/// 2^53 exactly.
+constexpr const char* kIterationAttribute = "/data/snapshot";
+}  // namespace
+
 StreamBackend::StreamBackend(std::shared_ptr<stream::SstEngine> engine,
                              std::size_t rank, bool isWriter)
     : engine_(std::move(engine)) {
@@ -27,9 +35,12 @@ std::shared_ptr<StreamBackend> StreamBackend::forReader(
       new StreamBackend(std::move(engine), rank, false));
 }
 
-void StreamBackend::openIteration(long) {
+void StreamBackend::openIteration(long index) {
   ARTSCI_CHECK_MSG(writer_, "openIteration on a reader backend");
   writer_->beginStep();
+  // Step attributes must agree across the writer group, so ranks that
+  // open different iterations for one step throw here.
+  writer_->setAttribute(kIterationAttribute, static_cast<double>(index));
 }
 
 void StreamBackend::writeChunk(const std::string& path,
@@ -70,13 +81,18 @@ std::optional<IterationData> StreamBackend::readNextIteration() {
   auto step = reader_->beginStep();
   if (!step) return std::nullopt;
   IterationData out;
-  out.index = step->step;
+  out.numericAttributes = step->numericAttributes;
+  const auto index = out.numericAttributes.find(kIterationAttribute);
+  ARTSCI_CHECK_MSG(index != out.numericAttributes.end(),
+                   "stream step " << step->step
+                                  << " carries no openPMD iteration index");
+  out.index = static_cast<long>(index->second);
+  out.numericAttributes.erase(index);
   for (const auto& variable : step->variables) {
     const std::string& name = variable.first;
     out.data[name] = step->assemble(name);
     out.extents[name] = step->globalExtents.at(name);
   }
-  out.numericAttributes = step->numericAttributes;
   out.stringAttributes = step->stringAttributes;
   reader_->endStep();
   return out;

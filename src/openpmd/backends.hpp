@@ -21,6 +21,9 @@ class StreamBackend {
   static std::shared_ptr<StreamBackend> forReader(
       std::shared_ptr<stream::SstEngine> engine, std::size_t rank);
 
+  /// Begin the SST step of iteration `index`. The index travels with the
+  /// step, and readNextIteration reports it; writers of one step must
+  /// open the same index (a different one throws ContractError).
   void openIteration(long index);
   void writeChunk(const std::string& path,
                   const std::vector<long>& globalExtent,

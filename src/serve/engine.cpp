@@ -10,16 +10,8 @@ namespace artsci::serve {
 namespace detail {
 
 // The kernel library fuses the activation epilogue itself; the dispatch
-// below is a static_cast, so the enum layouts must stay in lockstep.
-static_assert(static_cast<int>(ml::Activation::kNone) ==
-                  static_cast<int>(ml::kernels::Act::kNone) &&
-              static_cast<int>(ml::Activation::kRelu) ==
-                  static_cast<int>(ml::kernels::Act::kRelu) &&
-              static_cast<int>(ml::Activation::kLeakyRelu) ==
-                  static_cast<int>(ml::kernels::Act::kLeakyRelu) &&
-              static_cast<int>(ml::Activation::kTanh) ==
-                  static_cast<int>(ml::kernels::Act::kTanh),
-              "ml::Activation and kernels::Act layouts diverged");
+// below is a static_cast (the enum layouts are static_asserted in
+// ml/ops.cpp, which hands training's activations over the same way).
 
 void linearForward(const ml::Real* a, const ml::Real* w, const ml::Real* bias,
                    ml::Real* c, long m, long k, long n, ml::Activation act,

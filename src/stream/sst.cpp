@@ -1,7 +1,9 @@
 #include "stream/sst.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 
 #include "common/timer.hpp"
@@ -247,7 +249,13 @@ void SstEngine::Writer::setAttribute(const std::string& name, double value) {
   ARTSCI_CHECK_MSG(inStep_, "setAttribute outside a step");
   std::lock_guard<std::mutex> lock(engine_.mutex_);
   engine_.throwIfFailedLocked("writer setAttribute");
-  engine_.assembling_->numericAttributes[name] = value;
+  const auto [it, inserted] =
+      engine_.assembling_->numericAttributes.emplace(name, value);
+  ARTSCI_CHECK_MSG(inserted || std::bit_cast<std::uint64_t>(it->second) ==
+                                   std::bit_cast<std::uint64_t>(value),
+                   "writers disagree on attribute '"
+                       << name << "' of step " << step_ << ": " << it->second
+                       << " vs " << value);
 }
 
 void SstEngine::Writer::setAttribute(const std::string& name,
@@ -255,7 +263,12 @@ void SstEngine::Writer::setAttribute(const std::string& name,
   ARTSCI_CHECK_MSG(inStep_, "setAttribute outside a step");
   std::lock_guard<std::mutex> lock(engine_.mutex_);
   engine_.throwIfFailedLocked("writer setAttribute");
-  engine_.assembling_->stringAttributes[name] = value;
+  const auto [it, inserted] =
+      engine_.assembling_->stringAttributes.emplace(name, value);
+  ARTSCI_CHECK_MSG(inserted || it->second == value,
+                   "writers disagree on attribute '"
+                       << name << "' of step " << step_ << ": '" << it->second
+                       << "' vs '" << value << "'");
 }
 
 void SstEngine::Writer::endStep() {

@@ -129,6 +129,9 @@ class SstEngine {
     /// Contribute one block; globalExtent must agree across ranks.
     void put(const std::string& variable, Block block,
              std::vector<long> globalExtent);
+    /// A step attribute describes the whole step: every writer that sets
+    /// it in one step must give the same value (bit for bit), or this
+    /// throws ContractError and the first value stays.
     void setAttribute(const std::string& name, double value);
     void setAttribute(const std::string& name, const std::string& value);
     /// Publish when all *active* writer ranks arrived; blocks while the

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -242,7 +244,7 @@ TEST(GemmKernels, LinearForwardFusedEpilogueMatchesReference) {
           case kernels::Act::kNone:
             break;
           case kernels::Act::kRelu:
-            acc = acc < 0 ? 0 : acc;
+            acc = acc > 0 ? acc : 0;
             break;
           case kernels::Act::kLeakyRelu:
             acc = acc < 0 ? acc * kernels::kLeakySlope : acc;
@@ -253,6 +255,88 @@ TEST(GemmKernels, LinearForwardFusedEpilogueMatchesReference) {
         }
         EXPECT_NEAR(c[static_cast<std::size_t>(i * n + j)], acc, 1e-12);
       }
+    }
+  }
+}
+
+/// Bit equality that counts any two NaNs as equal: NaN payloads are not
+/// part of the contract (the compiler may commute a product's operands).
+bool sameBits(Real a, Real b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof(Real)) == 0;
+}
+
+/// Pre-activations at the IEEE edge cases (±0, ±denormal, ±inf, NaN), then
+/// random ones, which expose a tanh gradient whose 1 − y·y contracts into
+/// an FMA.
+std::vector<Real> edgeCaseValues() {
+  constexpr Real kInf = std::numeric_limits<Real>::infinity();
+  constexpr Real kDenorm = std::numeric_limits<Real>::denorm_min();
+  std::vector<Real> v = {0.0,   -0.0, kDenorm,
+                         -kDenorm, kInf, -kInf,
+                         std::numeric_limits<Real>::quiet_NaN(), 1.5, -2.5};
+  Rng rng(19);
+  for (int i = 0; i < 64; ++i) v.push_back(rng.normal());
+  return v;
+}
+
+TEST(GemmKernels, FusedActivationMatchesSeparateNodesAtEdgeValues) {
+  // ml::linear's epilogue and activation_grad against the relu/leakyRelu/
+  // tanhT nodes over the same GEMM. A K = 1 product with weight 1 hands
+  // each value to the activation unchanged (0 + x·1 == x; −0 arrives as
+  // +0, and leaky ReLU of −denormal yields −0).
+  const std::vector<Real> xs = edgeCaseValues();
+  const long n = static_cast<long>(xs.size());
+  Rng rng(20);
+  const std::vector<Real> up = randomVec(xs.size(), rng);
+  for (Activation act :
+       {Activation::kRelu, Activation::kLeakyRelu, Activation::kTanh}) {
+    SCOPED_TRACE("activation " + std::to_string(static_cast<int>(act)));
+    Tensor g = Tensor::fromVector({n, 1}, up);
+    Tensor x = Tensor::fromVector({n, 1}, xs, /*requiresGrad=*/true);
+    Tensor w = Tensor::fromVector({1, 1}, {1.0}, /*requiresGrad=*/true);
+    Tensor fused = linear(x, w, Tensor(), act);
+    sumAll(mul(fused, g)).backward();
+
+    Tensor xRef = Tensor::fromVector({n, 1}, xs, /*requiresGrad=*/true);
+    Tensor wRef = Tensor::fromVector({1, 1}, {1.0}, /*requiresGrad=*/true);
+    Tensor pre = matmul(xRef, wRef);
+    Tensor node = act == Activation::kRelu        ? relu(pre)
+                  : act == Activation::kLeakyRelu ? leakyRelu(pre)
+                                                  : tanhT(pre);
+    sumAll(mul(node, g)).backward();
+
+    for (long i = 0; i < n; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      EXPECT_TRUE(sameBits(fused.data()[k], node.data()[k]))
+          << "forward at x = " << xs[k];
+      EXPECT_TRUE(sameBits(x.gradPtr()[i], xRef.gradPtr()[i]))
+          << "gradient at x = " << xs[k];
+    }
+    EXPECT_TRUE(sameBits(w.gradPtr()[0], wRef.gradPtr()[0]));
+  }
+}
+
+TEST(GemmKernels, ActivationGradMatchesNodeFormulasOnOutputs) {
+  // activation_grad reads the activation's *output*; feed it the edge
+  // values directly (−0 included) against the graph nodes' formulas.
+  const std::vector<Real> ys = edgeCaseValues();
+  const long n = static_cast<long>(ys.size());
+  Rng rng(21);
+  const std::vector<Real> g = randomVec(ys.size(), rng);
+  std::vector<Real> out(ys.size());
+  for (kernels::Act act : {kernels::Act::kNone, kernels::Act::kRelu,
+                           kernels::Act::kLeakyRelu, kernels::Act::kTanh}) {
+    SCOPED_TRACE("activation " + std::to_string(static_cast<int>(act)));
+    kernels::activation_grad(g.data(), ys.data(), out.data(), n, act);
+    for (std::size_t i = 0; i < ys.size(); ++i) {
+      const Real y = ys[i];
+      Real ref = g[i];
+      if (act == kernels::Act::kRelu) ref = g[i] * (y > 0 ? Real(1) : Real(0));
+      if (act == kernels::Act::kLeakyRelu)
+        ref = g[i] * (y > 0 ? Real(1) : kernels::kLeakySlope);
+      if (act == kernels::Act::kTanh) ref = g[i] * (Real(1) - y * y);
+      EXPECT_TRUE(sameBits(out[i], ref)) << "at y = " << y;
     }
   }
 }

@@ -1,11 +1,20 @@
-/// Forward-value correctness of the op library.
+/// Forward-value correctness of the op library, and bitwise oracles for
+/// the rewritten reduction loops (Chamfer, maxAxis): values *and*
+/// gradients, since the gradients expose which of tied candidates won.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ml/ops.hpp"
 
 namespace artsci::ml {
 namespace {
+
+std::vector<Real> gradOf(const Tensor& t) {
+  return std::vector<Real>(t.gradPtr(), t.gradPtr() + t.numel());
+}
 
 TEST(OpsForward, AddBroadcastRow) {
   Tensor a = Tensor::fromVector({2, 3}, {1, 2, 3, 4, 5, 6});
@@ -95,6 +104,67 @@ TEST(OpsForward, MaxAxisValuesAndShape) {
   EXPECT_EQ(m.data(), (std::vector<Real>{5, 8, 9, 3}));
 }
 
+/// maxAxis by a scan down the reduced axis per output element, strict `>`
+/// (the first maximum wins); returns the values and, for upstream
+/// gradient `up`, the input gradient.
+void maxAxisOracle(const std::vector<Real>& x, long outer, long len,
+                   long inner, const std::vector<Real>& up,
+                   std::vector<Real>& values, std::vector<Real>& grad) {
+  values.assign(static_cast<std::size_t>(outer * inner), 0);
+  grad.assign(x.size(), 0);
+  for (long o = 0; o < outer; ++o) {
+    for (long i = 0; i < inner; ++i) {
+      long bestL = 0;
+      for (long l = 1; l < len; ++l)
+        if (x[static_cast<std::size_t>((o * len + l) * inner + i)] >
+            x[static_cast<std::size_t>((o * len + bestL) * inner + i)])
+          bestL = l;
+      const std::size_t src =
+          static_cast<std::size_t>((o * len + bestL) * inner + i);
+      values[static_cast<std::size_t>(o * inner + i)] = x[src];
+      grad[src] += up[static_cast<std::size_t>(o * inner + i)];
+    }
+  }
+}
+
+TEST(OpsForward, MaxAxisRoutesGradientToFirstOfRepeatedMaxima) {
+  struct Case {
+    Shape shape;
+    int axis;
+  };
+  // Small, one inner chunk; several inner chunks (serial); the OpenMP
+  // split with outer > 1; the leading and the last axis.
+  const Case cases[] = {{{2, 5, 3}, 1},   {{4, 9, 700}, 1},
+                        {{6, 3, 1000}, 1}, {{7, 40}, 0},
+                        {{5, 6}, -1}};
+  Rng rng(31);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(shapeToString(c.shape) + " axis " + std::to_string(c.axis));
+    const int axis = c.axis < 0 ? c.axis + static_cast<int>(c.shape.size())
+                                : c.axis;
+    const auto ax = static_cast<std::size_t>(axis);
+    long outer = 1, inner = 1;
+    for (std::size_t d = 0; d < ax; ++d) outer *= c.shape[d];
+    for (std::size_t d = ax + 1; d < c.shape.size(); ++d) inner *= c.shape[d];
+    const long len = c.shape[ax];
+    // Values from {0, 1, 2, 3}: nearly every column repeats its maximum.
+    std::vector<Real> xv(static_cast<std::size_t>(outer * len * inner));
+    for (Real& v : xv) v = std::floor(rng.uniform(0, 4));
+    std::vector<Real> up(static_cast<std::size_t>(outer * inner));
+    for (Real& v : up) v = rng.normal();
+
+    Tensor x = Tensor::fromVector(c.shape, xv, /*requiresGrad=*/true);
+    Tensor y = maxAxis(x, c.axis);
+    Tensor w = Tensor::fromVector(y.shape(), up);
+    sumAll(mul(y, w)).backward();
+
+    std::vector<Real> values, grad;
+    maxAxisOracle(xv, outer, len, inner, up, values, grad);
+    EXPECT_EQ(y.data(), values);
+    EXPECT_EQ(gradOf(x), grad);
+  }
+}
+
 TEST(OpsForward, SliceValues) {
   Tensor x = Tensor::fromVector({2, 4}, {1, 2, 3, 4, 5, 6, 7, 8});
   Tensor s = slice(x, -1, 1, 3);
@@ -168,6 +238,145 @@ TEST(OpsForward, ChamferDetectsShift) {
   for (Real& v : bFar.data()) v += 1.0;
   EXPECT_LT(chamferDistance(a, bNear).item(),
             chamferDistance(a, bFar).item());
+}
+
+/// The two-pass Chamfer distance the production op replaced: each
+/// direction recomputes every squared distance per point pair (d
+/// ascending) and keeps the first minimum (strict `<`, ascending index).
+/// The gradients are the production backward's formulas driven by the
+/// oracle's own nearest neighbours, for an upstream gradient of 1.
+struct ChamferOracle {
+  Real value = 0;
+  std::vector<Real> gradA, gradB;
+};
+
+ChamferOracle twoPassChamfer(const std::vector<Real>& A,
+                             const std::vector<Real>& Bd, long B, long N,
+                             long M, long D) {
+  auto sq = [&](long bi, long i, long j) {
+    Real d2 = Real(0);
+    for (long d = 0; d < D; ++d) {
+      const Real diff = A[static_cast<std::size_t>((bi * N + i) * D + d)] -
+                        Bd[static_cast<std::size_t>((bi * M + j) * D + d)];
+      d2 += diff * diff;
+    }
+    return d2;
+  };
+  std::vector<long> nnAB(static_cast<std::size_t>(B * N));
+  std::vector<long> nnBA(static_cast<std::size_t>(B * M));
+  Real total = Real(0);
+  for (long bi = 0; bi < B; ++bi) {
+    Real sumA = Real(0);
+    for (long i = 0; i < N; ++i) {
+      Real best = Real(1e300);
+      long bestJ = 0;
+      for (long j = 0; j < M; ++j) {
+        const Real d2 = sq(bi, i, j);
+        if (d2 < best) {
+          best = d2;
+          bestJ = j;
+        }
+      }
+      nnAB[static_cast<std::size_t>(bi * N + i)] = bestJ;
+      sumA += best;
+    }
+    Real sumB = Real(0);
+    for (long j = 0; j < M; ++j) {
+      Real best = Real(1e300);
+      long bestI = 0;
+      for (long i = 0; i < N; ++i) {
+        const Real d2 = sq(bi, i, j);
+        if (d2 < best) {
+          best = d2;
+          bestI = i;
+        }
+      }
+      nnBA[static_cast<std::size_t>(bi * M + j)] = bestI;
+      sumB += best;
+    }
+    total += sumA / static_cast<Real>(N) + sumB / static_cast<Real>(M);
+  }
+  ChamferOracle r;
+  r.value = total / static_cast<Real>(B);
+  r.gradA.assign(A.size(), Real(0));
+  r.gradB.assign(Bd.size(), Real(0));
+  const Real g = Real(1) / static_cast<Real>(B);
+  const Real wA = g / static_cast<Real>(N);
+  const Real wB = g / static_cast<Real>(M);
+  for (long bi = 0; bi < B; ++bi) {
+    for (long i = 0; i < N; ++i) {
+      const long j = nnAB[static_cast<std::size_t>(bi * N + i)];
+      for (long d = 0; d < D; ++d) {
+        const auto ia = static_cast<std::size_t>((bi * N + i) * D + d);
+        const auto ib = static_cast<std::size_t>((bi * M + j) * D + d);
+        const Real diff = Real(2) * (A[ia] - Bd[ib]);
+        r.gradA[ia] += wA * diff;
+        r.gradB[ib] -= wA * diff;
+      }
+    }
+    for (long j = 0; j < M; ++j) {
+      const long i = nnBA[static_cast<std::size_t>(bi * M + j)];
+      for (long d = 0; d < D; ++d) {
+        const auto ia = static_cast<std::size_t>((bi * N + i) * D + d);
+        const auto ib = static_cast<std::size_t>((bi * M + j) * D + d);
+        const Real diff = Real(2) * (Bd[ib] - A[ia]);
+        r.gradB[ib] += wB * diff;
+        r.gradA[ia] -= wB * diff;
+      }
+    }
+  }
+  return r;
+}
+
+void expectChamferMatchesOracle(const std::vector<Real>& av,
+                                const std::vector<Real>& bv, long B, long N,
+                                long M, long D) {
+  Tensor a = Tensor::fromVector({B, N, D}, av, /*requiresGrad=*/true);
+  Tensor b = Tensor::fromVector({B, M, D}, bv, /*requiresGrad=*/true);
+  Tensor cd = chamferDistance(a, b);
+  cd.backward();
+  const ChamferOracle ref = twoPassChamfer(av, bv, B, N, M, D);
+  EXPECT_EQ(cd.item(), ref.value);
+  EXPECT_EQ(gradOf(a), ref.gradA);
+  EXPECT_EQ(gradOf(b), ref.gradB);
+}
+
+TEST(OpsForward, ChamferMatchesTwoPassOracleOnRaggedClouds) {
+  for (long D : {6L, 3L}) {
+    SCOPED_TRACE("D " + std::to_string(D));
+    const long B = 3, N = 37, M = 53;
+    Rng rng(static_cast<std::uint64_t>(40 + D));
+    std::vector<Real> av(static_cast<std::size_t>(B * N * D));
+    std::vector<Real> bv(static_cast<std::size_t>(B * M * D));
+    for (Real& v : av) v = rng.normal();
+    for (Real& v : bv) v = rng.normal();
+    expectChamferMatchesOracle(av, bv, B, N, M, D);
+  }
+}
+
+TEST(OpsForward, ChamferKeepsFirstNeighbourAmongDuplicatedPoints) {
+  // Every point of each cloud appears three times at scattered indices,
+  // so both argmins see exact ties and only the first index may win; the
+  // gradients show which one did.
+  const long B = 2, N = 30, M = 24, D = 3;
+  Rng rng(45);
+  std::vector<Real> baseA(static_cast<std::size_t>(B * 10 * D));
+  std::vector<Real> baseB(static_cast<std::size_t>(B * 8 * D));
+  for (Real& v : baseA) v = rng.normal();
+  for (Real& v : baseB) v = rng.normal();
+  std::vector<Real> av(static_cast<std::size_t>(B * N * D));
+  std::vector<Real> bv(static_cast<std::size_t>(B * M * D));
+  for (long bi = 0; bi < B; ++bi) {
+    for (long i = 0; i < N; ++i)
+      for (long d = 0; d < D; ++d)
+        av[static_cast<std::size_t>((bi * N + i) * D + d)] =
+            baseA[static_cast<std::size_t>((bi * 10 + (i * 7) % 10) * D + d)];
+    for (long j = 0; j < M; ++j)
+      for (long d = 0; d < D; ++d)
+        bv[static_cast<std::size_t>((bi * M + j) * D + d)] =
+            baseB[static_cast<std::size_t>((bi * 8 + (j * 5) % 8) * D + d)];
+  }
+  expectChamferMatchesOracle(av, bv, B, N, M, D);
 }
 
 TEST(OpsForward, PairwiseDistancesMatchDirect) {

@@ -142,6 +142,49 @@ TEST(StreamBackendTest, TwoParallelStreams) {
   producer.join();
 }
 
+TEST(StreamBackendTest, IterationIndexTravelsWithTheStep) {
+  // Iterations 100 and 102 (not the stream's step numbers 0 and 1) come
+  // back as written; the index is not left among the user attributes.
+  auto engine = oneToOneEngine();
+  std::thread producer([&] {
+    Series series("sim", Access::kCreate,
+                  StreamBackend::forWriter(engine, 0));
+    for (long index : {100L, 102L}) {
+      auto it = series.writeIteration(index);
+      it.setAttribute("step", double(index));
+      it.close();
+    }
+    series.close();
+  });
+  Series read("sim", Access::kRead, StreamBackend::forReader(engine, 0));
+  for (long index : {100L, 102L}) {
+    auto it = read.readNextIteration();
+    ASSERT_TRUE(it.has_value());
+    EXPECT_EQ(it->index, index);
+    EXPECT_DOUBLE_EQ(it->attribute("step"), double(index));
+    EXPECT_EQ(it->numericAttributes.size(), 1u);
+  }
+  EXPECT_FALSE(read.readNextIteration().has_value());
+  producer.join();
+}
+
+TEST(StreamBackendTest, WritersOpeningDifferentIterationsThrow) {
+  auto engine = std::make_shared<stream::SstEngine>(stream::SstParams{2, 1, 2});
+  Series rank0("sim", Access::kCreate, StreamBackend::forWriter(engine, 0));
+  Series rank1("sim", Access::kCreate, StreamBackend::forWriter(engine, 1));
+  auto it = rank0.writeIteration(100);
+  EXPECT_THROW(rank1.writeIteration(101), ContractError);
+  // Rank 1 leaves mid-step; rank 0 publishes the step alone.
+  rank1.close();
+  it.close();
+  rank0.close();
+  Series read("sim", Access::kRead, StreamBackend::forReader(engine, 0));
+  auto step = read.readNextIteration();
+  ASSERT_TRUE(step.has_value());
+  EXPECT_EQ(step->index, 100);
+  EXPECT_FALSE(read.readNextIteration().has_value());
+}
+
 TEST(StreamBackendTest, MultiWriterRanksAssembleGlobally) {
   constexpr std::size_t kWriters = 3;
   auto engine = std::make_shared<stream::SstEngine>(

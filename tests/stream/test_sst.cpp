@@ -51,6 +51,28 @@ TEST(StepDataTest, UnknownVariableThrows) {
   EXPECT_THROW(step.assemble("nope"), ContractError);
 }
 
+TEST(Sst, WritersMustAgreeOnStepAttributes) {
+  SstEngine engine(SstParams{2, 1, 2});
+  auto w0 = engine.makeWriter(0);
+  auto w1 = engine.makeWriter(1);
+  auto reader = engine.makeReader(0);
+  w0.beginStep();
+  w1.beginStep();
+  w0.setAttribute("time", 0.5);
+  w1.setAttribute("time", 0.5);
+  w0.setAttribute("species", std::string("e"));
+  EXPECT_THROW(w1.setAttribute("time", 0.25), ContractError);
+  EXPECT_THROW(w1.setAttribute("species", std::string("i")), ContractError);
+  w1.close();  // leaves mid-step, so rank 0 publishes alone
+  w0.endStep();
+  auto step = reader.beginStep();
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->numericAttributes.at("time"), 0.5);
+  EXPECT_EQ(step->stringAttributes.at("species"), "e");
+  reader.endStep();
+  w0.close();
+}
+
 TEST(Sst, SingleWriterSingleReaderRoundTrip) {
   SstEngine engine(SstParams{1, 1, 2});
   auto writer = engine.makeWriter(0);
