@@ -8,15 +8,16 @@
 ///                               [qps=1000,2000,4000] [deadline_us=0]
 ///                               [json=<path>]
 ///
-/// Acceptance mode (CI gate; also reachable as `acceptance=1 ratio=3`):
+/// Acceptance mode (CI gate; also reachable as `acceptance=1`):
 ///
 ///   ./bench/bench_serve_loadgen --acceptance --json BENCH_serve_loadgen.json
 ///
 /// measures saturated closed-loop throughput at 1 shard vs `shards=4`
-/// (cores pinned), gates on the multi-worker ratio (default >= 3x, tunable
-/// via ratio= for smaller runners), a bounded p99 at the high shard count,
-/// and hot-swap safety: snapshots republish continuously during the
-/// 4-shard run and every reply must parse with a valid snapshot version.
+/// (cores pinned) and reports their ratio without gating it: perfbench's
+/// serve_mixed workload catches sharding switched off end to end. It
+/// gates a bounded p99 at the high shard count and hot-swap safety:
+/// snapshots republish continuously during the 4-shard run and every
+/// request must be answered.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -191,15 +192,14 @@ int main(int argc, char** argv) {
 
   const bool acceptance = cli.getBool("acceptance", false);
   // Acceptance wants compute-bound requests (worker scaling is the thing
-  // under test, not framing throughput): default to the serve_throughput
-  // bench's 128-point clouds there, smaller ones for the latency sweep.
+  // under test, not framing throughput): default to the pipeline's
+  // 128-point clouds there, smaller ones for the latency sweep.
   const long points = cli.getInt("points", acceptance ? 128 : 32);
   const long requests = cli.getInt("requests", 2000);
   const std::size_t shards =
       static_cast<std::size_t>(cli.getInt("shards", 1));
   const std::uint64_t deadlineUs =
       static_cast<std::uint64_t>(cli.getInt("deadline_us", 0));
-  const double gateRatio = cli.getDouble("ratio", 3.0);
   const double p99BoundMs = cli.getDouble("p99_bound_ms", 500.0);
   const std::string jsonPath = cli.getString("json", "");
 
@@ -328,13 +328,11 @@ int main(int argc, char** argv) {
               qps4, p99_4 / 1e3);
 
   const double ratio = qps4 / qps1;
-  const bool ratioPass = ratio >= gateRatio;
   const bool p99Pass = p99_4 / 1e3 <= p99BoundMs;
   const bool swapPass =
       answered == submitted &&
       submitted >= static_cast<std::uint64_t>(clients * perClient);
-  std::printf("multi-worker scaling: %.2fx (gate >= %.1fx: %s)\n", ratio,
-              gateRatio, ratioPass ? "PASS" : "FAIL");
+  std::printf("multi-worker scaling: %.2fx (reported, not gated)\n", ratio);
   std::printf("p99 at 4 shards: %.1f ms (bound %.0f ms: %s)\n", p99_4 / 1e3,
               p99BoundMs, p99Pass ? "PASS" : "FAIL");
   std::printf("hot-swap accounting: %llu/%llu answered (%s)\n",
@@ -355,18 +353,17 @@ int main(int argc, char** argv) {
                  "  \"qps_1shard\": %.1f,\n"
                  "  \"qps_4shard\": %.1f,\n"
                  "  \"ratio\": %.4f,\n"
-                 "  \"threshold\": %.2f,\n"
                  "  \"p99_ms_4shard\": %.2f,\n"
                  "  \"p99_bound_ms\": %.1f,\n"
                  "  \"hot_swap_answered\": %llu,\n"
                  "  \"hot_swap_submitted\": %llu,\n"
                  "  \"pass\": %s\n"
                  "}\n",
-                 points, qps1, qps4, ratio, gateRatio, p99_4 / 1e3, p99BoundMs,
+                 points, qps1, qps4, ratio, p99_4 / 1e3, p99BoundMs,
                  static_cast<unsigned long long>(answered),
                  static_cast<unsigned long long>(submitted),
-                 ratioPass && p99Pass && swapPass ? "true" : "false");
+                 p99Pass && swapPass ? "true" : "false");
     std::fclose(f);
   }
-  return ratioPass && p99Pass && swapPass ? 0 : 1;
+  return p99Pass && swapPass ? 0 : 1;
 }

@@ -13,6 +13,15 @@
 #include "obs/trace.hpp"
 
 namespace artsci::core {
+namespace {
+
+/// The paper's optimizer settings (§V-A.1): the VAE group learns at m_VAE
+/// times the INN group's rate, and both follow the square-root rule [60]
+/// from the batch the base learning rate was tuned at.
+constexpr double kVaeLearningRateFactor = 3.0;
+constexpr long kBaseBatch = 8;
+
+}  // namespace
 
 InTransitTrainer::InTransitTrainer(ArtificialScientistModel::Config modelCfg,
                                    TrainerConfig cfg)
@@ -31,13 +40,10 @@ InTransitTrainer::InTransitTrainer(ArtificialScientistModel::Config modelCfg,
         static_cast<long>(cfg_.ranks) *
         static_cast<long>(cfg_.buffer.nowPerBatch + cfg_.buffer.epPerBatch);
     const ml::Real scale =
-        cfg_.sqrtLrScaling
-            ? ml::sqrtScaledLearningRate(1.0, totalBatch, cfg_.baseBatch)
-            : ml::Real(1);
+        ml::sqrtScaledLearningRate(1.0, totalBatch, kBaseBatch);
     std::vector<ml::ParamGroup> groups;
     groups.push_back({replicas_.back()->vaeParameters(),
-                      cfg_.baseLearningRate * cfg_.vaeLearningRateFactor *
-                          scale});
+                      cfg_.baseLearningRate * kVaeLearningRateFactor * scale});
     groups.push_back(
         {replicas_.back()->innParameters(), cfg_.baseLearningRate * scale});
     optimizers_.push_back(
@@ -113,15 +119,7 @@ void InTransitTrainer::trainIterations(long iterations) {
   FAULT_POINT("train.step");
   if (!buffer_.ready()) return;
   Timer timer;
-  const long points = cfg_.buffer.nowPerBatch > 0
-                          ? static_cast<long>(buffer_.nowSnapshot()
-                                                  .front()
-                                                  .cloud.size()) /
-                                6
-                          : 0;
   const long specDim = modelCfg_.spectrumDim;
-
-  std::vector<std::vector<double>> lossPerRank(cfg_.ranks);
 
   // Resolved once; rank 0 is the reporter so multi-rank runs don't
   // multiply-count iterations (replicas step in lockstep).
@@ -150,6 +148,8 @@ void InTransitTrainer::trainIterations(long iterations) {
       // Per-rank RNG: the draw sequence is reproducible no matter how the
       // rank threads interleave on the shared buffer.
       const auto batch = buffer_.sampleBatch(rng);
+      // batchClouds rejects any cloud of another size than the first.
+      const long points = static_cast<long>(batch.front().cloud.size()) / 6;
       ml::Tensor clouds = batchClouds(batch, points);
       ml::Tensor spectra = batchSpectra(batch, specDim);
       opt.zeroGrad();
@@ -184,7 +184,7 @@ void InTransitTrainer::trainIterations(long iterations) {
         stepMs.observe(iterTimer.seconds() * 1e3);
       }
       if (rank == 0) {
-        lossPerRank[0].push_back(total.item());
+        stats_.lossHistory.push_back(total.item());
         stats_.chamferHistory.push_back(terms.chamfer.item());
         stats_.mseHistory.push_back(terms.mse.item());
         stats_.mmdLatentHistory.push_back(terms.mmdLatent.item());
@@ -192,7 +192,6 @@ void InTransitTrainer::trainIterations(long iterations) {
     }
   });
 
-  for (double l : lossPerRank[0]) stats_.lossHistory.push_back(l);
   stats_.iterations += iterations;
   stats_.trainSeconds += timer.seconds();
   stats_.commSeconds = comm_.communicationSeconds(0);

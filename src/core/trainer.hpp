@@ -21,9 +21,6 @@ namespace artsci::core {
 struct TrainerConfig {
   std::size_t ranks = 2;         ///< data-parallel replicas ("GCDs")
   double baseLearningRate = 3e-4;  ///< reduced model; paper uses 1e-6 at scale
-  double vaeLearningRateFactor = 3.0;  ///< m_VAE (paper §V-A.1)
-  long baseBatch = 8;            ///< batch the base LR was tuned at
-  bool sqrtLrScaling = true;     ///< the square-root rule [60]
   ml::AdamConfig adam;           ///< paper defaults (beta1=.8, beta2=.9...)
   replay::TrainingBufferConfig buffer;
   std::uint64_t seed = 777;
@@ -79,8 +76,9 @@ class InTransitTrainer {
   /// Effective learning rates after scaling (VAE group, INN group).
   std::pair<ml::Real, ml::Real> learningRates() const;
 
-  /// Rank-0 step-arena statistics (allocation-plan replay counters); the
-  /// bench gate asserts zero steady-state heap allocations through these.
+  /// Rank-0 step-arena statistics (allocation-plan replay counters;
+  /// `heapAllocations` counts region growths of tensor storage, not the
+  /// graph nodes' heap allocations).
   ml::Arena::Stats arenaStats(std::size_t rank = 0) const;
 
   /// Capture resume state. Call between trainIterations() calls (like

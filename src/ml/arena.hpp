@@ -9,7 +9,10 @@
 /// allocation sequence as a *plan*: after one warm-up step the region is
 /// sized, every subsequent step replays the identical offsets, and
 /// `stats().heapAllocations` stops moving — the proof (CI-gated in
-/// bench_micro_ops --acceptance) that steady-state steps are malloc-free.
+/// bench_micro_ops --acceptance) that steady-state steps grow no region.
+/// The arena covers tensor storage only: graph nodes (`TensorImpl`
+/// blocks, their parent lists and backward closures) still come from
+/// the heap.
 ///
 /// Two regions:
 ///  - data: never zeroed. Every op in ml/ops.cpp fully overwrites its

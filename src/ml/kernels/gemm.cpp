@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace artsci::ml::kernels {
 namespace {
@@ -284,7 +283,7 @@ void tnBlock(const Real* __restrict a, const Real* __restrict b,
   }
 }
 
-/// The serving epilogue: bias rows + activation over the GEMM result.
+/// The fused linear epilogue: bias rows + activation over the GEMM result.
 /// One extra O(m·n) pass over C (which just left the register tile, so it
 /// is cache-hot) — the O(m·n·k) product itself is nnBlock, unduplicated.
 ARTSCI_GEMM_CLONES
@@ -296,55 +295,6 @@ void biasActEpilogue(const Real* __restrict bias, Real* __restrict c, long m,
       for (long j = 0; j < n; ++j) crow[j] += bias[j];
     activateRow(crow, n, act);
   }
-}
-
-/// One (problem, row-chunk) item of a batched call's flattened work list.
-struct BatchWorkItem {
-  long problem;
-  long row0;
-};
-
-/// Flatten ragged per-problem row ranges into one deterministic work list
-/// (problem-major, row-chunks ascending) so a single static OpenMP loop
-/// covers the whole batch. The list depends only on the problem sizes —
-/// never on thread count — so the partition is reproducible.
-template <typename ProblemT, typename RowsOf>
-long flattenBatch(const ProblemT* problems, long count, RowsOf rowsOf,
-                  BatchWorkItem* stackBuf, long stackCap,
-                  std::vector<BatchWorkItem>& heapBuf,
-                  BatchWorkItem** workOut) {
-  long nw = 0;
-  for (long p = 0; p < count; ++p)
-    nw += (rowsOf(problems[p]) + kParChunk - 1) / kParChunk;
-  BatchWorkItem* work = stackBuf;
-  if (nw > stackCap) {
-    heapBuf.resize(static_cast<std::size_t>(nw));
-    work = heapBuf.data();
-  }
-  long w = 0;
-  for (long p = 0; p < count; ++p)
-    for (long i0 = 0; i0 < rowsOf(problems[p]); i0 += kParChunk)
-      work[w++] = {p, i0};
-  *workOut = work;
-  return nw;
-}
-
-/// Work lists up to this size avoid a heap allocation (the serving engine
-/// dispatches tens of tiles × a few layers per call).
-constexpr long kBatchStackItems = 512;
-
-inline void runNnProblemRows(const GemmNnProblem& p, long i0, long rows) {
-  const long lda = p.lda < 0 ? p.K : p.lda;
-  nnPanels(p.a + i0 * lda, p.b, p.c + i0 * p.N, rows, p.N, p.K, lda,
-           p.accumulate);
-}
-
-inline void runLinearProblemRows(const LinearProblem& p, long i0, long rows) {
-  const long lda = p.lda < 0 ? p.k : p.lda;
-  nnPanels(p.a + i0 * lda, p.w, p.c + i0 * p.n, rows, p.n, p.k, lda,
-           /*accumulate=*/false);
-  if (p.bias != nullptr || p.act != Act::kNone)
-    biasActEpilogue(p.bias, p.c + i0 * p.n, rows, p.n, p.act);
 }
 
 }  // namespace
@@ -440,95 +390,6 @@ void colsum(const Real* g, Real* out, long m, long n, bool accumulate) {
   for (long i = 0; i < m; ++i) {
     const Real* grow = g + i * n;
     for (long j = 0; j < n; ++j) out[j] += grow[j];
-  }
-}
-
-void gemm_batched_nn(const GemmNnProblem* problems, long count,
-                     bool parallel) {
-  if (count <= 0) return;
-  if (!parallel) {
-    for (long p = 0; p < count; ++p)
-      runNnProblemRows(problems[p], 0, problems[p].M);
-    return;
-  }
-  BatchWorkItem stackBuf[kBatchStackItems];
-  std::vector<BatchWorkItem> heapBuf;
-  BatchWorkItem* work = nullptr;
-  const long nw =
-      flattenBatch(problems, count,
-                   [](const GemmNnProblem& p) { return p.M; }, stackBuf,
-                   kBatchStackItems, heapBuf, &work);
-#pragma omp parallel for schedule(static)
-  for (long w = 0; w < nw; ++w) {
-    const GemmNnProblem& p = problems[work[w].problem];
-    runNnProblemRows(p, work[w].row0,
-                     std::min(kParChunk, p.M - work[w].row0));
-  }
-}
-
-void linear_forward_batched(const LinearProblem* problems, long count,
-                            bool parallel) {
-  if (count <= 0) return;
-  if (!parallel) {
-    for (long p = 0; p < count; ++p)
-      runLinearProblemRows(problems[p], 0, problems[p].m);
-    return;
-  }
-  BatchWorkItem stackBuf[kBatchStackItems];
-  std::vector<BatchWorkItem> heapBuf;
-  BatchWorkItem* work = nullptr;
-  const long nw =
-      flattenBatch(problems, count,
-                   [](const LinearProblem& p) { return p.m; }, stackBuf,
-                   kBatchStackItems, heapBuf, &work);
-#pragma omp parallel for schedule(static)
-  for (long w = 0; w < nw; ++w) {
-    const LinearProblem& p = problems[work[w].problem];
-    runLinearProblemRows(p, work[w].row0,
-                         std::min(kParChunk, p.m - work[w].row0));
-  }
-}
-
-void linear_seq_forward(const DenseStep* steps, long count, const Real* input,
-                        long rows, Real* output, Real* scratchA,
-                        Real* scratchB, bool parallel) {
-  if (count <= 0 || rows <= 0) return;
-  if (!parallel) {
-    const Real* cur = input;
-    for (long l = 0; l < count; ++l) {
-      Real* dst = (l == count - 1) ? output
-                                   : (l % 2 == 0 ? scratchA : scratchB);
-      nnPanels(cur, steps[l].w, dst, rows, steps[l].out, steps[l].in,
-               steps[l].in, /*accumulate=*/false);
-      if (steps[l].bias != nullptr || steps[l].act != Act::kNone)
-        biasActEpilogue(steps[l].bias, dst, rows, steps[l].out, steps[l].act);
-      cur = dst;
-    }
-    return;
-  }
-  // One parallel region for the whole chain: per layer a static
-  // worksharing loop over the fixed row chunks; its implicit barrier
-  // sequences layer l+1 after layer l. Per-row op order matches the
-  // per-layer linear_forward dispatch exactly.
-#pragma omp parallel
-  {
-    const Real* cur = input;
-    for (long l = 0; l < count; ++l) {
-      const long k = steps[l].in, n = steps[l].out;
-      Real* dst = (l == count - 1) ? output
-                                   : (l % 2 == 0 ? scratchA : scratchB);
-      const bool epilogue =
-          steps[l].bias != nullptr || steps[l].act != Act::kNone;
-#pragma omp for schedule(static)
-      for (long i0 = 0; i0 < rows; i0 += kParChunk) {
-        const long r = std::min(kParChunk, rows - i0);
-        nnPanels(cur + i0 * k, steps[l].w, dst + i0 * n, r, n, k, k,
-                 /*accumulate=*/false);
-        if (epilogue)
-          biasActEpilogue(steps[l].bias, dst + i0 * n, r, n, steps[l].act);
-      }
-      cur = dst;
-    }
   }
 }
 

@@ -2,7 +2,8 @@
 /// Standalone register-blocked GEMM kernel library shared by the training
 /// stack (ml/ops.cpp: matmul forward + both backward products, the fused
 /// Linear op's forward and its activation gradient) and the serving
-/// engine (serve/engine.cpp). Training and serving run the one fused
+/// engine (serve/engine.cpp, which runs every dense layer as one serial
+/// linear_forward call). Training and serving run the one fused
 /// linear+bias+activation epilogue. Deliberately dependency-free — no
 /// tensor, autograd, or logging headers — so both layers link the exact
 /// same hot loops and a unit test can drive them on raw buffers.
@@ -107,68 +108,5 @@ void activation_grad(const Real* g, const Real* y, Real* out, long n,
 /// out[j] (+)= sum_i g[i*n + j] — the bias gradient of a Linear layer.
 /// i ascends per column, so the result is partition-independent.
 void colsum(const Real* g, Real* out, long m, long n, bool accumulate);
-
-// --- batched entry points ---------------------------------------------------
-// A serving batch over the INN is many *small* GEMMs: per coupling block
-// two subnet chains, per conv layer one GEMM per sample tile. Dispatching
-// each through its own OpenMP region costs a fork/join barrier per call —
-// 2×depth barriers per predict. These entries take the whole problem list
-// and run ONE parallel region over a deterministic flattened
-// (problem, row-chunk) work list, preserving the per-row op sequence of
-// the unbatched kernels exactly (each work item is the same nn-panel body
-// the unbatched path runs), so results are bit-identical to looping the
-// single-problem entries.
-
-/// One independent C = A·B (+)= problem of a gemm_batched_nn call.
-struct GemmNnProblem {
-  const Real* a = nullptr;
-  const Real* b = nullptr;
-  Real* c = nullptr;
-  long M = 0, N = 0, K = 0;
-  long lda = -1;  ///< A row stride (< 0 = dense K)
-  bool accumulate = false;
-};
-
-/// Run `count` independent nn-GEMMs in one parallel region. Outputs must
-/// not alias each other.
-void gemm_batched_nn(const GemmNnProblem* problems, long count,
-                     bool parallel);
-
-/// One independent fused linear (+bias +activation) problem.
-struct LinearProblem {
-  const Real* a = nullptr;
-  const Real* w = nullptr;
-  const Real* bias = nullptr;  ///< may be null
-  Real* c = nullptr;
-  long m = 0, k = 0, n = 0;
-  long lda = -1;  ///< A row stride (< 0 = dense k)
-  Act act = Act::kNone;
-};
-
-/// Run `count` independent fused linears in one parallel region — the
-/// per-tile convolution layers of the serving engine issue one call per
-/// layer instead of one per (layer, tile).
-void linear_forward_batched(const LinearProblem* problems, long count,
-                            bool parallel);
-
-/// One layer of a sequential dense chain (see linear_seq_forward).
-struct DenseStep {
-  const Real* w = nullptr;     ///< [in, out], dense row-major
-  const Real* bias = nullptr;  ///< [out] or null
-  long in = 0, out = 0;
-  Act act = Act::kNone;
-};
-
-/// Run a whole dense chain (x → layer 0 → … → layer count-1) inside ONE
-/// OpenMP parallel region: per layer a static worksharing loop over the
-/// usual fixed row chunks, with the implicit barrier sequencing layers.
-/// This replaces `count` fork/joins per subnet with one — the INN
-/// coupling subnets and the mu head in serve/engine.cpp ride on it.
-/// Intermediates ping-pong through scratchA/scratchB (each must hold
-/// rows × max-layer-width elements); the last layer writes `output`.
-/// Bit-identical to calling linear_forward per layer.
-void linear_seq_forward(const DenseStep* steps, long count, const Real* input,
-                        long rows, Real* output, Real* scratchA,
-                        Real* scratchB, bool parallel);
 
 }  // namespace artsci::ml::kernels

@@ -132,16 +132,6 @@ class TrainingBuffer {
   }
   const TrainingBufferConfig& config() const { return cfg_; }
 
-  /// Snapshot of buffer contents (tests / diagnostics).
-  std::vector<SampleT> nowSnapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {now_.begin(), now_.end()};
-  }
-  std::vector<SampleT> epSnapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {ep_.begin(), ep_.end()};
-  }
-
   /// Complete buffer state for crash-consistent checkpointing: contents
   /// of both internal buffers, the eviction RNG, and the counters. A
   /// restored buffer evolves bit-identically to one that never stopped.

@@ -7,46 +7,29 @@
 
 namespace artsci::serve {
 
-namespace detail {
-
-// The kernel library fuses the activation epilogue itself; the dispatch
-// below is a static_cast (the enum layouts are static_asserted in
-// ml/ops.cpp, which hands training's activations over the same way).
-
-void linearForward(const ml::Real* a, const ml::Real* w, const ml::Real* bias,
-                   ml::Real* c, long m, long k, long n, ml::Activation act,
-                   bool parallel) {
-  ml::kernels::linear_forward(a, w, bias, c, m, k, n,
-                              static_cast<ml::kernels::Act>(act), parallel);
-}
-
-}  // namespace detail
-
-using ml::Activation;
 using ml::Real;
 
 void InferenceEngine::appendMlp(const ml::Mlp& mlp,
-                                std::vector<ml::kernels::DenseStep>& seq) {
+                                std::vector<Dense>& chain) {
   const auto& layers = mlp.layers();
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    ml::kernels::DenseStep d;
+    Dense d;
     d.w = layers[i].weight().data().data();
-    d.bias = layers[i].biasTensor().defined()
-                 ? layers[i].biasTensor().data().data()
-                 : nullptr;
+    d.b = layers[i].biasTensor().defined()
+              ? layers[i].biasTensor().data().data()
+              : nullptr;
     d.in = layers[i].inFeatures();
     d.out = layers[i].outFeatures();
     d.act = static_cast<ml::kernels::Act>(
         (i + 1 == layers.size()) ? mlp.outputActivation()
                                  : mlp.hiddenActivation());
-    seq.push_back(d);
+    chain.push_back(d);
   }
 }
 
 InferenceEngine::InferenceEngine(
-    std::shared_ptr<const core::ArtificialScientistModel> model,
-    Options options)
-    : model_(std::move(model)), options_(options) {
+    std::shared_ptr<const core::ArtificialScientistModel> model)
+    : model_(std::move(model)) {
   ARTSCI_EXPECTS_MSG(model_ != nullptr, "InferenceEngine needs a model");
   const auto& enc = model_->encoder();
   for (const auto& lin : enc.pointLayers()) {
@@ -80,9 +63,9 @@ InferenceEngine::InferenceEngine(
   latentDim_ = enc.config().latentDim;
   spectrumDim_ = model_->config().spectrumDim;
 
-  auto widest = [](const std::vector<ml::kernels::DenseStep>& seq) {
+  auto widest = [](const std::vector<Dense>& chain) {
     long w = 0;
-    for (const auto& s : seq) w = std::max(w, std::max(s.in, s.out));
+    for (const auto& d : chain) w = std::max(w, std::max(d.in, d.out));
     return w;
   };
   maxSeqWidth_ = widest(muHead_);
@@ -92,12 +75,17 @@ InferenceEngine::InferenceEngine(
   }
 }
 
-void InferenceEngine::runDenseSeq(
-    const std::vector<ml::kernels::DenseStep>& seq, const Real* in, long rows,
-    Real* out, Real* scratchA, Real* scratchB) {
-  ml::kernels::linear_seq_forward(seq.data(), static_cast<long>(seq.size()),
-                                  in, rows, out, scratchA, scratchB,
-                                  options_.ompRowParallel);
+void InferenceEngine::runChain(const std::vector<Dense>& chain,
+                               const Real* in, long rows, Real* out,
+                               Real* scratchA, Real* scratchB) {
+  const Real* cur = in;
+  for (std::size_t l = 0; l < chain.size(); ++l) {
+    const Dense& d = chain[l];
+    Real* dst = (l + 1 == chain.size()) ? out
+                                        : (l % 2 == 0 ? scratchA : scratchB);
+    ml::kernels::linear_forward(cur, d.w, d.b, dst, rows, d.in, d.out, d.act);
+    cur = dst;
+  }
 }
 
 void InferenceEngine::predictSpectra(const Real* clouds, long batch,
@@ -107,7 +95,7 @@ void InferenceEngine::predictSpectra(const Real* clouds, long batch,
   ARTSCI_EXPECTS(!conv_.empty() && conv_.front().in == 6);
 
   // All workspaces come from the step arena; a repeated (batch, points)
-  // geometry replays the recorded plan — same offsets, zero heap traffic.
+  // geometry replays the recorded plan — same offsets, no region grows.
   arena_.beginStep();
   const long rowsTotal = batch * points;
   Real* convA = arena_.allocData(rowsTotal * maxConvWidth_);
@@ -128,34 +116,14 @@ void InferenceEngine::predictSpectra(const Real* clouds, long batch,
       std::max(batch * 2 * std::max(maxHalf, maxRest), 1L));
   Real* cat = arena_.allocData(batch * latentDim_);
 
-  // --- PointNet conv stack: ONE batched-kernel call per layer, with the
-  // cache-sized sample tiles as the problem list (each tile's rows stay
-  // the same fixed 32-row chunks the unbatched path used, so values are
-  // bit-identical to dispatching per tile).
-  const long tileSamples = std::max<long>(1, (1L << 10) / points);
-  const long tiles = (batch + tileSamples - 1) / tileSamples;
+  // --- PointNet conv stack: one fused linear over all batch × points rows
+  // per layer (rows never share an accumulator, so batching the samples
+  // leaves every value as a one-sample call computes it).
   const Real* cur = clouds;
   Real* dst = convA;
-  for (std::size_t l = 0; l < conv_.size(); ++l) {
-    const Dense& d = conv_[l];
-    probs_.clear();
-    for (long t = 0; t < tiles; ++t) {
-      const long b0 = t * tileSamples;
-      const long nb = std::min(tileSamples, batch - b0);
-      ml::kernels::LinearProblem p;
-      p.a = cur + b0 * points * d.in;
-      p.w = d.w;
-      p.bias = d.b;
-      p.c = dst + b0 * points * d.out;
-      p.m = nb * points;
-      p.k = d.in;
-      p.n = d.out;
-      p.act = d.act;
-      probs_.push_back(p);
-    }
-    ml::kernels::linear_forward_batched(probs_.data(),
-                                        static_cast<long>(probs_.size()),
-                                        options_.ompRowParallel);
+  for (const Dense& d : conv_) {
+    ml::kernels::linear_forward(cur, d.w, d.b, dst, rowsTotal, d.in, d.out,
+                                d.act);
     cur = dst;
     dst = (dst == convA) ? convB : convA;
   }
@@ -172,11 +140,10 @@ void InferenceEngine::predictSpectra(const Real* clouds, long batch,
     }
   }
 
-  // --- mu head: pooled features -> latent mean (one fused chain).
-  runDenseSeq(muHead_, pooled, batch, h, seqA, seqB);
+  // --- mu head: pooled features -> latent mean.
+  runChain(muHead_, pooled, batch, h, seqA, seqB);
 
-  // --- INN forward: z -> [I' || N'], block by block; each subnet is one
-  // fused chain (one parallel region instead of one per layer).
+  // --- INN forward: z -> [I' || N'], block by block.
   for (const auto& cp : blocks_) {
     const long half = cp.half, rest = cp.rest, dim = half + rest;
     const Real invClamp = Real(1) / cp.clamp;
@@ -186,7 +153,7 @@ void InferenceEngine::predictSpectra(const Real* clouds, long batch,
     }
     // y1 = x1 * exp(clamp * tanh(s1 / clamp)) + t1, with [s1||t1] from
     // subnet1(x2) — identical math to GlowCouplingBlock::forward.
-    runDenseSeq(cp.s1, x2, batch, st, seqA, seqB);
+    runChain(cp.s1, x2, batch, st, seqA, seqB);
     for (long i = 0; i < batch; ++i) {
       const Real* x1 = h + i * dim;
       const Real* strow = st + i * 2 * half;
@@ -196,7 +163,7 @@ void InferenceEngine::predictSpectra(const Real* clouds, long batch,
         y1row[j] = x1[j] * std::exp(s) + strow[half + j];
       }
     }
-    runDenseSeq(cp.s2, y1, batch, st, seqA, seqB);
+    runChain(cp.s2, y1, batch, st, seqA, seqB);
     for (long i = 0; i < batch; ++i) {
       const Real* x2row = x2 + i * rest;
       const Real* strow = st + i * 2 * rest;

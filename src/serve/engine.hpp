@@ -5,21 +5,19 @@
 /// the right trade for training, but pure overhead for inference. This
 /// engine walks the same architecture (PointNet conv stack -> max-pool ->
 /// mu head -> INN forward -> spectrum slice) against raw weight buffers
-/// with preallocated workspaces and a register-blocked, runtime-dispatched
-/// (AVX-512 / AVX2+FMA / baseline) matmul kernel, computing identical
-/// values up to floating-point reassociation (FMA contraction). This is
-/// what makes micro-batching pay: at batch 32 the fused path is several
-/// times cheaper per sample than per-request graph forwards.
+/// with preallocated workspaces. Every dense layer is one call of the
+/// fused kernels::linear_forward (register-blocked, runtime-dispatched
+/// AVX-512 / AVX2+FMA / baseline), the call ml::linear trains with, and
+/// the coupling arithmetic is the graph's op for op, so the outputs equal
+/// the graph's bit for bit (tests/serve/test_serve.cpp).
 ///
-/// Dispatch shape (PR 9): the conv stack issues ONE
-/// kernels::linear_forward_batched call per layer (the per-sample tiles
-/// are the problem list), and every dense chain (mu head, INN coupling
-/// subnets) runs through kernels::linear_seq_forward — one OpenMP region
-/// per chain instead of one per layer, so a predict over a d-deep INN
-/// costs O(blocks) fork/joins instead of O(blocks × depth). All
+/// Dispatch shape: each conv layer is one linear_forward over all
+/// batch × points rows; each dense chain (mu head, INN coupling subnets)
+/// is a loop of linear_forward calls through two ping-pong buffers. The
+/// kernels run serially: a serving host keeps its cores busy with
+/// NetServer shards and InferenceServer workers, one engine each. All
 /// workspaces come from a per-engine ml::Arena whose recorded allocation
-/// plan replays with zero heap traffic once the batch geometry repeats
-/// (see arenaStats()).
+/// plan replays without growing once the batch geometry repeats.
 ///
 /// Thread-safety: an engine owns mutable workspaces — one engine per
 /// serving worker. The referenced model snapshot is immutable and shared.
@@ -34,41 +32,12 @@
 
 namespace artsci::serve {
 
-namespace detail {
-/// C[m,n] = act(A[m,k] · W[k,n] + bias[n]); bias may be nullptr.
-/// Thin adaptor over the shared kernel library's fused epilogue
-/// (ml/kernels/gemm.hpp::linear_forward) — the exact same register-blocked,
-/// runtime-SIMD-dispatched loops that ml::matmul / ml::linear train with.
-/// Accumulation order per output element matches ml::matmul (k ascending,
-/// bias added last). `parallel` turns on the kernel library's fixed
-/// 32-row static OpenMP chunking — bit-identical to serial for any
-/// thread count; the engine enables it so multi-core hosts scale the
-/// row-heavy conv stack.
-void linearForward(const ml::Real* a, const ml::Real* w, const ml::Real* bias,
-                   ml::Real* c, long m, long k, long n, ml::Activation act,
-                   bool parallel = false);
-}  // namespace detail
-
 class InferenceEngine {
  public:
-  /// Execution knobs.
-  struct Options {
-    /// Run the fused kernels over fixed 32-row static OpenMP chunks
-    /// (bit-identical results for any thread count; see
-    /// ml/kernels/gemm.hpp). Turn on when the engine owns the host's
-    /// cores — e.g. a single-worker server on a multi-core machine; leave
-    /// off when many engine-owning workers already saturate them.
-    bool ompRowParallel = false;
-  };
-
   /// Binds to an immutable snapshot; the shared_ptr keeps the weight
   /// buffers alive for the engine's lifetime.
   explicit InferenceEngine(
-      std::shared_ptr<const core::ArtificialScientistModel> model)
-      : InferenceEngine(std::move(model), Options{}) {}
-  /// Same, with explicit execution options.
-  InferenceEngine(std::shared_ptr<const core::ArtificialScientistModel> model,
-                  Options options);
+      std::shared_ptr<const core::ArtificialScientistModel> model);
 
   /// clouds: [batch, points, 6] flattened, row-major. Writes spectra
   /// [batch, spectrumDim] to `out`.
@@ -77,18 +46,9 @@ class InferenceEngine {
 
   /// Output spectrum length per sample.
   long spectrumDim() const { return spectrumDim_; }
-  /// INN latent width (the VAE latent dimension).
-  long latentDim() const { return latentDim_; }
-  /// The bound immutable snapshot.
-  const std::shared_ptr<const core::ArtificialScientistModel>& model() const {
-    return model_;
-  }
-  /// Workspace-arena counters: after the first predict of a given
-  /// (batch, points) geometry, every later call replays the recorded
-  /// allocation plan (planReplays grows, heapAllocations does not).
-  ml::Arena::Stats arenaStats() const { return arena_.stats(); }
 
  private:
+  /// One dense layer: act(x · w + b), w [in, out] row-major, b may be null.
   struct Dense {
     const ml::Real* w = nullptr;
     const ml::Real* b = nullptr;
@@ -96,25 +56,23 @@ class InferenceEngine {
     ml::kernels::Act act = ml::kernels::Act::kNone;
   };
   struct Coupling {
-    /// Subnet MLPs as ready-to-run kernel chains (x2 -> s,t ; y1 -> s,t).
-    std::vector<ml::kernels::DenseStep> s1, s2;
+    /// Subnet MLPs as dense chains (x2 -> s,t ; y1 -> s,t).
+    std::vector<Dense> s1, s2;
     long half = 0, rest = 0;
     ml::Real clamp = 0;
     const long* perm = nullptr;  ///< gather indices after the block
   };
 
-  static void appendMlp(const ml::Mlp& mlp,
-                        std::vector<ml::kernels::DenseStep>& seq);
-  /// One fused parallel region over the whole chain (see
-  /// kernels::linear_seq_forward); scratch comes from the step arena.
-  void runDenseSeq(const std::vector<ml::kernels::DenseStep>& seq,
-                   const ml::Real* in, long rows, ml::Real* out,
-                   ml::Real* scratchA, ml::Real* scratchB);
+  static void appendMlp(const ml::Mlp& mlp, std::vector<Dense>& chain);
+  /// in -> chain[0] -> … -> out; intermediates alternate between
+  /// scratchA and scratchB (each rows × the chain's widest layer).
+  static void runChain(const std::vector<Dense>& chain, const ml::Real* in,
+                       long rows, ml::Real* out, ml::Real* scratchA,
+                       ml::Real* scratchB);
 
   std::shared_ptr<const core::ArtificialScientistModel> model_;
-  Options options_;
   std::vector<Dense> conv_;  ///< per-point layers, leaky-ReLU fused
-  std::vector<ml::kernels::DenseStep> muHead_;
+  std::vector<Dense> muHead_;
   std::vector<Coupling> blocks_;
   long latentDim_ = 0, spectrumDim_ = 0, features_ = 0;
   long maxConvWidth_ = 0;  ///< widest conv layer (ping-pong buffer width)
@@ -122,11 +80,8 @@ class InferenceEngine {
 
   /// Per-predict workspace arena: beginStep() at every call recycles the
   /// previous call's buffers; with a stable batch geometry the allocation
-  /// plan replays and the engine stops touching the heap entirely.
+  /// plan replays and no region grows.
   ml::Arena arena_;
-  /// Per-layer problem list for the batched conv dispatch (grow-only
-  /// metadata, reused across calls).
-  std::vector<ml::kernels::LinearProblem> probs_;
 };
 
 }  // namespace artsci::serve

@@ -199,8 +199,6 @@ TEST(Trainer, LearningRatesScaledAndSplit) {
   TrainerConfig tcfg;
   tcfg.ranks = 4;
   tcfg.baseLearningRate = 1e-4;
-  tcfg.vaeLearningRateFactor = 3.0;
-  tcfg.sqrtLrScaling = true;
   InTransitTrainer trainer(ArtificialScientistModel::Config::reduced(),
                            tcfg);
   const auto [vaeLr, innLr] = trainer.learningRates();

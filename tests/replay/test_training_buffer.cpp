@@ -41,7 +41,7 @@ TEST(TrainingBufferTest, NowBufferHoldsLatest) {
   IntBuffer buf(paperConfig());
   for (int i = 0; i < 25; ++i) buf.push(i);
   EXPECT_EQ(buf.nowSize(), 10u);
-  const auto now = buf.nowSnapshot();
+  const auto now = buf.snapshot().now;
   // Prepend semantics: newest first; the 10 newest are 24..15.
   EXPECT_EQ(now.front(), 24);
   EXPECT_EQ(now.back(), 15);
@@ -53,7 +53,7 @@ TEST(TrainingBufferTest, DisplacedSamplesEnterEpBuffer) {
   EXPECT_EQ(buf.nowSize(), 10u);
   EXPECT_EQ(buf.epSize(), 5u);
   // EP holds exactly the displaced oldest samples 0..4.
-  const auto ep = buf.epSnapshot();
+  const auto ep = buf.snapshot().ep;
   const std::set<int> epSet(ep.begin(), ep.end());
   EXPECT_EQ(epSet, (std::set<int>{0, 1, 2, 3, 4}));
 }
@@ -65,7 +65,7 @@ TEST(TrainingBufferTest, EpBufferCapsAtCapacityWithRandomEviction) {
   EXPECT_EQ(buf.nowSize(), 10u);
   // Random eviction keeps a mixture of ages, not just the newest spills:
   // with FIFO eviction the EP buffer would hold exactly 170..189.
-  const auto ep = buf.epSnapshot();
+  const auto ep = buf.snapshot().ep;
   int older = 0;
   for (int v : ep) older += (v < 170);
   EXPECT_GT(older, 0);
