@@ -13,7 +13,11 @@
 /// rank counts above it as oversubscribed: those rows get no efficiency
 /// figure and are left out of the --json record, which holds the
 /// measured per-rank batch times and efficiencies (CI uploads it as the
-/// BENCH_fig8 artifact).
+/// BENCH_fig8 artifact). Its "collective" column is the trainer's
+/// `TrainStats::commSeconds` per batch: the optimizer collective's
+/// barriers, rank-ordered gradient reduction and weight copies into every
+/// replica, without the sharded Adam arithmetic — the communication
+/// share of each batch.
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -42,11 +46,16 @@ core::Sample syntheticSample(Rng& rng, long points, long specDim) {
   return s;
 }
 
-/// Mean per-batch time for a rank count (real thread-DDP training).
+struct BatchTimes {
+  double batch = 0;       ///< mean per-batch time, > 4 sigma outliers removed
+  double collective = 0;  ///< mean rank-0 time in the optimizer collective
+};
+
+/// Per-batch times for a rank count (real thread-DDP training).
 /// OpenMP inside the op kernels is disabled (see main) so the rank
 /// threads are the only parallelism (one "GCD" = one core, as in the
 /// paper's GCD mapping).
-double measuredBatchSeconds(std::size_t ranks, long iterations) {
+BatchTimes measuredBatchSeconds(std::size_t ranks, long iterations) {
   core::TrainerConfig tcfg;
   tcfg.ranks = ranks;
   auto mcfg = core::ArtificialScientistModel::Config::reduced();
@@ -55,6 +64,7 @@ double measuredBatchSeconds(std::size_t ranks, long iterations) {
   for (int i = 0; i < 30; ++i)
     trainer.buffer().push(syntheticSample(rng, 64, mcfg.spectrumDim));
   trainer.trainIterations(2);  // warm-up
+  const double comm0 = trainer.stats().commSeconds;
   std::vector<double> times;
   for (long it = 0; it < iterations; ++it) {
     Timer t;
@@ -62,7 +72,9 @@ double measuredBatchSeconds(std::size_t ranks, long iterations) {
     times.push_back(t.seconds());
   }
   // The paper removes > 4 sigma outliers before averaging.
-  return stats::mean(stats::removeOutliers(times, 4.0));
+  return {stats::mean(stats::removeOutliers(times, 4.0)),
+          (trainer.stats().commSeconds - comm0) /
+              static_cast<double>(iterations)};
 }
 
 }  // namespace
@@ -100,27 +112,33 @@ int main(int argc, char** argv) {
               "    oversubscribed (no efficiency, not recorded)\n\n",
               cores);
   std::vector<std::size_t> rankAxis;
-  std::vector<double> batchSeconds, efficiencies;
+  std::vector<double> batchSeconds, collectiveSeconds, efficiencies;
   {
     std::vector<std::vector<std::string>> rows;
     double t1 = 0;
     for (std::size_t ranks : {1u, 2u, 4u, 8u}) {
-      const double t = measuredBatchSeconds(ranks, 10);
+      const BatchTimes m = measuredBatchSeconds(ranks, 10);
+      const double t = m.batch;
       if (ranks == 1) t1 = t;
+      const std::string collective = ascii::num(m.collective * 1e3, 2) + " ms";
       if (cores > 0 && ranks > cores) {
         rows.push_back({std::to_string(ranks),
-                        ascii::num(t * 1e3, 2) + " ms", "oversubscribed"});
+                        ascii::num(t * 1e3, 2) + " ms", collective,
+                        "oversubscribed"});
         continue;
       }
       rankAxis.push_back(ranks);
       batchSeconds.push_back(t);
+      collectiveSeconds.push_back(m.collective);
       efficiencies.push_back(100.0 * t1 / t);
       rows.push_back({std::to_string(ranks),
-                      ascii::num(t * 1e3, 2) + " ms",
+                      ascii::num(t * 1e3, 2) + " ms", collective,
                       ascii::num(100.0 * t1 / t, 1) + " %"});
     }
     std::printf("%s\n",
-                ascii::table({"ranks", "per-batch time", "efficiency"}, rows)
+                ascii::table({"ranks", "per-batch time", "collective",
+                              "efficiency"},
+                             rows)
                     .c_str());
   }
 
@@ -172,8 +190,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rankAxis.size(); ++i) {
       std::fprintf(f,
                    "    {\"ranks\": %zu, \"batch_seconds\": %.6f, "
+                   "\"collective_seconds\": %.6f, "
                    "\"efficiency_pct\": %.2f}%s\n",
-                   rankAxis[i], batchSeconds[i], efficiencies[i],
+                   rankAxis[i], batchSeconds[i], collectiveSeconds[i],
+                   efficiencies[i],
                    i + 1 < rankAxis.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -1,6 +1,6 @@
 #include "common/thread_pool.hpp"
 
-#include <atomic>
+#include <utility>
 
 #ifdef __linux__
 #include <sched.h>
@@ -51,25 +51,58 @@ void Barrier::arriveAndWait() {
   cv_.wait(lock, [&] { return generation_ != gen; });
 }
 
+RankTeam::RankTeam(std::size_t ranks) {
+  ARTSCI_EXPECTS(ranks > 0);
+  threads_.reserve(ranks);
+  for (std::size_t r = 0; r < ranks; ++r)
+    threads_.emplace_back([this, r] { serve(r); });
+}
+
+RankTeam::~RankTeam() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  start_.notify_all();
+  for (auto& t : threads_) t.join();
+}
+
+void RankTeam::run(const std::function<void(std::size_t)>& fn) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  ARTSCI_CHECK_MSG(job_ == nullptr, "RankTeam::run called during a run");
+  job_ = &fn;
+  pending_ = threads_.size();
+  ++generation_;
+  start_.notify_all();
+  done_.wait(lock, [this] { return pending_ == 0; });
+  job_ = nullptr;
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void RankTeam::serve(std::size_t rank) {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    start_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+    if (stopping_) return;
+    seen = generation_;
+    const auto& fn = *job_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      fn(rank);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (error && !error_) error_ = std::move(error);
+    if (--pending_ == 0) done_.notify_one();
+  }
+}
+
 void runRankTeam(std::size_t ranks,
                  const std::function<void(std::size_t)>& fn) {
-  ARTSCI_EXPECTS(ranks > 0);
-  std::vector<std::thread> team;
-  team.reserve(ranks);
-  std::mutex errMutex;
-  std::exception_ptr firstError;
-  for (std::size_t r = 0; r < ranks; ++r) {
-    team.emplace_back([&, r] {
-      try {
-        fn(r);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(errMutex);
-        if (!firstError) firstError = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : team) t.join();
-  if (firstError) std::rethrow_exception(firstError);
+  RankTeam(ranks).run(fn);
 }
 
 bool pinThisThreadToCpuSlot(std::size_t slot) {

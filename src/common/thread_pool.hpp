@@ -9,6 +9,8 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -72,8 +74,40 @@ class Barrier {
   std::condition_variable cv_;
 };
 
-/// Run `fn(rank)` on `ranks` concurrent threads (SPMD); rethrows the first
-/// exception after all threads joined.
+/// SPMD rank team whose threads start once and live as long as the team.
+/// `run(fn)` runs `fn(rank)` on every rank thread at once and returns when
+/// all have returned, so a thread's state (its OpenMP pool, its trace
+/// ring and label) carries over from one run to the next.
+class RankTeam {
+ public:
+  explicit RankTeam(std::size_t ranks);
+  ~RankTeam();
+
+  RankTeam(const RankTeam&) = delete;
+  RankTeam& operator=(const RankTeam&) = delete;
+
+  std::size_t size() const { return threads_.size(); }
+
+  /// Run `fn(rank)` on every rank; rethrows the first exception after all
+  /// ranks returned. One run at a time: the caller blocks until it ends.
+  void run(const std::function<void(std::size_t)>& fn);
+
+ private:
+  void serve(std::size_t rank);
+
+  std::mutex mutex_;  ///< guards every member below but threads_
+  std::condition_variable start_;
+  std::condition_variable done_;
+  const std::function<void(std::size_t)>* job_ = nullptr;
+  std::uint64_t generation_ = 0;  ///< bumped once per run
+  std::size_t pending_ = 0;       ///< ranks still inside the current run
+  std::exception_ptr error_;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;  ///< last: its threads use the rest
+};
+
+/// Run `fn(rank)` on a team of `ranks` threads made for this one call:
+/// `RankTeam(ranks).run(fn)`.
 void runRankTeam(std::size_t ranks, const std::function<void(std::size_t)>& fn);
 
 /// Pin the calling thread to one CPU of its allowed set: `slot` indexes

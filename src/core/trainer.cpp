@@ -1,12 +1,12 @@
 #include "core/trainer.hpp"
 
+#include <algorithm>
 #include <string>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -26,7 +26,7 @@ constexpr long kBaseBatch = 8;
 InTransitTrainer::InTransitTrainer(ArtificialScientistModel::Config modelCfg,
                                    TrainerConfig cfg)
     : cfg_(cfg), modelCfg_(modelCfg), buffer_(cfg.buffer, cfg.seed),
-      comm_(cfg.ranks) {
+      comm_(cfg.ranks), team_(cfg.ranks) {
   ARTSCI_EXPECTS(cfg_.ranks >= 1);
   Rng seeder(cfg_.seed);
   for (std::size_t r = 0; r < cfg_.ranks; ++r) {
@@ -34,22 +34,25 @@ InTransitTrainer::InTransitTrainer(ArtificialScientistModel::Config modelCfg,
     Rng initRng(cfg_.seed + 1);
     replicas_.push_back(
         std::make_unique<ArtificialScientistModel>(modelCfg_, initRng));
+    replicaParams_.push_back(replicas_.back()->parameters());
     rankRngs_.push_back(seeder.split());
-
-    const long totalBatch =
-        static_cast<long>(cfg_.ranks) *
-        static_cast<long>(cfg_.buffer.nowPerBatch + cfg_.buffer.epPerBatch);
-    const ml::Real scale =
-        ml::sqrtScaledLearningRate(1.0, totalBatch, kBaseBatch);
-    std::vector<ml::ParamGroup> groups;
-    groups.push_back({replicas_.back()->vaeParameters(),
-                      cfg_.baseLearningRate * kVaeLearningRateFactor * scale});
-    groups.push_back(
-        {replicas_.back()->innParameters(), cfg_.baseLearningRate * scale});
-    optimizers_.push_back(
-        std::make_unique<ml::Adam>(std::move(groups), cfg_.adam));
     arenas_.push_back(std::make_unique<ml::Arena>());
   }
+  const long totalBatch =
+      static_cast<long>(cfg_.ranks) *
+      static_cast<long>(cfg_.buffer.nowPerBatch + cfg_.buffer.epPerBatch);
+  const ml::Real scale =
+      ml::sqrtScaledLearningRate(1.0, totalBatch, kBaseBatch);
+  std::vector<ml::ParamGroup> groups;
+  groups.push_back({replicas_[0]->vaeParameters(),
+                    cfg_.baseLearningRate * kVaeLearningRateFactor * scale});
+  groups.push_back(
+      {replicas_[0]->innParameters(), cfg_.baseLearningRate * scale});
+  optimizer_ = std::make_unique<ml::Adam>(std::move(groups), cfg_.adam);
+  team_.run([](std::size_t rank) {
+    obs::TraceRecorder::instance().setThreadName("trainer rank " +
+                                                 std::to_string(rank));
+  });
 }
 
 ml::Arena::Stats InTransitTrainer::arenaStats(std::size_t rank) const {
@@ -58,7 +61,7 @@ ml::Arena::Stats InTransitTrainer::arenaStats(std::size_t rank) const {
 }
 
 std::pair<ml::Real, ml::Real> InTransitTrainer::learningRates() const {
-  return {optimizers_[0]->learningRate(0), optimizers_[0]->learningRate(1)};
+  return {optimizer_->learningRate(0), optimizer_->learningRate(1)};
 }
 
 const ArtificialScientistModel& InTransitTrainer::model(
@@ -74,9 +77,9 @@ std::shared_ptr<const ArtificialScientistModel> InTransitTrainer::exportSnapshot
 
 TrainerCheckpointState InTransitTrainer::captureCheckpointState() const {
   TrainerCheckpointState s;
-  for (auto& t : replicas_[0]->parameters()) s.params.push_back(t.data());
-  s.adamPacked = optimizers_[0]->packedState();
-  s.adamStep = optimizers_[0]->stepCount();
+  for (const auto& t : replicaParams_[0]) s.params.push_back(t.data());
+  s.adamPacked = optimizer_->packedState();
+  s.adamStep = optimizer_->stepCount();
   for (const auto& rng : rankRngs_) s.rankRngs.push_back(rng.state());
   s.buffer = buffer_.snapshot();
   s.iterations = stats_.iterations;
@@ -89,7 +92,7 @@ void InTransitTrainer::restoreCheckpointState(
                    "checkpoint has " << s.rankRngs.size()
                                      << " rank RNG states, trainer has "
                                      << cfg_.ranks << " ranks");
-  auto tensors = replicas_[0]->parameters();
+  const auto& tensors = replicaParams_[0];
   ARTSCI_CHECK_MSG(s.params.size() == tensors.size(),
                    "checkpoint has " << s.params.size()
                                      << " parameter tensors, model has "
@@ -102,11 +105,10 @@ void InTransitTrainer::restoreCheckpointState(
                                           << tensors[i].data().size());
   // All-or-nothing beyond this point: restorePackedState validates the
   // Adam layout before mutating, and everything after it cannot fail.
+  optimizer_->restorePackedState(s.adamPacked, s.adamStep);
   for (std::size_t r = 0; r < cfg_.ranks; ++r) {
-    auto rankTensors = replicas_[r]->parameters();
-    for (std::size_t i = 0; i < rankTensors.size(); ++i)
-      rankTensors[i].data() = s.params[i];
-    optimizers_[r]->restorePackedState(s.adamPacked, s.adamStep);
+    for (std::size_t i = 0; i < replicaParams_[r].size(); ++i)
+      replicaParams_[r][i].data() = s.params[i];
     rankRngs_[r].setState(s.rankRngs[r]);
   }
   buffer_.restore(s.buffer);
@@ -114,8 +116,8 @@ void InTransitTrainer::restoreCheckpointState(
 }
 
 void InTransitTrainer::trainIterations(long iterations) {
-  // Injected before the rank team forms: a fault inside the team would
-  // strand peers in allReduce.
+  // Injected before the rank team runs: a fault inside the team would
+  // strand peers in the optimizer collective.
   FAULT_POINT("train.step");
   if (!buffer_.ready()) return;
   Timer timer;
@@ -129,19 +131,17 @@ void InTransitTrainer::trainIterations(long iterations) {
       obs::Registry::global().histogram("train.step_ms");
 
 #ifdef _OPENMP
-  // libgomp ICVs do not propagate to fresh pthreads: a rank thread would
-  // fork teams of the process-wide default, whatever the caller set with
-  // omp_set_num_threads. Each rank takes the caller's team size instead.
-  const int callerThreads = omp_get_max_threads();
+  // libgomp ICVs do not propagate to other threads: each rank sets its own
+  // team size, an equal share of the caller's, so that the R rank teams fit
+  // the caller's cores (as DistributedSimulation::run does).
+  const int rankThreads =
+      std::max(1, omp_get_max_threads() / static_cast<int>(cfg_.ranks));
 #endif
-  runRankTeam(cfg_.ranks, [&](std::size_t rank) {
+  team_.run([&](std::size_t rank) {
 #ifdef _OPENMP
-    omp_set_num_threads(callerThreads);
+    omp_set_num_threads(rankThreads);
 #endif
-    obs::TraceRecorder::instance().setThreadName("trainer rank " +
-                                                 std::to_string(rank));
     auto& model = *replicas_[rank];
-    auto& opt = *optimizers_[rank];
     auto& rng = rankRngs_[rank];
     for (long it = 0; it < iterations; ++it) {
       Timer iterTimer;
@@ -152,7 +152,7 @@ void InTransitTrainer::trainIterations(long iterations) {
       const long points = static_cast<long>(batch.front().cloud.size()) / 6;
       ml::Tensor clouds = batchClouds(batch, points);
       ml::Tensor spectra = batchSpectra(batch, specDim);
-      opt.zeroGrad();
+      for (auto& p : replicaParams_[rank]) p.zeroGrad();
       // The whole forward/backward graph for this iteration lives in the
       // rank's step arena: beginStep() recycles last iteration's memory
       // (and, once the allocation plan is recorded, replays it with zero
@@ -174,11 +174,7 @@ void InTransitTrainer::trainIterations(long iterations) {
           total.backward();
         }
       }
-      ml::allReduceGradients(comm_, rank, model.parameters());
-      {
-        TRACE_SCOPE("train", "optim");
-        opt.step();
-      }
+      comm_.stepAdam(rank, *optimizer_, replicaParams_);
       if (rank == 0) {
         iterCounter.add();
         stepMs.observe(iterTimer.seconds() * 1e3);

@@ -1,14 +1,19 @@
 /// \file trainer.hpp
 /// Data-parallel in-transit trainer: the stand-in for PyTorch DDP driving
-/// the paper's MLapp. R rank threads hold model replicas; every iteration
-/// each rank draws a batch from the shared experience-replay buffer,
-/// computes Eq.(1), averages gradients with an all-reduce, and steps Adam
-/// with the paper's optimizer settings (separate l_VAE / l_INN, sqrt
-/// learning-rate scaling with total batch).
+/// the paper's MLapp. R rank threads, started once with the trainer, hold
+/// model replicas; every iteration each rank draws a batch from the shared
+/// experience-replay buffer, computes Eq.(1), and joins one collective
+/// that averages the gradients and steps Adam (ml::Communicator::stepAdam:
+/// each rank updates its chunk of the parameters from the one shared
+/// optimizer state and writes it into every replica) with the paper's
+/// optimizer settings (separate l_VAE / l_INN, sqrt learning-rate scaling
+/// with total batch). Each rank forks OpenMP teams of an equal share of
+/// the calling thread's team size, so the R teams fit the caller's cores.
 #pragma once
 
 #include <memory>
 
+#include "common/thread_pool.hpp"
 #include "core/model.hpp"
 #include "core/sample.hpp"
 #include "ml/arena.hpp"
@@ -47,7 +52,9 @@ struct TrainStats {
   std::vector<double> mmdLatentHistory; ///< INN backward term
   long iterations = 0;
   double trainSeconds = 0;
-  double commSeconds = 0;  ///< rank-0 time inside collectives
+  /// Rank-0 time inside the optimizer collective: gradient reduction,
+  /// weight copies and barriers, not Adam's arithmetic.
+  double commSeconds = 0;
 };
 
 class InTransitTrainer {
@@ -95,13 +102,18 @@ class InTransitTrainer {
   ArtificialScientistModel::Config modelCfg_;
   replay::TrainingBuffer<Sample> buffer_;
   std::vector<std::unique_ptr<ArtificialScientistModel>> replicas_;
-  std::vector<std::unique_ptr<ml::Adam>> optimizers_;
+  /// Each replica's parameters in the optimizer's order (VAE, then INN).
+  std::vector<std::vector<ml::Tensor>> replicaParams_;
+  /// The one Adam, over replica 0's parameters; stepAdam copies its
+  /// updates into the other replicas.
+  std::unique_ptr<ml::Adam> optimizer_;
   std::vector<Rng> rankRngs_;
   /// One step arena per rank: every iteration's forward/backward graph is
   /// bump-allocated here and recycled wholesale at the next beginStep().
   std::vector<std::unique_ptr<ml::Arena>> arenas_;
   ml::Communicator comm_;
   TrainStats stats_;
+  RankTeam team_;  ///< the rank threads, for the trainer's lifetime
 };
 
 }  // namespace artsci::core

@@ -1,16 +1,21 @@
 /// \file ddp.hpp
 /// Distributed-data-parallel training support, the stand-in for PyTorch DDP
-/// with the N/RCCL backend. Ranks are threads; the Communicator implements
-/// the collective the training uses: a mean all-reduce that averages the
-/// gradients after each backward pass. Each rank computes the MMD loss
-/// terms on its local batch, so no all-gather is needed. Collective
-/// wall-times are accumulated per rank so the Fig 8 bench can attribute
-/// the efficiency deficit to communication.
+/// with the N/RCCL backend. Ranks are threads and every replica lives in
+/// one address space, so the optimizer step is one collective in the
+/// manner of ZeRO stage 1 (Rajbhandari et al., SC'20): each rank averages
+/// its contiguous chunk of the flattened gradients, summing the ranks in
+/// rank order, applies Adam to that chunk from the one shared optimizer
+/// state, and writes the chunk's new weights into every replica. Two
+/// barriers bound it. Each rank computes the MMD loss terms on its local
+/// batch, so no all-gather is needed. The collective's wall time (reduce
+/// and barriers, not Adam) is accumulated per rank so the Fig 8 bench can
+/// attribute the efficiency deficit to communication.
 #pragma once
 
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "ml/optim.hpp"
 #include "ml/tensor.hpp"
 
 namespace artsci::ml {
@@ -21,35 +26,27 @@ class Communicator {
 
   std::size_t ranks() const { return ranks_; }
 
-  /// In-place mean all-reduce across ranks. Every rank must call with a
-  /// buffer of identical length. Contributions are combined in rank order,
-  /// so the floating-point result is identical from run to run regardless
-  /// of thread scheduling (NCCL-style deterministic reduction).
-  void allReduceMean(std::size_t rank, std::vector<Real>& buffer);
+  /// One data-parallel optimizer step; every rank calls it once its
+  /// backward pass is done. `replicas[r]` lists replica r's parameters in
+  /// `opt`'s flattened order, and `opt` steps replica 0's. For each value
+  /// of its rank's chunk the call sums the ranks' gradients in rank order,
+  /// scales by 1/ranks into replica 0's gradient, applies `opt`'s update
+  /// and copies the new weight into every other replica. Every value thus
+  /// gets the same mean gradient and the same arithmetic as an all-reduce
+  /// followed by `opt.step()`, and the weights are bit-identical on every
+  /// replica when the call returns.
+  void stepAdam(std::size_t rank, Adam& opt,
+                const std::vector<std::vector<Tensor>>& replicas);
 
-  void barrier() { barrier_.arriveAndWait(); }
-
-  /// Cumulative seconds each rank spent inside collectives.
+  /// Cumulative seconds each rank spent in the collective's reduction,
+  /// weight copies and barriers (Adam's arithmetic excluded).
   double communicationSeconds(std::size_t rank) const;
-
-  /// Persistent per-rank gradient-flattening buffer for allReduceGradients.
-  /// Sized on first use and reused every step afterwards, so the collective
-  /// adds no steady-state heap allocations to the training loop.
-  std::vector<Real>& gradBucket(std::size_t rank);
 
  private:
   std::size_t ranks_;
   Barrier barrier_;
-  std::vector<const std::vector<Real>*> reduceSlots_;  ///< one per rank
-  std::vector<Real> reduceScratch_;  ///< chunk-reduced result staging
-  std::size_t reduceLength_ = 0;
   std::vector<double> commSeconds_;
-  std::vector<std::vector<Real>> gradBuckets_;  ///< one per rank
+  std::vector<std::vector<const Real*>> gradSources_;  ///< per rank, scratch
 };
-
-/// Average the gradients of `params` across all ranks (flattens all grads
-/// into one buffer per call, like DDP's gradient buckets).
-void allReduceGradients(Communicator& comm, std::size_t rank,
-                        const std::vector<Tensor>& params);
 
 }  // namespace artsci::ml

@@ -5,61 +5,84 @@
 
 namespace artsci::ml {
 
-Adam::Adam(std::vector<ParamGroup> groups, AdamConfig cfg)
-    : groups_(std::move(groups)), cfg_(cfg) {
-  state_.resize(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    state_[g].resize(groups_[g].params.size());
-    for (std::size_t p = 0; p < groups_[g].params.size(); ++p) {
-      const auto n = groups_[g].params[p].data().size();
-      state_[g][p].m.assign(n, Real(0));
-      state_[g][p].v.assign(n, Real(0));
+namespace {
+
+/// Adam's arithmetic over n values, as the textbook writes it, with
+/// classic (coupled) weight decay: g += lambda * w. Every Adam step runs
+/// this loop.
+void adamLoop(std::size_t n, Real* __restrict w, const Real* __restrict g,
+              Real* __restrict m, Real* __restrict v, Real lr,
+              const AdamConfig& cfg, Adam::Bias bias) {
+  const Real beta1 = cfg.beta1;
+  const Real beta2 = cfg.beta2;
+  const Real eps = cfg.eps;
+  const Real decay = cfg.weightDecay;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Real gi = g[i] + decay * w[i];
+    m[i] = beta1 * m[i] + (Real(1) - beta1) * gi;
+    v[i] = beta2 * v[i] + (Real(1) - beta2) * gi * gi;
+    const Real mhat = m[i] / bias.first;
+    const Real vhat = v[i] / bias.second;
+    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+}  // namespace
+
+Adam::Adam(std::vector<ParamGroup> groups, AdamConfig cfg) : cfg_(cfg) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    lrs_.push_back(groups[g].lr);
+    for (auto& p : groups[g].params) {
+      const auto n = p.data().size();
+      slots_.push_back({p, g, std::vector<Real>(n, Real(0)),
+                        std::vector<Real>(n, Real(0))});
     }
   }
 }
 
 void Adam::step() {
-  ++t_;
-  const Real b1t = Real(1) - std::pow(cfg_.beta1, static_cast<Real>(t_));
-  const Real b2t = Real(1) - std::pow(cfg_.beta2, static_cast<Real>(t_));
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const Real lr = groups_[g].lr;
-    for (std::size_t pi = 0; pi < groups_[g].params.size(); ++pi) {
-      Tensor& p = groups_[g].params[pi];
-      if (p.grad().size() != p.data().size()) continue;  // never touched
-      auto& st = state_[g][pi];
-      auto& w = p.data();
-      auto& grad = p.grad();
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        // Classic (coupled) Adam weight decay: g += lambda * w.
-        const Real gi = grad[i] + cfg_.weightDecay * w[i];
-        st.m[i] = cfg_.beta1 * st.m[i] + (Real(1) - cfg_.beta1) * gi;
-        st.v[i] = cfg_.beta2 * st.v[i] + (Real(1) - cfg_.beta2) * gi * gi;
-        const Real mhat = st.m[i] / b1t;
-        const Real vhat = st.v[i] / b2t;
-        w[i] -= lr * mhat / (std::sqrt(vhat) + cfg_.eps);
-      }
-    }
+  const Bias b = bias(++t_);
+  for (std::size_t k = 0; k < slots_.size(); ++k) {
+    const Tensor& p = slots_[k].param;
+    if (p.grad().size() != p.data().size()) continue;  // never touched
+    update(k, 0, slots_[k].m.size(), b);
   }
 }
 
+Adam::Bias Adam::bias(long t) const {
+  return {Real(1) - std::pow(cfg_.beta1, static_cast<Real>(t)),
+          Real(1) - std::pow(cfg_.beta2, static_cast<Real>(t))};
+}
+
+void Adam::update(std::size_t k, std::size_t begin, std::size_t end,
+                  Bias bias) {
+  ARTSCI_EXPECTS(k < slots_.size());
+  Slot& s = slots_[k];
+  ARTSCI_EXPECTS(begin <= end && end <= s.m.size());
+  adamLoop(end - begin, s.param.dataPtr() + begin, s.param.gradPtr() + begin,
+           s.m.data() + begin, s.v.data() + begin, lrs_[s.group], cfg_,
+           bias);
+}
+
+const Tensor& Adam::param(std::size_t k) const {
+  ARTSCI_EXPECTS(k < slots_.size());
+  return slots_[k].param;
+}
+
 void Adam::zeroGrad() {
-  for (auto& g : groups_)
-    for (auto& p : g.params) p.zeroGrad();
+  for (auto& s : slots_) s.param.zeroGrad();
 }
 
 void Adam::setLearningRate(std::size_t group, Real lr) {
-  ARTSCI_EXPECTS(group < groups_.size());
-  groups_[group].lr = lr;
+  ARTSCI_EXPECTS(group < lrs_.size());
+  lrs_[group] = lr;
 }
 
 std::vector<Real> Adam::packedState() const {
   std::vector<Real> packed;
-  for (const auto& group : state_) {
-    for (const auto& st : group) {
-      packed.insert(packed.end(), st.m.begin(), st.m.end());
-      packed.insert(packed.end(), st.v.begin(), st.v.end());
-    }
+  for (const auto& s : slots_) {
+    packed.insert(packed.end(), s.m.begin(), s.m.end());
+    packed.insert(packed.end(), s.v.begin(), s.v.end());
   }
   return packed;
 }
@@ -67,31 +90,24 @@ std::vector<Real> Adam::packedState() const {
 void Adam::restorePackedState(const std::vector<Real>& packed, long t) {
   ARTSCI_EXPECTS(t >= 0);
   std::size_t need = 0;
-  for (const auto& group : state_)
-    for (const auto& st : group) need += st.m.size() + st.v.size();
+  for (const auto& s : slots_) need += s.m.size() + s.v.size();
   ARTSCI_CHECK_MSG(packed.size() == need,
                    "packed Adam state has " << packed.size()
                                             << " values, optimizer needs "
                                             << need);
-  std::size_t off = 0;
-  for (auto& group : state_) {
-    for (auto& st : group) {
-      std::copy(packed.begin() + static_cast<long>(off),
-                packed.begin() + static_cast<long>(off + st.m.size()),
-                st.m.begin());
-      off += st.m.size();
-      std::copy(packed.begin() + static_cast<long>(off),
-                packed.begin() + static_cast<long>(off + st.v.size()),
-                st.v.begin());
-      off += st.v.size();
-    }
+  auto src = packed.begin();
+  for (auto& s : slots_) {
+    std::copy(src, src + static_cast<long>(s.m.size()), s.m.begin());
+    src += static_cast<long>(s.m.size());
+    std::copy(src, src + static_cast<long>(s.v.size()), s.v.begin());
+    src += static_cast<long>(s.v.size());
   }
   t_ = t;
 }
 
 Real Adam::learningRate(std::size_t group) const {
-  ARTSCI_EXPECTS(group < groups_.size());
-  return groups_[group].lr;
+  ARTSCI_EXPECTS(group < lrs_.size());
+  return lrs_[group];
 }
 
 Real sqrtScaledLearningRate(Real baseLr, long totalBatch, long baseBatch) {

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "common/thread_pool.hpp"
 
@@ -61,6 +64,50 @@ TEST(RankTeam, RethrowsWorkerException) {
                              if (r == 2) throw std::runtime_error("rank 2");
                            }),
                std::runtime_error);
+}
+
+TEST(RankTeam, KeepsItsThreadsAcrossRuns) {
+  constexpr std::size_t kRanks = 4;
+  RankTeam team(kRanks);
+  EXPECT_EQ(team.size(), kRanks);
+  std::vector<std::thread::id> first(kRanks), later(kRanks);
+  team.run([&](std::size_t r) { first[r] = std::this_thread::get_id(); });
+  const std::set<std::thread::id> distinct(first.begin(), first.end());
+  EXPECT_EQ(distinct.size(), kRanks);
+  EXPECT_EQ(distinct.count(std::this_thread::get_id()), 0u);
+  for (int run = 0; run < 20; ++run) {
+    team.run([&](std::size_t r) { later[r] = std::this_thread::get_id(); });
+    EXPECT_EQ(later, first) << "run " << run;
+  }
+}
+
+TEST(RankTeam, RunsEveryRankOncePerRun) {
+  constexpr std::size_t kRanks = 8;
+  RankTeam team(kRanks);
+  std::vector<std::atomic<int>> hits(kRanks);
+  for (int run = 0; run < 100; ++run)
+    team.run([&](std::size_t r) { hits[r]++; });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 100);
+}
+
+TEST(RankTeam, RanksRunConcurrently) {
+  // The barrier opens only once every rank is inside the same run.
+  constexpr std::size_t kRanks = 4;
+  RankTeam team(kRanks);
+  Barrier barrier(kRanks);
+  for (int run = 0; run < 10; ++run)
+    team.run([&](std::size_t) { barrier.arriveAndWait(); });
+}
+
+TEST(RankTeam, RethrowsAndStaysUsable) {
+  RankTeam team(4);
+  EXPECT_THROW(team.run([](std::size_t r) {
+                 if (r == 2) throw std::runtime_error("rank 2");
+               }),
+               std::runtime_error);
+  std::atomic<int> hits{0};
+  team.run([&](std::size_t) { hits++; });
+  EXPECT_EQ(hits.load(), 4);
 }
 
 }  // namespace

@@ -68,18 +68,19 @@ void expectBitIdentical(const std::vector<std::vector<ml::Real>>& a,
 
 /// Checkpoint at step 8, continue to step 12 in run A; restore a fresh
 /// trainer from the file and replay the same continuation; demand
-/// bit-identical parameters. `threads` pins the OpenMP pool, proving the
+/// bit-identical parameters. Each rank's OpenMP team is pinned to
+/// `threads` (the caller's team, divided among the ranks), proving the
 /// guarantee holds for serial and parallel kernels alike.
 void expectBitIdenticalResume(int threads) {
+  const auto mcfg = ArtificialScientistModel::Config::reduced();
+  const auto tcfg = smallTrainerCfg();
 #ifdef _OPENMP
-  omp_set_num_threads(threads);
+  omp_set_num_threads(threads * static_cast<int>(tcfg.ranks));
 #else
   if (threads > 1) GTEST_SKIP() << "built without OpenMP";
 #endif
   const std::string path = ::testing::TempDir() + "artsci_resume_t" +
                            std::to_string(threads) + ".artsci";
-  const auto mcfg = ArtificialScientistModel::Config::reduced();
-  const auto tcfg = smallTrainerCfg();
 
   InTransitTrainer a(mcfg, tcfg);
   drive(a, 0, 8);

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/evaluate.hpp"
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
 #include "core/transforms.hpp"
+#include "obs/trace.hpp"
 
 namespace artsci::core {
 namespace {
@@ -193,6 +195,63 @@ TEST(Trainer, LossDecreasesOnStationaryData) {
     late += hist[hist.size() - 10 + static_cast<std::size_t>(i)];
   }
   EXPECT_LT(late, early);
+}
+
+std::vector<std::vector<ml::Real>> replicaValues(
+    const InTransitTrainer& trainer, std::size_t rank) {
+  std::vector<std::vector<ml::Real>> out;
+  for (const auto& p : trainer.model(rank).parameters())
+    out.push_back(p.data());
+  return out;
+}
+
+TEST(Trainer, ThreeRanksKeepReplicasBitIdentical) {
+  // Three ranks split the parameters into three chunks, each stepped by
+  // one rank and written into every replica. Two calls of four iterations
+  // each: under TSan this catches a rank reading the optimizer's step
+  // count while another advances it.
+  TrainerConfig tcfg;
+  tcfg.ranks = 3;
+  const auto mcfg = ArtificialScientistModel::Config::reduced();
+  auto train = [&] {
+    auto trainer = std::make_unique<InTransitTrainer>(mcfg, tcfg);
+    Rng rng(31);
+    for (int i = 0; i < 12; ++i)
+      trainer->buffer().push(makeSample(rng, 64, 32, i % 3,
+                                        (i % 3 == 0) ? 0.8 : -0.8));
+    trainer->trainIterations(4);
+    trainer->trainIterations(4);
+    return trainer;
+  };
+  const auto a = train();
+  EXPECT_EQ(a->stats().iterations, 8);
+  EXPECT_EQ(a->captureCheckpointState().adamStep, 8);
+  const auto want = replicaValues(*a, 0);
+  for (std::size_t r = 1; r < tcfg.ranks; ++r)
+    EXPECT_EQ(replicaValues(*a, r), want) << "replica " << r;
+  // And run to run.
+  EXPECT_EQ(replicaValues(*train(), 0), want);
+}
+
+TEST(Trainer, TracedCallsReuseTheRankThreads) {
+  // The rank threads live as long as the trainer, so a traced run
+  // allocates their span rings once, not once per call.
+  TrainerConfig tcfg;
+  tcfg.ranks = 2;
+  InTransitTrainer trainer(ArtificialScientistModel::Config::reduced(),
+                           tcfg);
+  Rng rng(41);
+  for (int i = 0; i < 12; ++i)
+    trainer.buffer().push(makeSample(rng, 64, 32, i % 3, 0.5));
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.setEnabled(true);
+  trainer.trainIterations(1);
+  const std::size_t reserved = recorder.reservedEvents();
+  for (int call = 1; call < 50; ++call) trainer.trainIterations(1);
+  recorder.setEnabled(false);
+  EXPECT_GT(reserved, 0u);
+  EXPECT_EQ(recorder.reservedEvents(), reserved);
+  recorder.clear();
 }
 
 TEST(Trainer, LearningRatesScaledAndSplit) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/rng.hpp"
@@ -70,77 +71,227 @@ TEST(SqrtLrRule, ScalesBySqrtOfBatchRatio) {
   EXPECT_NEAR(lr, 1e-6 * std::sqrt(384.0), 1e-12);
 }
 
-TEST(Communicator, AllReduceMeanAveragesRankValues) {
-  constexpr std::size_t kRanks = 4;
-  Communicator comm(kRanks);
-  std::vector<std::vector<Real>> results(kRanks);
-  runRankTeam(kRanks, [&](std::size_t rank) {
-    std::vector<Real> buf{static_cast<Real>(rank), 10.0};
-    comm.allReduceMean(rank, buf);
-    results[rank] = buf;
-  });
-  for (std::size_t r = 0; r < kRanks; ++r) {
-    EXPECT_NEAR(results[r][0], (0 + 1 + 2 + 3) / 4.0, 1e-12);
-    EXPECT_NEAR(results[r][1], 10.0, 1e-12);
+/// Adam's update as the textbook writes it, one value at a time: the
+/// oracle for the vectorized loop every Adam step runs.
+void textbookAdam(std::vector<Real>& w, const std::vector<Real>& grad,
+                  std::vector<Real>& m, std::vector<Real>& v, Real lr,
+                  const AdamConfig& cfg, long t) {
+  const Real b1t = Real(1) - std::pow(cfg.beta1, static_cast<Real>(t));
+  const Real b2t = Real(1) - std::pow(cfg.beta2, static_cast<Real>(t));
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const Real gi = grad[i] + cfg.weightDecay * w[i];
+    m[i] = cfg.beta1 * m[i] + (Real(1) - cfg.beta1) * gi;
+    v[i] = cfg.beta2 * v[i] + (Real(1) - cfg.beta2) * gi * gi;
+    const Real mhat = m[i] / b1t;
+    const Real vhat = v[i] / b2t;
+    w[i] -= lr * mhat / (std::sqrt(vhat) + cfg.eps);
   }
 }
 
-TEST(Communicator, AllReduceRepeatedCalls) {
-  constexpr std::size_t kRanks = 3;
-  Communicator comm(kRanks);
-  std::atomic<bool> bad{false};
-  runRankTeam(kRanks, [&](std::size_t rank) {
-    for (int iter = 0; iter < 20; ++iter) {
-      std::vector<Real> buf{static_cast<Real>(rank + iter)};
-      comm.allReduceMean(rank, buf);
-      const Real expected = (0 + 1 + 2) / 3.0 + iter;
-      if (std::abs(buf[0] - expected) > 1e-12) bad = true;
+TEST(Adam, StepMatchesTextbookFormulaBitwise) {
+  AdamConfig cfg;
+  cfg.weightDecay = 0.01;
+  Rng rng(3);
+  // Two groups, odd lengths (vector tails), gradients from 1e-9 to 1e3 and
+  // exact zeros.
+  const std::vector<std::vector<long>> sizes{{37, 1}, {130}};
+  const std::vector<Real> lrs{0.05, 0.002};
+  std::vector<ParamGroup> groups;
+  std::vector<std::vector<Real>> w, m, v;
+  for (std::size_t g = 0; g < sizes.size(); ++g) {
+    ParamGroup group{{}, lrs[g]};
+    for (long n : sizes[g]) {
+      group.params.push_back(Tensor::randn({n}, rng, 1.0, true));
+      w.push_back(group.params.back().data());
+      m.emplace_back(static_cast<std::size_t>(n), Real(0));
+      v.emplace_back(static_cast<std::size_t>(n), Real(0));
     }
-  });
-  EXPECT_FALSE(bad.load());
+    groups.push_back(group);
+  }
+  Adam opt(groups, cfg);
+  for (long t = 1; t <= 4; ++t) {
+    std::size_t k = 0;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (auto& p : groups[g].params) {
+        auto& grad = p.grad();
+        grad.resize(p.data().size());
+        for (std::size_t i = 0; i < grad.size(); ++i) {
+          const Real magnitude = std::pow(10.0, rng.uniform(-9, 3));
+          grad[i] = i % 7 == 0 ? Real(0) : rng.normal() * magnitude;
+        }
+        textbookAdam(w[k], grad, m[k], v[k], lrs[g], cfg, t);
+        ++k;
+      }
+    }
+    opt.step();
+    k = 0;
+    for (const auto& group : groups)
+      for (const auto& p : group.params) {
+        ASSERT_EQ(p.data(), w[k]) << "step " << t << " param " << k;
+        ++k;
+      }
+  }
 }
 
-TEST(Communicator, SingleRankIsNoop) {
+/// Parameters of `sizes` (tensor lengths per group), drawn from one seed so
+/// that every call returns the same values.
+std::vector<ParamGroup> makeGroups(
+    const std::vector<std::vector<long>>& sizes) {
+  Rng rng(5);
+  std::vector<ParamGroup> groups;
+  Real lr = 0.05;
+  for (const auto& group : sizes) {
+    groups.push_back({{}, lr});
+    for (long n : group)
+      groups.back().params.push_back(Tensor::randn({n}, rng, 1.0, true));
+    lr *= 0.3;
+  }
+  return groups;
+}
+
+std::vector<Tensor> flatten(const std::vector<ParamGroup>& groups) {
+  std::vector<Tensor> out;
+  for (const auto& g : groups)
+    out.insert(out.end(), g.params.begin(), g.params.end());
+  return out;
+}
+
+/// Five sharded steps on `ranks` rank threads with random per-rank
+/// gradients, all inside one team run so that a rank may race ahead into
+/// its next step. Every replica must end bit-identical to the replicated
+/// step the collective replaced, kept here as its oracle: an all-reduce
+/// summing the ranks' gradients in rank order and scaling by 1/ranks,
+/// then one full Adam::step on the mean.
+void expectShardedStepMatchesReference(
+    std::size_t ranks, const std::vector<std::vector<long>>& sizes) {
+  constexpr int kSteps = 5;
+  AdamConfig cfg;
+  cfg.weightDecay = 0.01;
+  const std::vector<ParamGroup> refGroups = makeGroups(sizes);
+  std::vector<Tensor> ref = flatten(refGroups);
+  Adam refOpt(refGroups, cfg);
+
+  std::vector<std::vector<Tensor>> replicas(ranks);
+  std::vector<ParamGroup> groups0 = makeGroups(sizes);
+  replicas[0] = flatten(groups0);
+  for (std::size_t r = 1; r < ranks; ++r)
+    replicas[r] = flatten(makeGroups(sizes));
+  Adam opt(groups0, cfg);
+
+  // grads[step][rank][param]
+  Rng rng(99 + ranks);
+  std::vector<std::vector<std::vector<std::vector<Real>>>> grads(kSteps);
+  for (auto& step : grads) {
+    step.resize(ranks);
+    for (auto& rank : step)
+      for (const auto& p : ref) {
+        rank.emplace_back(p.data().size());
+        for (auto& g : rank.back()) g = rng.normal();
+      }
+  }
+
+  const Real scale = Real(1) / static_cast<Real>(ranks);
+  for (const auto& step : grads) {
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      std::vector<Real> mean(ref[k].data().size());
+      for (std::size_t i = 0; i < mean.size(); ++i) {
+        Real sum = Real(0);
+        for (std::size_t r = 0; r < ranks; ++r) sum += step[r][k][i];
+        mean[i] = sum * scale;
+      }
+      ref[k].grad() = mean;
+    }
+    refOpt.step();
+  }
+
+  Communicator comm(ranks);
+  RankTeam team(ranks);
+  team.run([&](std::size_t rank) {
+    for (const auto& step : grads) {
+      for (std::size_t k = 0; k < ref.size(); ++k)
+        replicas[rank][k].grad() = step[rank][k];
+      comm.stepAdam(rank, opt, replicas);
+    }
+  });
+
+  EXPECT_EQ(opt.stepCount(), kSteps);
+  for (std::size_t r = 0; r < ranks; ++r)
+    for (std::size_t k = 0; k < ref.size(); ++k)
+      ASSERT_EQ(replicas[r][k].data(), ref[k].data())
+          << ranks << " ranks, replica " << r << ", param " << k;
+}
+
+TEST(ShardedAdamStep, MatchesRankOrderedMeanThenFullStep) {
+  // 23 values, which neither 2 nor 3 divides. The chunk boundaries fall
+  // inside tensors (12 at 2 ranks; 8 and 16 at 3), and the chunk after
+  // the first boundary spans the boundary between the groups (at 13), as
+  // a chunk can span the VAE and INN groups.
+  for (std::size_t ranks : {1u, 2u, 3u})
+    expectShardedStepMatchesReference(ranks, {{5, 8}, {4, 6}});
+}
+
+TEST(ShardedAdamStep, RankWithAnEmptyChunkStillSteps) {
+  // 2 values on 3 ranks: chunks of 1, so rank 2 owns nothing but must
+  // still meet the barriers.
+  expectShardedStepMatchesReference(3, {{1}, {1}});
+}
+
+TEST(ShardedAdamStep, RejectsAnOptimizerOverAnotherReplica) {
+  // The optimizer must step replica 0's own tensors: the mean is written
+  // into replica 0's gradients, and Adam reads its own.
+  const std::vector<std::vector<long>> sizes{{3}};
+  std::vector<std::vector<Tensor>> replicas{flatten(makeGroups(sizes))};
+  Adam other(makeGroups(sizes));
   Communicator comm(1);
-  std::vector<Real> buf{5.0};
-  comm.allReduceMean(0, buf);
-  EXPECT_EQ(buf[0], 5.0);
+  EXPECT_THROW(comm.stepAdam(0, other, replicas), ContractError);
 }
 
 TEST(Communicator, TracksCommunicationTime) {
+  const std::vector<std::vector<long>> sizes{{1000}};
+  std::vector<ParamGroup> groups0 = makeGroups(sizes);
+  std::vector<std::vector<Tensor>> replicas{flatten(groups0),
+                                            flatten(makeGroups(sizes))};
+  Adam opt(groups0);
   Communicator comm(2);
   runRankTeam(2, [&](std::size_t rank) {
-    std::vector<Real> buf(1000, 1.0);
-    for (int i = 0; i < 5; ++i) comm.allReduceMean(rank, buf);
+    for (int i = 0; i < 5; ++i) comm.stepAdam(rank, opt, replicas);
   });
   EXPECT_GT(comm.communicationSeconds(0), 0.0);
   EXPECT_GT(comm.communicationSeconds(1), 0.0);
 }
 
 TEST(Ddp, GradientAveragingMatchesSerialBigBatch) {
-  // Data-parallel training on 2 ranks with per-rank batch 2 must produce
-  // the same gradients as serial training on the concatenated batch of 4
-  // (for a loss that averages over the batch).
+  // One data-parallel step on 2 ranks with per-rank batch 2 must move the
+  // weights as one serial Adam step on the concatenated batch of 4 does
+  // (for a loss that averages over the batch): the ranks' mean gradient
+  // equals the big batch's up to rounding.
   Rng rng(42);
   Tensor xAll = Tensor::randn({4, 3}, rng);
   Tensor yAll = Tensor::randn({4, 2}, rng);
+  constexpr Real kLr = 0.01;
 
   // Serial reference.
   Rng rngRef(7);
   Linear ref(3, 2, rngRef);
+  Adam refOpt({ParamGroup{ref.parameters(), kLr}});
   {
     Tensor pred = ref.forward(xAll);
     mseLoss(pred, yAll).backward();
   }
+  refOpt.step();
 
-  // DDP: same init (same seed), half the batch per rank.
+  // DDP: same init (same seed), half the batch per rank, one optimizer
+  // over replica 0.
   constexpr std::size_t kRanks = 2;
   Communicator comm(kRanks);
   std::vector<std::unique_ptr<Linear>> replicas(kRanks);
+  std::vector<std::vector<Tensor>> replicaParams;
   for (std::size_t r = 0; r < kRanks; ++r) {
     Rng rngR(7);
     replicas[r] = std::make_unique<Linear>(3, 2, rngR);
+    replicaParams.push_back(replicas[r]->parameters());
   }
+  Adam opt({ParamGroup{replicaParams[0], kLr}});
   runRankTeam(kRanks, [&](std::size_t rank) {
     Tensor x = slice(xAll, 0, static_cast<long>(rank) * 2,
                      static_cast<long>(rank) * 2 + 2).detach();
@@ -148,16 +299,16 @@ TEST(Ddp, GradientAveragingMatchesSerialBigBatch) {
                      static_cast<long>(rank) * 2 + 2).detach();
     Tensor pred = replicas[rank]->forward(x);
     mseLoss(pred, y).backward();
-    allReduceGradients(comm, rank, replicas[rank]->parameters());
+    comm.stepAdam(rank, opt, replicaParams);
   });
 
   const auto refParams = ref.parameters();
   for (std::size_t r = 0; r < kRanks; ++r) {
-    const auto repParams = replicas[r]->parameters();
     for (std::size_t p = 0; p < refParams.size(); ++p) {
-      ASSERT_EQ(repParams[p].grad().size(), refParams[p].grad().size());
-      for (std::size_t i = 0; i < refParams[p].grad().size(); ++i) {
-        EXPECT_NEAR(repParams[p].grad()[i], refParams[p].grad()[i], 1e-10)
+      const auto& got = replicaParams[r][p].data();
+      ASSERT_EQ(got.size(), refParams[p].data().size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i], refParams[p].data()[i], 1e-10)
             << "rank " << r << " param " << p << " elem " << i;
       }
     }
