@@ -4,8 +4,7 @@
 /// quick-demo KHI box (32x64x8, 9 ppc, the paper's reduced setup), swept
 /// over OMP thread counts.
 ///
-///   ./bench/bench_particle_pipeline [--trace-overhead[=maxLoss]]
-///                                   [--fault-overhead[=maxLoss]]
+///   ./bench/bench_particle_pipeline [--trace-overhead] [--fault-overhead]
 ///                                   [--json <path>] [steps] [repeats]
 ///
 /// The sweep prints the host's hardware thread count and marks thread
@@ -14,17 +13,19 @@
 ///
 /// --trace-overhead instead measures the fused pipeline with TRACE_SCOPE
 /// instrumentation runtime-disabled vs enabled (recording to the ring, no
-/// sink) and gates the enabled rate at >= (1 - maxLoss) x disabled
-/// (default maxLoss 0.01, the "enabled tracing costs < 1% on the FOM"
-/// contract of src/obs/trace.hpp).
+/// sink) and reports the enabled/disabled rate ratio (the "enabled
+/// tracing costs < 1% on the FOM" claim of src/obs/trace.hpp).
 ///
 /// --fault-overhead does the same for FAULT_POINT hooks
 /// (src/fault/fault.hpp): disarmed (the production state — one relaxed
 /// atomic load per site) vs armed with a never-matching plan (the full
 /// slow path: hit counting + rule scan, no injection). The armed rate
-/// bounds the disarmed cost from above, so gating it at
-/// >= (1 - maxLoss) x disarmed (default 0.01) enforces the "disabled
-/// fault points cost <= 1%" contract with margin.
+/// bounds the disarmed cost from above.
+///
+/// Both ratios are reported, not gated: run to run they spread by several
+/// percent on a 4-core host, so a 1% effect does not resolve here. The
+/// exit code checks only what makes a ratio meaningful — spans were
+/// recorded, and the armed run hit the `pic.step` fault site.
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -84,50 +85,26 @@ void setThreads(int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double traceMaxLoss = -1;
-  double faultMaxLoss = -1;
+  bool traceOverhead = false;
+  bool faultOverhead = false;
   const char* jsonPath = nullptr;
   int steps = 6, repeats = 3;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--trace-overhead") == 0) {
-      traceMaxLoss = 0.01;
-    } else if (std::strncmp(arg, "--trace-overhead=", 17) == 0) {
-      char* end = nullptr;
-      traceMaxLoss = std::strtod(arg + 17, &end);
-      if (end == arg + 17 || *end != '\0' || !(traceMaxLoss > 0) ||
-          traceMaxLoss >= 1) {
-        std::fprintf(stderr,
-                     "invalid %s — expected --trace-overhead=<maxLoss> with "
-                     "0 < maxLoss < 1 (e.g. --trace-overhead=0.01)\n",
-                     arg);
-        return 2;
-      }
+      traceOverhead = true;
     } else if (std::strcmp(arg, "--fault-overhead") == 0) {
-      faultMaxLoss = 0.01;
-    } else if (std::strncmp(arg, "--fault-overhead=", 17) == 0) {
-      char* end = nullptr;
-      faultMaxLoss = std::strtod(arg + 17, &end);
-      if (end == arg + 17 || *end != '\0' || !(faultMaxLoss > 0) ||
-          faultMaxLoss >= 1) {
-        std::fprintf(stderr,
-                     "invalid %s — expected --fault-overhead=<maxLoss> with "
-                     "0 < maxLoss < 1 (e.g. --fault-overhead=0.01)\n",
-                     arg);
-        return 2;
-      }
+      faultOverhead = true;
     } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
       jsonPath = argv[++i];
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       jsonPath = arg + 7;
     } else if (arg[0] == '-') {
-      // A typo'd flag must not silently become steps=0 and disable a
-      // gate (exit like the --trace-overhead parse error does).
+      // A typo'd flag must not silently become steps=0 and run the sweep.
       std::fprintf(stderr,
                    "unknown option %s — usage: bench_particle_pipeline "
-                   "[--trace-overhead[=maxLoss]] "
-                   "[--fault-overhead[=maxLoss]] "
+                   "[--trace-overhead] [--fault-overhead] "
                    "[--json <path>] [steps] [repeats]\n",
                    arg);
       return 2;
@@ -147,10 +124,10 @@ int main(int argc, char** argv) {
   const bool haveOmp = false;
 #endif
 
-  if (traceMaxLoss > 0) {
-    // Overhead-acceptance mode: fused pipeline, instrumentation
-    // runtime-off vs runtime-on (spans recorded into the rings, nothing
-    // flushed). Best-of-repeats on both sides damps scheduler noise.
+  if (traceOverhead) {
+    // Overhead mode: fused pipeline, instrumentation runtime-off vs
+    // runtime-on (spans recorded into the rings, nothing flushed).
+    // Best-of-repeats on both sides damps scheduler noise.
     const int threads = haveOmp ? 8 : 1;
     setThreads(threads);
     auto& rec = obs::TraceRecorder::instance();
@@ -161,15 +138,16 @@ int main(int argc, char** argv) {
     rec.setEnabled(false);
     const std::size_t spans = rec.eventCount();
     const double ratio = onRate / offRate;
-    const bool pass = spans > 0 && ratio >= 1.0 - traceMaxLoss;
+    const bool pass = spans > 0;
     std::printf(
         "trace overhead: fused KHI 32x64x8 ppc 9, %d steps, best of %d, "
         "%d threads\n"
         "  tracing off: %.3e p/s\n"
         "  tracing on:  %.3e p/s  (%zu spans recorded)\n"
-        "  on/off = %.4f (gate >= %.4f) -> %s\n",
+        "  on/off = %.4f (reported, not gated)\n"
+        "  spans recorded -> %s\n",
         steps, repeats, threads, offRate, onRate, spans, ratio,
-        1.0 - traceMaxLoss, pass ? "PASS" : "FAIL");
+        pass ? "PASS" : "FAIL");
     if (jsonPath != nullptr) {
       std::FILE* f = std::fopen(jsonPath, "w");
       if (f == nullptr) {
@@ -184,22 +162,20 @@ int main(int argc, char** argv) {
                    "  \"steps\": %d,\n"
                    "  \"spans\": %zu,\n"
                    "  \"ratio\": %.4f,\n"
-                   "  \"threshold\": %.4f,\n"
                    "  \"pass\": %s\n"
                    "}\n",
-                   threads, steps, spans, ratio, 1.0 - traceMaxLoss,
-                   pass ? "true" : "false");
+                   threads, steps, spans, ratio, pass ? "true" : "false");
       std::fclose(f);
     }
     return pass ? 0 : 1;
   }
 
-  if (faultMaxLoss > 0) {
-    // Fault-hook overhead acceptance: disarmed (production: one relaxed
-    // atomic load per FAULT_POINT) vs armed with a rule that matches no
-    // real site (worst case short of injecting: per-hit counting plus a
-    // rule scan on every pass). Sites sit on step boundaries, so even the
-    // armed slow path must be invisible on the particle-update FOM.
+  if (faultOverhead) {
+    // Fault-hook overhead: disarmed (production: one relaxed atomic load
+    // per FAULT_POINT) vs armed with a rule that matches no real site
+    // (worst case short of injecting: per-hit counting plus a rule scan on
+    // every pass). Sites sit on step boundaries, so even the armed slow
+    // path should be invisible on the particle-update FOM.
     const int threads = haveOmp ? 8 : 1;
     setThreads(threads);
     fault::Plan::global().disarm();
@@ -214,17 +190,18 @@ int main(int argc, char** argv) {
     const double ratio = onRate / offRate;
     // picHits > 0 guards against vacuity: the hook must actually sit on
     // the measured path (ARTSCI_FAULTS=0 builds legitimately record 0 and
-    // fail here — this gate is for instrumented builds).
-    const bool pass = picHits > 0 && ratio >= 1.0 - faultMaxLoss;
+    // fail here — this check is for instrumented builds).
+    const bool pass = picHits > 0;
     std::printf(
         "fault-point overhead: fused KHI 32x64x8 ppc 9, %d steps, best of "
         "%d, %d threads\n"
         "  disarmed:             %.3e p/s\n"
         "  armed (non-matching): %.3e p/s  (%llu pic.step hits counted)\n"
-        "  armed/disarmed = %.4f (gate >= %.4f) -> %s\n",
+        "  armed/disarmed = %.4f (reported, not gated)\n"
+        "  pic.step hit while armed -> %s\n",
         steps, repeats, threads, offRate, onRate,
         static_cast<unsigned long long>(picHits), ratio,
-        1.0 - faultMaxLoss, pass ? "PASS" : "FAIL");
+        pass ? "PASS" : "FAIL");
     if (jsonPath != nullptr) {
       std::FILE* f = std::fopen(jsonPath, "w");
       if (f == nullptr) {
@@ -239,11 +216,10 @@ int main(int argc, char** argv) {
                    "  \"steps\": %d,\n"
                    "  \"site_hits\": %llu,\n"
                    "  \"ratio\": %.4f,\n"
-                   "  \"threshold\": %.4f,\n"
                    "  \"pass\": %s\n"
                    "}\n",
                    threads, steps, static_cast<unsigned long long>(picHits),
-                   ratio, 1.0 - faultMaxLoss, pass ? "true" : "false");
+                   ratio, pass ? "true" : "false");
       std::fclose(f);
     }
     return pass ? 0 : 1;

@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
   {
     serve::ServerConfig scfg;
     scfg.policy.maxBatch = 16;
-    scfg.workers = 1;
     serve::InferenceServer server(scfg, registry);
     const long points = cfg.producer.transform.cloudPoints;
     Rng rng(7);

@@ -3,7 +3,7 @@
 /// weights into it while clients keep querying — the paper's in-situ loop
 /// closed at inference time (train while serving).
 ///
-///   ./examples/serve_surrogate [steps=30] [requests=300] [workers=2]
+///   ./examples/serve_surrogate [steps=30] [requests=300]
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -35,11 +35,10 @@ int main(int argc, char** argv) {
   // [3] Start the inference service: dynamic micro-batching, async futures.
   serve::ServerConfig scfg;
   scfg.policy.maxBatch = 16;
-  scfg.workers = static_cast<std::size_t>(cli.getInt("workers", 2));
   serve::InferenceServer server(scfg, registry);
-  std::printf("[3] serving PredictSpectrum/InvertSpectrum on %zu workers "
+  std::printf("[3] serving PredictSpectrum/InvertSpectrum on one worker "
               "(work-conserving batches of up to %ld)\n\n",
-              scfg.workers, scfg.policy.maxBatch);
+              scfg.policy.maxBatch);
 
   // [4] Clients hammer the server while the trainer keeps improving the
   // model and hot-swaps new snapshots into the registry under load.

@@ -8,37 +8,6 @@
 
 namespace artsci {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  ARTSCI_EXPECTS(threads > 0);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] {
-      for (;;) {
-        std::function<void()> task;
-        {
-          std::unique_lock<std::mutex> lock(mutex_);
-          cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-          if (stopping_ && tasks_.empty()) return;
-          task = std::move(tasks_.front());
-          tasks_.pop();
-        }
-        task();
-      }
-    });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-}
-
 void Barrier::arriveAndWait() {
   std::unique_lock<std::mutex> lock(mutex_);
   const std::uint64_t gen = generation_;

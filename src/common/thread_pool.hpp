@@ -1,5 +1,5 @@
 /// \file thread_pool.hpp
-/// A fixed-size thread pool plus a rank-team abstraction.
+/// Rank teams, their barrier, and CPU pinning.
 ///
 /// Two distinct parallel idioms appear in the paper's stack:
 ///  * data-parallel loops inside one "GPU" (we use OpenMP for those), and
@@ -12,49 +12,13 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 
 namespace artsci {
-
-/// Fixed-size FIFO thread pool.
-class ThreadPool {
- public:
-  explicit ThreadPool(std::size_t threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueue a task; returns a future for its result.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ARTSCI_CHECK_MSG(!stopping_, "submit() on stopped ThreadPool");
-      tasks_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  std::size_t size() const { return workers_.size(); }
-
- private:
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-};
 
 /// Reusable cyclic barrier for SPMD teams.
 class Barrier {

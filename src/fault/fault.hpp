@@ -8,8 +8,8 @@
 /// `ARTSCI_FAULT_PLAN` environment variable — so a chaos run is fully
 /// reproducible from its seed and spec.
 ///
-/// Cost model (the contract `bench_particle_pipeline --fault-overhead`
-/// gates, mirroring TRACE_SCOPE):
+/// Cost model (`bench_particle_pipeline --fault-overhead` reports the
+/// armed/disarmed ratio, mirroring TRACE_SCOPE):
 ///  * `ARTSCI_FAULTS=0` (CMake option OFF): FAULT_POINT compiles to
 ///    nothing — zero code, zero data;
 ///  * compiled in but disarmed (the default, and the only production
@@ -30,9 +30,9 @@
 /// Failure taxonomy: `delay` stalls the site (deadline/timeout tests),
 /// `error` throws FaultInjectedError (generic runtime failure), `die`
 /// throws PeerDeathError (components translate it into peer-failure
-/// handling — e.g. SstEngine aborts the stream, a serve worker exits its
-/// loop), `torn` short-writes a file through Plan::tornBytes (checkpoint
-/// crash-consistency tests).
+/// handling — e.g. SstEngine aborts the stream, a serve worker fails its
+/// batch and restarts), `torn` short-writes a file through
+/// Plan::tornBytes (checkpoint crash-consistency tests).
 #pragma once
 
 #include <atomic>
@@ -60,7 +60,7 @@ class FaultInjectedError : public RuntimeError {
 
 /// Simulated peer death (action `die`). Components catch this to run
 /// their peer-failure path: the SST engine fails the stream for the whole
-/// group, a serve shard worker exits and leaves the shard unhealthy.
+/// group, a serve worker fails its batch and restarts in place.
 class PeerDeathError : public FaultInjectedError {
  public:
   using FaultInjectedError::FaultInjectedError;

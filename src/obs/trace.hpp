@@ -6,8 +6,8 @@
 /// `TraceRecorder::writeJson` flushes everything as Chrome `trace_event`
 /// JSON that chrome://tracing and https://ui.perfetto.dev load directly.
 ///
-/// Cost model (the contract bench/particle_pipeline.cpp --trace-overhead
-/// gates):
+/// Cost model (bench/particle_pipeline.cpp --trace-overhead reports the
+/// enabled/disabled ratio):
 ///  * `ARTSCI_TRACING=0` (CMake option OFF): TRACE_SCOPE compiles to
 ///    nothing — zero code, zero data;
 ///  * compiled in but disabled (the default at runtime): one relaxed

@@ -49,7 +49,7 @@ std::vector<PendingRequest> MicroBatcher::nextBatch(
   // worker fails their promises and calls again, so timeout responses
   // never wait out a batch execution.
   if (expired != nullptr && !expired->empty()) return {};
-  if (queue_.empty() || (stopping_ && !drain_)) return {};
+  if (queue_.empty()) return {};
 
   // Pop the head and every request compatible with it (up to maxBatch),
   // preserving queue order for both the batch and the remainder. Key
@@ -72,22 +72,12 @@ std::vector<PendingRequest> MicroBatcher::nextBatch(
   return batch;
 }
 
-void MicroBatcher::stop(bool drainPending) {
+void MicroBatcher::stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    drain_ = drainPending;
   }
   cv_.notify_all();
-}
-
-std::vector<PendingRequest> MicroBatcher::takePending() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<PendingRequest> out;
-  out.reserve(queue_.size());
-  for (auto& r : queue_) out.push_back(std::move(r));
-  queue_.clear();
-  return out;
 }
 
 std::size_t MicroBatcher::depth() const {

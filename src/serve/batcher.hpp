@@ -59,12 +59,11 @@ struct PendingRequest {
       std::chrono::steady_clock::time_point::max();
 };
 
-/// Thread-safe FIFO queue with batch-forming pop. Multiple workers may
-/// block in nextBatch() concurrently; each formed batch preserves the
-/// arrival order of its members, and the head-of-line request is always
-/// served in the earliest batch (FIFO fairness — a burst on one endpoint
-/// cannot starve the other indefinitely, because the queue head defines
-/// which batch forms next).
+/// Thread-safe FIFO queue with batch-forming pop: any thread may enqueue,
+/// one worker pops. Each formed batch preserves the arrival order of its
+/// members, and the head-of-line request is always served in the earliest
+/// batch (FIFO fairness — a burst on one endpoint cannot starve the other
+/// indefinitely, because the queue head defines which batch forms next).
 class MicroBatcher {
  public:
   explicit MicroBatcher(BatchPolicy policy);
@@ -86,20 +85,15 @@ class MicroBatcher {
   std::vector<PendingRequest> nextBatch(
       std::vector<PendingRequest>* expired = nullptr);
 
-  /// Stop accepting work. drainPending=true lets workers keep pulling
-  /// batches until the queue is empty (graceful drain); false makes
-  /// nextBatch() return empty immediately so the owner can reject the
-  /// remainder via takePending().
-  void stop(bool drainPending);
-
-  /// Remove and return everything still queued (for the reject path).
-  std::vector<PendingRequest> takePending();
+  /// Stop accepting work: enqueue() fails from now on, and nextBatch()
+  /// keeps handing out batches until the queue is empty, then returns
+  /// empty (graceful drain — nothing queued is left behind).
+  void stop();
 
   /// Current queue depth (requests not yet batched out).
   std::size_t depth() const;
   /// True once stop() was called.
   bool stopped() const;
-  const BatchPolicy& policy() const { return policy_; }
 
  private:
   BatchPolicy policy_;
@@ -107,7 +101,6 @@ class MicroBatcher {
   std::condition_variable cv_;
   std::deque<PendingRequest> queue_;
   bool stopping_ = false;
-  bool drain_ = true;
 };
 
 }  // namespace artsci::serve

@@ -94,27 +94,41 @@ void InferenceEngine::predictSpectra(const Real* clouds, long batch,
   ARTSCI_EXPECTS(batch >= 1 && points >= 1);
   ARTSCI_EXPECTS(!conv_.empty() && conv_.front().in == 6);
 
-  // All workspaces come from the step arena; a repeated (batch, points)
-  // geometry replays the recorded plan — same offsets, no region grows.
-  arena_.beginStep();
-  const long rowsTotal = batch * points;
-  Real* convA = arena_.allocData(rowsTotal * maxConvWidth_);
-  Real* convB = arena_.allocData(rowsTotal * maxConvWidth_);
-  Real* pooled = arena_.allocData(batch * features_);
-  Real* h = arena_.allocData(batch * latentDim_);
-  Real* seqA = arena_.allocData(batch * maxSeqWidth_);
-  Real* seqB = arena_.allocData(batch * maxSeqWidth_);
+  // All workspaces are carved back to back from one buffer, which grows
+  // to this call's exact total when that exceeds every earlier call's.
   long maxHalf = 0, maxRest = 0;
   for (const auto& cp : blocks_) {
     maxHalf = std::max(maxHalf, cp.half);
     maxRest = std::max(maxRest, cp.rest);
   }
-  Real* x2 = arena_.allocData(std::max(batch * maxRest, 1L));
-  Real* y1 = arena_.allocData(std::max(batch * maxHalf, 1L));
-  Real* y2 = arena_.allocData(std::max(batch * maxRest, 1L));
-  Real* st = arena_.allocData(
-      std::max(batch * 2 * std::max(maxHalf, maxRest), 1L));
-  Real* cat = arena_.allocData(batch * latentDim_);
+  const long rowsTotal = batch * points;
+  const long convLen = rowsTotal * maxConvWidth_;
+  const long latentLen = batch * latentDim_;
+  const long seqLen = batch * maxSeqWidth_;
+  const long halfLen = std::max(batch * maxHalf, 1L);
+  const long restLen = std::max(batch * maxRest, 1L);
+  const long stLen = std::max(batch * 2 * std::max(maxHalf, maxRest), 1L);
+  const long total = 2 * convLen + batch * features_ + 2 * latentLen +
+                     2 * seqLen + halfLen + 2 * restLen + stLen;
+  if (static_cast<std::size_t>(total) > workspace_.size())
+    workspace_.resize(static_cast<std::size_t>(total));
+  Real* next = workspace_.data();
+  const auto carve = [&next](long n) {
+    Real* p = next;
+    next += n;
+    return p;
+  };
+  Real* convA = carve(convLen);
+  Real* convB = carve(convLen);
+  Real* pooled = carve(batch * features_);
+  Real* h = carve(latentLen);
+  Real* seqA = carve(seqLen);
+  Real* seqB = carve(seqLen);
+  Real* x2 = carve(restLen);
+  Real* y1 = carve(halfLen);
+  Real* y2 = carve(restLen);
+  Real* st = carve(stLen);
+  Real* cat = carve(latentLen);
 
   // --- PointNet conv stack: one fused linear over all batch × points rows
   // per layer (rows never share an accumulator, so batching the samples

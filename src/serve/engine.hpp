@@ -15,9 +15,9 @@
 /// batch × points rows; each dense chain (mu head, INN coupling subnets)
 /// is a loop of linear_forward calls through two ping-pong buffers. The
 /// kernels run serially: a serving host keeps its cores busy with
-/// NetServer shards and InferenceServer workers, one engine each. All
-/// workspaces come from a per-engine ml::Arena whose recorded allocation
-/// plan replays without growing once the batch geometry repeats.
+/// NetServer shards, one worker and one engine each. All workspaces are
+/// carved at fixed offsets from one per-engine buffer, which grows only
+/// when a call needs more than every call before it.
 ///
 /// Thread-safety: an engine owns mutable workspaces — one engine per
 /// serving worker. The referenced model snapshot is immutable and shared.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/model.hpp"
-#include "ml/arena.hpp"
 #include "ml/kernels/gemm.hpp"
 
 namespace artsci::serve {
@@ -78,10 +77,9 @@ class InferenceEngine {
   long maxConvWidth_ = 0;  ///< widest conv layer (ping-pong buffer width)
   long maxSeqWidth_ = 0;   ///< widest dense-chain layer across all chains
 
-  /// Per-predict workspace arena: beginStep() at every call recycles the
-  /// previous call's buffers; with a stable batch geometry the allocation
-  /// plan replays and no region grows.
-  ml::Arena arena_;
+  /// Every predictSpectra workspace, back to back; sized to the largest
+  /// call so far.
+  std::vector<ml::Real> workspace_;
 };
 
 }  // namespace artsci::serve

@@ -10,6 +10,7 @@ ServeMetrics::ServeMetrics(std::size_t latencyWindow)
   bind(predict_, "serve.predict");
   bind(invert_, "serve.invert");
   engineSwaps_ = &registry_->counter("serve.engine_swaps");
+  workerRestarts_ = &registry_->counter("serve.worker_restarts");
   queueDepth_ = &registry_->gauge("serve.queue_depth");
 }
 
@@ -52,6 +53,8 @@ void ServeMetrics::recordBatch(Endpoint e, std::size_t batchSize,
 
 void ServeMetrics::recordEngineSwap() { engineSwaps_->add(); }
 
+void ServeMetrics::recordWorkerRestart() { workerRestarts_->add(); }
+
 void ServeMetrics::recordQueueDepth(std::size_t depth) {
   queueDepth_->set(static_cast<double>(depth));
 }
@@ -79,6 +82,7 @@ ServeMetrics::Report ServeMetrics::report() const {
   r.predict = summarize(predict_);
   r.invert = summarize(invert_);
   r.engineSwaps = engineSwaps_->value();
+  r.workerRestarts = workerRestarts_->value();
   return r;
 }
 

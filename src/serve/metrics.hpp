@@ -4,10 +4,11 @@
 /// stats::LatencySummary over a sliding window of recent requests.
 ///
 /// Counts live in a per-instance obs::Registry ("serve.predict.submitted",
-/// "serve.invert.rejected", ..., "serve.engine_swaps", gauge
-/// "serve.queue_depth", histograms "serve.<endpoint>.latency_us") — the
-/// record path is the registry's lock-free sharded counters, so workers
-/// never contend with a report() in flight. The registry is instance-owned,
+/// "serve.invert.rejected", ..., "serve.engine_swaps",
+/// "serve.worker_restarts", gauge "serve.queue_depth", histograms
+/// "serve.<endpoint>.latency_us") — the record path is the registry's
+/// lock-free sharded counters, so workers never contend with a report()
+/// in flight. The registry is instance-owned,
 /// not global: benches build several servers in sequence and each server's
 /// report must start from zero. Only the exact-percentile latency window
 /// keeps a mutex (a ring of raw samples has no lock-free aggregation).
@@ -47,6 +48,8 @@ class ServeMetrics {
   /// A worker (re)built its execution engine against a new snapshot
   /// (counts the initial build too).
   void recordEngineSwap();
+  /// A worker crashed mid-batch and restarted in place.
+  void recordWorkerRestart();
   /// Instantaneous batcher depth (the server samples it on submit).
   void recordQueueDepth(std::size_t depth);
 
@@ -65,6 +68,7 @@ class ServeMetrics {
     EndpointStats predict;
     EndpointStats invert;
     std::uint64_t engineSwaps = 0;
+    std::uint64_t workerRestarts = 0;
     std::size_t queueDepth = 0;  ///< filled in by the server
   };
 
@@ -103,6 +107,7 @@ class ServeMetrics {
 
   std::unique_ptr<obs::Registry> registry_;
   obs::Counter* engineSwaps_ = nullptr;
+  obs::Counter* workerRestarts_ = nullptr;
   obs::Gauge* queueDepth_ = nullptr;
   mutable std::mutex mutex_;  ///< guards the latency windows only
   std::size_t window_;

@@ -12,9 +12,7 @@
 
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <limits>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -23,10 +21,6 @@
 namespace artsci::serve {
 
 namespace {
-
-/// How often the supervisor checks shard health: a crashed shard returns
-/// to service within about this long.
-constexpr std::chrono::milliseconds kSupervisorPoll{2};
 
 void setNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -79,7 +73,6 @@ NetServer::NetServer(NetServerConfig cfg,
   protocolErrors_ = &reg.counter("net.protocol_errors");
   repliesOut_ = &reg.counter("net.replies_out");
   errorsOut_ = &reg.counter("net.errors_out");
-  workerRestarts_ = &reg.counter("serve.worker_restarts");
   openConns_ = &reg.gauge("net.open_connections");
 
   // --- listen socket ------------------------------------------------------
@@ -116,69 +109,24 @@ NetServer::NetServer(NetServerConfig cfg,
   // --- shards -------------------------------------------------------------
   shards_.reserve(cfg_.shards);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
+    ServerConfig scfg;
+    scfg.policy = cfg_.policy;
+    // Distinct seed stream per shard so posterior draws never correlate
+    // across shards.
+    scfg.seed = cfg_.seed + 0x5bf03635ULL * (s + 1);
+    scfg.pinCoreBase = cfg_.pinCores ? static_cast<int>(s) : -1;
+    scfg.metrics = metrics_;
     auto shard = std::make_unique<Shard>();
-    shard->server = makeShardServer(s, 0);
+    shard->server = std::make_unique<InferenceServer>(scfg, registry_);
     shards_.push_back(std::move(shard));
   }
   depthScratch_.resize(shards_.size(), 0);
   for (auto& shard : shards_)
     shard->collector = std::thread([this, &shard] { collectorLoop(*shard); });
 
-  supervisorThread_ = std::thread([this] { supervisorLoop(); });
-
   ioThread_ = std::thread([this] { ioLoop(); });
   log::info("serve.net", "listening on ", cfg_.host, ":", port_, " with ",
             cfg_.shards, " shard(s)");
-}
-
-std::shared_ptr<InferenceServer> NetServer::makeShardServer(
-    std::size_t index, std::size_t generation) {
-  ServerConfig scfg;
-  scfg.policy = cfg_.policy;
-  scfg.workers = 1;
-  // Distinct seed stream per shard so posterior draws never correlate
-  // across shards; a restarted incarnation gets its own stream too.
-  scfg.seed = cfg_.seed + 0x5bf03635ULL * (index + 1) +
-              0x9e3779b9ULL * generation;
-  scfg.pinCoreBase = cfg_.pinCores ? static_cast<int>(index) : -1;
-  scfg.metrics = metrics_;
-  return std::make_shared<InferenceServer>(scfg, registry_);
-}
-
-void NetServer::supervisorLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(kSupervisorPoll);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = *shards_[s];
-      const std::shared_ptr<InferenceServer> current = shardServer(shard);
-      if (current->healthy()) continue;
-      // Replace the crashed incarnation. Build the successor first so the
-      // shard is never without a server, then retire the corpse: kReject
-      // fails its queued requests with ShutdownError, which the collector
-      // (still holding their futures) turns into typed kShuttingDown
-      // frames — exactly one reply per request, even across the crash.
-      const std::size_t generation = shard.restarts + 1;
-      auto replacement = makeShardServer(s, generation);
-      {
-        std::lock_guard<std::mutex> lock(shard.serverMutex);
-        shard.server = replacement;
-        shard.restarts = generation;
-      }
-      current->shutdown(InferenceServer::ShutdownMode::kReject);
-      workerRestarts_->add();
-      log::warn("serve.net", "shard ", s,
-                " worker crashed; restarted (generation ", generation, ")");
-    }
-  }
-}
-
-std::size_t NetServer::workerRestarts() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->serverMutex);
-    total += shard->restarts;
-  }
-  return total;
 }
 
 NetServer::~NetServer() { stop(); }
@@ -189,14 +137,11 @@ void NetServer::stop() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
   if (ioThread_.joinable()) ioThread_.join();
-  // Supervisor before shard shutdown: no restarts may race the drain.
-  if (supervisorThread_.joinable()) supervisorThread_.join();
 
   // Drain order: every request already dispatched to a shard resolves its
-  // future (kDrain), then each collector flushes its FIFO of replies —
-  // only after that do connections close. Nothing accepted is lost.
-  for (auto& shard : shards_)
-    shardServer(*shard)->shutdown(InferenceServer::ShutdownMode::kDrain);
+  // future, then each collector flushes its FIFO of replies — only after
+  // that do connections close. Nothing accepted is lost.
+  for (auto& shard : shards_) shard->server->shutdown();
   for (auto& shard : shards_) {
     {
       std::lock_guard<std::mutex> lock(shard->mutex);
@@ -221,7 +166,7 @@ ServeMetrics::Report NetServer::metrics() const {
   ServeMetrics::Report rep = metrics_->report();
   rep.queueDepth = 0;
   for (const auto& shard : shards_)
-    rep.queueDepth += shardServer(*shard)->metrics().queueDepth;
+    rep.queueDepth += shard->server->metrics().queueDepth;
   return rep;
 }
 
@@ -349,15 +294,13 @@ void NetServer::dispatchFrame(const std::shared_ptr<Connection>& conn,
   }
   const std::uint64_t deadline = frame.meta;  // 0 = none
   Shard& shard = *shards_[pickShard()];
-  // Pin this request to one incarnation: copy the pointer once so a
-  // supervisor swap mid-dispatch cannot split submit and reply routing.
-  const std::shared_ptr<InferenceServer> server = shardServer(shard);
   PendingReply p;
   p.conn = conn;
   p.requestId = frame.requestId;
-  p.future = isPredict
-                 ? server->predictSpectrum(std::move(frame.values), deadline)
-                 : server->invertSpectrum(std::move(frame.values), deadline);
+  p.future =
+      isPredict
+          ? shard.server->predictSpectrum(std::move(frame.values), deadline)
+          : shard.server->invertSpectrum(std::move(frame.values), deadline);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.pending.push_back(std::move(p));
@@ -372,14 +315,8 @@ std::size_t NetServer::pickShard() {
   // Snapshot the per-shard queue depths (the gauges the batchers already
   // maintain), then pick the shallowest; the rotating hint both spreads
   // ties and keeps the scan O(shards) worst case.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::shared_ptr<InferenceServer> srv = shardServer(*shards_[s]);
-    // An unhealthy shard (worker crashed, supervisor restart pending) is
-    // routed around: give it the worst possible depth so least-loaded
-    // dispatch only picks it when every shard is down.
-    depthScratch_[s] = srv->healthy() ? srv->queueDepth()
-                                      : std::numeric_limits<std::size_t>::max();
-  }
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    depthScratch_[s] = shards_[s]->server->queueDepth();
   return pickLeastLoadedShard(depthScratch_.data(), depthScratch_.size(),
                               hint);
 }

@@ -8,10 +8,11 @@
 /// is least-loaded: each request goes to the shard with the least queued
 /// and in-flight work (ties broken by a rotating hint so idle shards share
 /// work evenly), so a long request cannot head-of-line-block the short
-/// requests a fixed rotation would put behind it. A supervisor thread
-/// restarts crashed shard workers.
+/// requests a fixed rotation would put behind it. A shard worker that
+/// crashes fails its batch and restarts in place (server.hpp).
 ///
-/// Data flow:
+/// Data flow (threads: one I/O thread, and a worker plus a collector per
+/// shard):
 ///
 ///   client conns ──► epoll I/O thread ──► FrameDecoder per connection
 ///        ▲                                   │ least-loaded dispatch
@@ -24,9 +25,9 @@
 ///
 /// Every decoded request produces exactly one reply frame — a kReply with
 /// the result, or a kError carrying why (shed, deadline expired, bad
-/// input, shutdown). Sheds and timeouts are never silently dropped, and
-/// their counters flow into the shared obs::Registry-backed ServeMetrics
-/// ("serve.<endpoint>.shed" / ".deadline_timeouts", "net.*").
+/// input, worker crash, shutdown). Sheds and timeouts are never silently
+/// dropped, and their counters flow into the shared obs::Registry-backed
+/// ServeMetrics ("serve.<endpoint>.shed" / ".deadline_timeouts", "net.*").
 ///
 /// Determinism note: sharding does not break the serve layer's replay
 /// guarantees — each shard batches independently in FIFO order, so a
@@ -87,17 +88,17 @@ class NetServer {
   /// Idempotent.
   void stop();
 
-  /// Shard workers replaced by the supervisor so far (also exported as
-  /// the `serve.worker_restarts` counter).
-  std::size_t workerRestarts() const;
+  /// Shard workers restarted after a crash so far (the
+  /// `serve.worker_restarts` counter).
+  std::uint64_t workerRestarts() const {
+    return metrics_->report().workerRestarts;
+  }
 
   /// Aggregated metrics across all shards (shared ServeMetrics; queue
   /// depth summed over the shard batchers).
   ServeMetrics::Report metrics() const;
   /// The shared metrics sink (serve.* and net.* counters; toJson()).
   const ServeMetrics& serveMetrics() const { return *metrics_; }
-
-  const NetServerConfig& config() const { return cfg_; }
 
  private:
   /// One live client connection. The fd closes when the last reference
@@ -120,35 +121,16 @@ class NetServer {
     std::future<InferenceResult> future;
   };
 
-  /// One shard: a single-worker InferenceServer plus the collector that
-  /// turns resolved futures into wire frames in dispatch order. The
-  /// server pointer is swapped by the supervisor after a worker crash;
-  /// `serverMutex` guards the pointer itself (the InferenceServer is
-  /// internally thread-safe once you hold a reference).
+  /// One shard: an InferenceServer (one worker) plus the collector that
+  /// turns resolved futures into wire frames in dispatch order.
   struct Shard {
-    std::shared_ptr<InferenceServer> server;  ///< guarded by serverMutex
-    mutable std::mutex serverMutex;
-    std::size_t restarts = 0;  ///< guarded by serverMutex
+    std::unique_ptr<InferenceServer> server;
     std::thread collector;
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<PendingReply> pending;
     bool stopped = false;
   };
-
-  std::shared_ptr<InferenceServer> makeShardServer(std::size_t index,
-                                                   std::size_t generation);
-  static std::shared_ptr<InferenceServer> shardServer(const Shard& shard) {
-    std::lock_guard<std::mutex> lock(shard.serverMutex);
-    return shard.server;
-  }
-  /// Polls shard health every 2 ms. When a worker died
-  /// (simulated via FAULT_POINT("serve.worker_batch")) it builds a fresh
-  /// InferenceServer from the registry snapshot, swaps it in, and fails
-  /// the dead one's queued requests with typed kShuttingDown errors —
-  /// every request still gets exactly one reply. Each restart bumps the
-  /// `serve.worker_restarts` counter.
-  void supervisorLoop();
 
   void ioLoop();
   void handleReadable(const std::shared_ptr<Connection>& conn);
@@ -182,7 +164,6 @@ class NetServer {
   std::uint64_t nextConnId_ = 1;
 
   std::thread ioThread_;
-  std::thread supervisorThread_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
 
@@ -193,7 +174,6 @@ class NetServer {
   obs::Counter* protocolErrors_ = nullptr;
   obs::Counter* repliesOut_ = nullptr;
   obs::Counter* errorsOut_ = nullptr;
-  obs::Counter* workerRestarts_ = nullptr;
   obs::Gauge* openConns_ = nullptr;
 };
 

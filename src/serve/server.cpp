@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
 
@@ -28,16 +29,12 @@ InferenceServer::InferenceServer(ServerConfig cfg,
     : cfg_(cfg),
       registry_(std::move(registry)),
       batcher_(cfg.policy),
-      metrics_(cfg.metrics ? cfg.metrics : std::make_shared<ServeMetrics>()),
-      pool_(cfg.workers) {
+      metrics_(cfg.metrics ? cfg.metrics : std::make_shared<ServeMetrics>()) {
   ARTSCI_EXPECTS_MSG(registry_ != nullptr, "server needs a registry");
-  ARTSCI_EXPECTS(cfg_.workers >= 1);
-  workerDone_.reserve(cfg_.workers);
-  for (std::size_t w = 0; w < cfg_.workers; ++w)
-    workerDone_.push_back(pool_.submit([this, w] { workerLoop(w); }));
+  worker_ = std::thread([this] { workerLoop(); });
 }
 
-InferenceServer::~InferenceServer() { shutdown(ShutdownMode::kDrain); }
+InferenceServer::~InferenceServer() { shutdown(); }
 
 std::future<InferenceResult> InferenceServer::predictSpectrum(
     std::vector<ml::Real> cloud, std::uint64_t deadlineMicros) {
@@ -64,21 +61,6 @@ std::future<InferenceResult> InferenceServer::submit(
   if (deadlineMicros > 0)
     r.deadline = Clock::now() + std::chrono::microseconds(deadlineMicros);
   std::future<InferenceResult> fut = r.promise.get_future();
-  if (!accepting_.load(std::memory_order_acquire)) {
-    metrics_->recordRejected(endpoint);
-    r.promise.set_exception(
-        std::make_exception_ptr(ShutdownError("server is shut down")));
-    return fut;
-  }
-  if (!healthy_.load(std::memory_order_acquire)) {
-    // A crashed worker means queued work may never execute; reject at the
-    // door with a typed error so no future dangles while the supervisor
-    // replaces this server.
-    metrics_->recordRejected(endpoint);
-    r.promise.set_exception(std::make_exception_ptr(
-        RuntimeError("inference worker crashed; server awaiting restart")));
-    return fut;
-  }
   if (!batcher_.enqueue(r)) {
     // Admission control: the bounded queue is at capacity, so the newest
     // request is the one shed — the queued ones are older and closer to
@@ -97,13 +79,16 @@ std::future<InferenceResult> InferenceServer::submit(
   return fut;
 }
 
-void InferenceServer::workerLoop(std::size_t workerIndex) {
+void InferenceServer::workerLoop() {
   if (cfg_.pinCoreBase >= 0)
-    pinThisThreadToCpuSlot(static_cast<std::size_t>(cfg_.pinCoreBase) +
-                           workerIndex);
-  // Worker-local RNG: posterior draws are concurrent-safe and per-worker
-  // reproducible (not globally ordered — batch-to-worker assignment races).
-  Rng rng(cfg_.seed + 0x9e3779b9ULL * (workerIndex + 1));
+    pinThisThreadToCpuSlot(static_cast<std::size_t>(cfg_.pinCoreBase));
+  // Worker-local RNG for posterior draws; each incarnation of the worker
+  // (one more per crash) draws its own stream.
+  std::uint64_t generation = 0;
+  const auto incarnationSeed = [&] {
+    return cfg_.seed + 0x9e3779b9ULL * (generation + 1);
+  };
+  Rng rng(incarnationSeed());
   std::shared_ptr<const ModelSnapshot> bound;
   std::unique_ptr<InferenceEngine> engine;
   std::vector<PendingRequest> expired;
@@ -121,23 +106,6 @@ void InferenceServer::workerLoop(std::size_t workerIndex) {
       if (expired.empty()) return;  // stopped and drained: worker exits
       continue;
     }
-    try {
-      FAULT_POINT("serve.worker_batch");
-    } catch (const fault::PeerDeathError& e) {
-      // Simulated worker crash: contain it to this shard. The batch in
-      // hand gets typed failures (exactly one reply per request, even
-      // across a crash), the server goes unhealthy so submits are
-      // rejected and dispatch routes around it, and the worker thread
-      // exits — the supervisor (net_server.cpp) builds a replacement.
-      healthy_.store(false, std::memory_order_release);
-      const auto err = std::make_exception_ptr(RuntimeError(
-          std::string("inference worker crashed: ") + e.what()));
-      for (auto& r : batch) {
-        metrics_->recordRejected(r.endpoint);
-        r.promise.set_exception(err);
-      }
-      return;
-    }
     // The batch left the queue but is not done: keep it visible to
     // queueDepth() until right before its promises resolve, so
     // least-loaded dispatch sees this worker as busy. The decrement must
@@ -145,38 +113,49 @@ void InferenceServer::workerLoop(std::size_t workerIndex) {
     // reply by sending the next request would otherwise race a stale
     // depth and get routed behind a busy shard it should have avoided.
     inFlight_.fetch_add(batch.size(), std::memory_order_relaxed);
-    // One snapshot per batch: the hot-swap consistency guarantee.
-    std::shared_ptr<const ModelSnapshot> snap = registry_->current();
-    if (!snap) {
-      inFlight_.fetch_sub(batch.size(), std::memory_order_relaxed);
-      for (auto& r : batch) {
-        metrics_->recordRejected(r.endpoint);
-        r.promise.set_exception(std::make_exception_ptr(
-            RuntimeError("no model published in the registry")));
-      }
-      continue;
-    }
-    if (snap != bound) {
-      engine = std::make_unique<InferenceEngine>(snap->model);
-      bound = snap;
-      metrics_->recordEngineSwap();
-    }
     try {
+      FAULT_POINT("serve.worker_batch");
+      // One snapshot per batch: the hot-swap consistency guarantee.
+      const std::shared_ptr<const ModelSnapshot> snap = registry_->current();
+      if (!snap) throw RuntimeError("no model published in the registry");
+      if (snap != bound) {
+        engine = std::make_unique<InferenceEngine>(snap->model);
+        bound = snap;
+        metrics_->recordEngineSwap();
+      }
       if (batch.front().endpoint == Endpoint::kPredictSpectrum)
         runPredictBatch(batch, *snap, *engine);
       else
         runInvertBatch(batch, *snap, rng);
+    } catch (const fault::PeerDeathError& e) {
+      // Simulated worker crash, restarted in place. The restart is counted
+      // before any promise resolves, so a caller that sees the failure
+      // sees the count too. The engine, bound snapshot and RNG stream are
+      // what the crash loses; the next incarnation serves the queue
+      // behind the batch.
+      metrics_->recordWorkerRestart();
+      failBatch(batch, std::make_exception_ptr(RuntimeError(
+                           std::string("inference worker crashed: ") +
+                           e.what())));
+      engine.reset();
+      bound.reset();
+      ++generation;
+      rng = Rng(incarnationSeed());
     } catch (...) {
       // finishBatch (which owns the success-path decrement) was not
       // reached: it is the last call of run*Batch and resolves promises
       // without throwing.
-      inFlight_.fetch_sub(batch.size(), std::memory_order_relaxed);
-      const std::exception_ptr err = std::current_exception();
-      for (auto& r : batch) {
-        metrics_->recordRejected(r.endpoint);
-        r.promise.set_exception(err);
-      }
+      failBatch(batch, std::current_exception());
     }
+  }
+}
+
+void InferenceServer::failBatch(std::vector<PendingRequest>& batch,
+                                const std::exception_ptr& err) {
+  inFlight_.fetch_sub(batch.size(), std::memory_order_relaxed);
+  for (auto& r : batch) {
+    metrics_->recordRejected(r.endpoint);
+    r.promise.set_exception(err);
   }
 }
 
@@ -252,17 +231,10 @@ void InferenceServer::finishBatch(std::vector<PendingRequest>& batch,
   }
 }
 
-void InferenceServer::shutdown(ShutdownMode mode) {
+void InferenceServer::shutdown() {
   if (shutdownDone_.exchange(true)) return;
-  accepting_.store(false, std::memory_order_release);
-  batcher_.stop(mode == ShutdownMode::kDrain);
-  for (auto& f : workerDone_) f.wait();
-  // In kReject mode (or if a worker died), fail whatever never ran.
-  for (auto& r : batcher_.takePending()) {
-    metrics_->recordRejected(r.endpoint);
-    r.promise.set_exception(std::make_exception_ptr(ShutdownError(
-        "request rejected: server shut down before execution")));
-  }
+  batcher_.stop();
+  worker_.join();  // the worker drains the queue to empty before it exits
 }
 
 ServeMetrics::Report InferenceServer::metrics() const {

@@ -1,18 +1,20 @@
 /// \file server.hpp
 /// The asynchronous surrogate-inference service. Clients submit single
 /// requests and get std::future results; a MicroBatcher coalesces queued
-/// requests into dynamic micro-batches that worker threads (a ThreadPool)
-/// execute against the current ModelRegistry snapshot — read once per
-/// batch, so every response is computed entirely by exactly one snapshot
-/// even while a trainer hot-swaps weights under load.
+/// requests into dynamic micro-batches that one worker thread executes
+/// against the current ModelRegistry snapshot — read once per batch, so
+/// every response is computed entirely by exactly one snapshot even while
+/// a trainer hot-swaps weights under load. A worker that crashes mid-batch
+/// (FAULT_POINT("serve.worker_batch")) fails that batch and restarts in
+/// place; the queue behind it is served.
 #pragma once
 
 #include <atomic>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
 #include "serve/metrics.hpp"
@@ -43,15 +45,14 @@ class ShutdownError : public RuntimeError {
 
 struct ServerConfig {
   BatchPolicy policy;
-  std::size_t workers = 1;   ///< inference worker threads
   std::uint64_t seed = 0xced5ULL;  ///< base seed for posterior-draw RNGs
-  /// Pin worker w to CPU slot (pinCoreBase + w) of the process's allowed
-  /// set (common/thread_pool.hpp::pinThisThreadToCpuSlot). -1 = no pinning.
+  /// Pin the worker to CPU slot pinCoreBase of the process's allowed set
+  /// (common/thread_pool.hpp::pinThisThreadToCpuSlot). -1 = no pinning.
   /// The TCP front end (net_server.hpp) uses this to give each shard's
   /// worker its own core.
   int pinCoreBase = -1;
   /// Record into this ServeMetrics instead of a private one — the sharded
-  /// front end aggregates all workers into a single metrics namespace.
+  /// front end aggregates all shards into a single metrics namespace.
   /// The registry record path is lock-free, so sharing does not contend.
   std::shared_ptr<ServeMetrics> metrics;
 };
@@ -80,17 +81,13 @@ class InferenceServer {
   std::future<InferenceResult> invertSpectrum(std::vector<ml::Real> spectrum,
                                               std::uint64_t deadlineMicros = 0);
 
-  enum class ShutdownMode {
-    kDrain,   ///< stop accepting, execute everything already queued
-    kReject,  ///< stop accepting, fail everything still queued
-  };
+  /// Stop accepting (later submits fail with ShutdownError), execute
+  /// everything already queued, and join the worker. Idempotent. Futures
+  /// already handed out always resolve — with a value or an exception,
+  /// never dangling.
+  void shutdown();
 
-  /// Idempotent; returns once all workers have exited and (kReject) every
-  /// pending promise has been failed. Futures already handed out always
-  /// resolve — with a value or an exception, never dangling.
-  void shutdown(ShutdownMode mode = ShutdownMode::kDrain);
-
-  /// Outstanding load: requests still queued plus requests in a batch a
+  /// Outstanding load: requests still queued plus requests in a batch the
   /// worker is currently executing. Counting in-flight work matters for
   /// least-loaded dispatch — a shard digesting a long batch has an empty
   /// queue but is NOT idle, and routing by queue alone would pile short
@@ -100,29 +97,22 @@ class InferenceServer {
     return batcher_.depth() + inFlight_.load(std::memory_order_relaxed);
   }
 
-  /// False once a worker crashed (FAULT_POINT("serve.worker_batch") peer
-  /// death). An unhealthy server keeps its exactly-one-reply contract —
-  /// the crashed worker's batch is failed with typed errors, later
-  /// submits are rejected — but executes nothing new; the sharded front
-  /// end routes around it and its supervisor replaces it.
-  bool healthy() const { return healthy_.load(std::memory_order_acquire); }
-
   /// Metrics snapshot (includes current queue depth).
   ServeMetrics::Report metrics() const;
-  /// The (possibly shared) metrics sink this server records into.
-  const std::shared_ptr<ServeMetrics>& metricsSink() const { return metrics_; }
-
-  const ServerConfig& config() const { return cfg_; }
 
  private:
   std::future<InferenceResult> submit(Endpoint endpoint,
                                       std::vector<ml::Real> input,
                                       std::uint64_t deadlineMicros);
-  void workerLoop(std::size_t workerIndex);
+  void workerLoop();
   void runPredictBatch(std::vector<PendingRequest>& batch,
                        const ModelSnapshot& snap, InferenceEngine& engine);
   void runInvertBatch(std::vector<PendingRequest>& batch,
                       const ModelSnapshot& snap, Rng& rng);
+  /// Fail every request of a batch that did not complete (one typed
+  /// error reply each), after taking the batch off queueDepth().
+  void failBatch(std::vector<PendingRequest>& batch,
+                 const std::exception_ptr& err);
   void finishBatch(std::vector<PendingRequest>& batch,
                    std::vector<std::vector<ml::Real>> values,
                    const ModelSnapshot& snap,
@@ -132,14 +122,10 @@ class InferenceServer {
   std::shared_ptr<ModelRegistry> registry_;
   MicroBatcher batcher_;
   std::shared_ptr<ServeMetrics> metrics_;
-  std::atomic<bool> accepting_{true};
   std::atomic<bool> shutdownDone_{false};
-  std::atomic<bool> healthy_{true};
   /// Requests popped from the queue whose batch is still executing.
   std::atomic<std::size_t> inFlight_{0};
-  // Declared last: destroyed first, after shutdown() joined the loops.
-  ThreadPool pool_;
-  std::vector<std::future<void>> workerDone_;
+  std::thread worker_;  ///< last: its loop uses every member above
 };
 
 }  // namespace artsci::serve

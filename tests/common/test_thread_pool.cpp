@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -10,28 +9,6 @@
 
 namespace artsci {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 100; ++i)
-    futs.push_back(pool.submit([&counter] { counter++; }));
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ReturnsValues) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
 
 TEST(Barrier, SynchronizesPhases) {
   constexpr std::size_t kRanks = 8;

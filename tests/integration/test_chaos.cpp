@@ -185,8 +185,8 @@ TEST(Chaos, ServeCrashStormEveryRequestAccountedFor) {
   // Two workers die mid-batch while two clients hammer the server with
   // retrying sequential round trips. Contract: every request ends in
   // exactly one outcome — a success or a typed error frame — within a
-  // bounded wall; the supervisor replaces the dead workers and the full
-  // shard set serves again.
+  // bounded wall; the dead workers restart in place and the full shard
+  // set serves again.
   std::atomic<int> ok{0}, typedErrors{0};
   const int clients = 2, perClient = 12;
   {
@@ -211,7 +211,7 @@ TEST(Chaos, ServeCrashStormEveryRequestAccountedFor) {
             const serve::NetReply r = client.predictSpectrum(cloud);
             if (r.snapshotVersion == 1u && !r.values.empty()) ++ok;
           } catch (const serve::NetError&) {
-            ++typedErrors;  // crashed batch / restart window — typed
+            ++typedErrors;  // crashed batch — typed
           }
         }
       });
@@ -229,11 +229,7 @@ TEST(Chaos, ServeCrashStormEveryRequestAccountedFor) {
   EXPECT_GE(ok.load(), 1);
   EXPECT_GE(typedErrors.load(), 1) << "the injected crashes must surface";
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.workerRestarts() == 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Counted before the crashed batch's replies left the server.
   EXPECT_GE(server.workerRestarts(), 1u);
 
   // Recovered: a fresh round trip succeeds with the plan disarmed.

@@ -91,7 +91,7 @@ TEST(NetServer, PredictRoundTripMatchesDirectModelCall) {
   // Single-shard serving is bit-identical to the in-process engine path —
   // the wire carries exact doubles, no text round-off.
   ServerConfig directCfg;
-  directCfg.policy = server.config().policy;
+  directCfg.policy = quickNetConfig().policy;
   InferenceServer direct(directCfg, registry);
   const InferenceResult inproc = direct.predictSpectrum(cloud).get();
   for (std::size_t i = 0; i < reply.values.size(); ++i)
@@ -431,12 +431,13 @@ class RawListener {
   std::uint16_t port_ = 0;
 };
 
-TEST(NetServer, WorkerCrashIsContainedAndSupervisorRestartsIt) {
+TEST(NetServer, WorkerCrashIsContainedAndRestartsInPlace) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(82));
-  // Two shards: the crash takes one down; the supervisor replaces it while
-  // the other keeps serving. Each sequential round trip must end in
-  // exactly one outcome — a reply or a typed error frame, never a hang.
+  // Two shards: the crashed worker fails its batch and restarts in place
+  // while the other shard keeps serving. Each sequential round trip must
+  // end in exactly one outcome — a reply or a typed error frame, never a
+  // hang.
   NetServer server(quickNetConfig(/*shards=*/2, /*maxBatch=*/8), registry);
   Rng rng(53);
   const auto cloud = randomCloud(8, rng);
@@ -453,8 +454,8 @@ TEST(NetServer, WorkerCrashIsContainedAndSupervisorRestartsIt) {
         EXPECT_EQ(r.snapshotVersion, 1u);
         ++ok;
       } catch (const NetError& e) {
-        // The crashed batch (kInternal) or a submit racing the restart
-        // window — typed either way, and the connection survives.
+        // The crashed batch (kInternal): typed, and the connection
+        // survives.
         ++failed;
       }
     }
@@ -463,12 +464,7 @@ TEST(NetServer, WorkerCrashIsContainedAndSupervisorRestartsIt) {
   EXPECT_GE(failed, 1) << "the injected crash must surface to a caller";
   EXPECT_GE(ok, 1) << "the surviving shard must keep answering";
 
-  // The supervisor polls every ~2 ms; give it a bounded moment.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.workerRestarts() == 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // The restart is counted before the crashed batch's reply is sent.
   EXPECT_GE(server.workerRestarts(), 1u);
 
   // Post-restart the full shard set serves again (plan is disarmed).

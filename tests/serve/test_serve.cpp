@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/model.hpp"
+#include "fault/fault.hpp"
 #include "ml/serialize.hpp"
 #include "serve/server.hpp"
 
@@ -126,25 +127,11 @@ TEST(MicroBatcher, StopWithDrainFlushesThenSignalsExit) {
   MicroBatcher b({.maxBatch = 32, .maxQueueDepth = 64});
   auto r = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
   ASSERT_TRUE(b.enqueue(r));
-  b.stop(/*drainPending=*/true);
+  b.stop();
   EXPECT_EQ(b.nextBatch().size(), 1u);  // pending work still served
   EXPECT_TRUE(b.nextBatch().empty());   // then the exit signal
   auto rejected = makeRequest(Endpoint::kPredictSpectrum, 12, 1);
   EXPECT_FALSE(b.enqueue(rejected));
-}
-
-TEST(MicroBatcher, StopWithoutDrainLeavesPendingForTakePending) {
-  MicroBatcher b({.maxBatch = 32, .maxQueueDepth = 64});
-  auto r0 = makeRequest(Endpoint::kPredictSpectrum, 12, 0);
-  auto r1 = makeRequest(Endpoint::kInvertSpectrum, 8, 1);
-  ASSERT_TRUE(b.enqueue(r0));
-  ASSERT_TRUE(b.enqueue(r1));
-  b.stop(/*drainPending=*/false);
-  EXPECT_TRUE(b.nextBatch().empty());
-  auto pending = b.takePending();
-  ASSERT_EQ(pending.size(), 2u);
-  EXPECT_EQ(pending[0].input[0], 0);
-  EXPECT_EQ(b.depth(), 0u);
 }
 
 // --- ModelRegistry --------------------------------------------------------
@@ -249,10 +236,9 @@ TEST(InferenceEngine, MatchesGraphOnReducedConfigAndOddPointCounts) {
 
 // --- InferenceServer ------------------------------------------------------
 
-ServerConfig quickServerConfig(long maxBatch = 8, std::size_t workers = 1) {
+ServerConfig quickServerConfig(long maxBatch = 8) {
   ServerConfig cfg;
   cfg.policy.maxBatch = maxBatch;
-  cfg.workers = workers;
   return cfg;
 }
 
@@ -280,10 +266,10 @@ TEST(InferenceServer, PredictMatchesDirectModelCall) {
 TEST(InferenceServer, CoalescesBurstIntoOneBatch) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(52));
-  // One worker, batches of up to 8. A large request occupies the worker
-  // (its input size differs from the burst's, so it batches alone); an
-  // 8-burst queued behind it must leave as a single batch.
-  InferenceServer server(quickServerConfig(8, 1), registry);
+  // Batches of up to 8. A large request occupies the worker (its input
+  // size differs from the burst's, so it batches alone); an 8-burst
+  // queued behind it must leave as a single batch.
+  InferenceServer server(quickServerConfig(8), registry);
   Rng rng(10);
   const auto bigCloud = randomCloud(131072, rng);
   const auto cloud = randomCloud(8, rng);
@@ -343,7 +329,7 @@ TEST(InferenceServer, HotSwapServesEachRequestFromExactlyOneVersion) {
   auto m1 = tinyModel(61);
   auto m2 = tinyModel(62);
   registry->publish(m1);
-  InferenceServer server(quickServerConfig(4, 1), registry);
+  InferenceServer server(quickServerConfig(4), registry);
 
   Rng rng(12);
   const long points = 8;
@@ -368,42 +354,16 @@ TEST(InferenceServer, HotSwapServesEachRequestFromExactlyOneVersion) {
 TEST(InferenceServer, ShutdownDrainCompletesEverythingAccepted) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(55));
-  InferenceServer server(quickServerConfig(8, 2), registry);
+  InferenceServer server(quickServerConfig(8), registry);
   Rng rng(13);
   const auto cloud = randomCloud(8, rng);
   std::vector<std::future<InferenceResult>> futs;
   for (int i = 0; i < 40; ++i) futs.push_back(server.predictSpectrum(cloud));
-  server.shutdown(InferenceServer::ShutdownMode::kDrain);
+  server.shutdown();
   for (auto& f : futs) EXPECT_NO_THROW(f.get());  // drained, not rejected
   const auto rep = server.metrics();
   EXPECT_EQ(rep.predict.completed, 40u);
   EXPECT_EQ(rep.predict.rejected, 0u);
-  EXPECT_EQ(rep.queueDepth, 0u);
-}
-
-TEST(InferenceServer, ShutdownRejectResolvesEveryFuture) {
-  auto registry = std::make_shared<ModelRegistry>();
-  registry->publish(tinyModel(56));
-  InferenceServer server(quickServerConfig(1, 1), registry);
-  Rng rng(14);
-  const auto cloud = randomCloud(8, rng);
-  std::vector<std::future<InferenceResult>> futs;
-  for (int i = 0; i < 64; ++i) futs.push_back(server.predictSpectrum(cloud));
-  server.shutdown(InferenceServer::ShutdownMode::kReject);
-  std::size_t ok = 0, rejected = 0;
-  for (auto& f : futs) {
-    try {
-      f.get();
-      ++ok;
-    } catch (const RuntimeError&) {
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(ok + rejected, 64u);
-  const auto rep = server.metrics();
-  EXPECT_EQ(rep.predict.submitted, 64u);
-  EXPECT_EQ(rep.predict.completed + rep.predict.rejected, 64u);
-  EXPECT_EQ(rep.predict.completed, ok);
   EXPECT_EQ(rep.queueDepth, 0u);
 }
 
@@ -418,10 +378,95 @@ TEST(InferenceServer, SubmitAfterShutdownIsRejected) {
   server.shutdown();  // idempotent
 }
 
+TEST(InferenceServer, CrashedWorkerServesTheQueueBehindItsBatch) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->publish(tinyModel(59));
+  InferenceServer server(quickServerConfig(/*maxBatch=*/1), registry);
+  Rng rng(19);
+  const auto cloud = randomCloud(8, rng);
+  std::size_t crashed = 0, served = 0;
+  {
+    // The first batch dies mid-flight; the worker restarts in place and
+    // serves the five requests submitted behind it.
+    fault::ScopedPlan plan(
+        fault::Plan::parseSpec("serve.worker_batch@1:die"));
+    std::vector<std::future<InferenceResult>> futs;
+    for (int i = 0; i < 6; ++i) futs.push_back(server.predictSpectrum(cloud));
+    for (auto& f : futs) {
+      try {
+        EXPECT_EQ(f.get().snapshotVersion, 1u);
+        ++served;
+      } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string(e.what()).find("inference worker crashed"),
+                  std::string::npos)
+            << e.what();
+        ++crashed;
+      }
+    }
+  }
+  EXPECT_EQ(crashed, 1u);
+  EXPECT_EQ(served, 5u);
+  const auto rep = server.metrics();
+  EXPECT_EQ(rep.predict.rejected, 1u);
+  EXPECT_EQ(rep.predict.completed, 5u);
+  EXPECT_EQ(rep.workerRestarts, 1u);
+}
+
+TEST(InferenceServer, RestartedWorkerDrawsTheNextIncarnationsStream) {
+  // After g crashes the worker draws posterior noise from the stream of
+  // seed + 0x9e3779b9 * (g + 1): after one crash, the stream a fresh
+  // server seeded 0x9e3779b9 higher starts on.
+  auto registry = std::make_shared<ModelRegistry>();
+  auto model = tinyModel(67);
+  registry->publish(model);
+  const std::vector<ml::Real> spectrum(
+      static_cast<std::size_t>(model->config().spectrumDim), 0.25);
+  ServerConfig cfg = quickServerConfig();
+  InferenceServer crashed(cfg, registry);
+  {
+    fault::ScopedPlan plan(
+        fault::Plan::parseSpec("serve.worker_batch@1:die"));
+    EXPECT_THROW(crashed.invertSpectrum(spectrum).get(), RuntimeError);
+  }
+  const InferenceResult restarted = crashed.invertSpectrum(spectrum).get();
+  cfg.seed += 0x9e3779b9ULL;
+  InferenceServer fresh(cfg, registry);
+  EXPECT_EQ(restarted.values, fresh.invertSpectrum(spectrum).get().values);
+}
+
+TEST(InferenceServer, InjectedBatchErrorFailsOnlyThatBatch) {
+  // A generic failure at the batch site (fault action `error`, not a
+  // crash) fails that batch with its typed error; nothing restarts and
+  // the requests behind it are served.
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->publish(tinyModel(60));
+  InferenceServer server(quickServerConfig(/*maxBatch=*/1), registry);
+  Rng rng(21);
+  const auto cloud = randomCloud(8, rng);
+  std::size_t failed = 0, served = 0;
+  {
+    fault::ScopedPlan plan(
+        fault::Plan::parseSpec("serve.worker_batch@1:error"));
+    std::vector<std::future<InferenceResult>> futs;
+    for (int i = 0; i < 3; ++i) futs.push_back(server.predictSpectrum(cloud));
+    for (auto& f : futs) {
+      try {
+        f.get();
+        ++served;
+      } catch (const fault::FaultInjectedError&) {
+        ++failed;
+      }
+    }
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(served, 2u);
+  EXPECT_EQ(server.metrics().workerRestarts, 0u);
+}
+
 TEST(InferenceServer, LatencyMetricsPopulate) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(58));
-  InferenceServer server(quickServerConfig(4, 1), registry);
+  InferenceServer server(quickServerConfig(4), registry);
   Rng rng(16);
   const auto cloud = randomCloud(8, rng);
   std::vector<std::future<InferenceResult>> futs;
@@ -465,10 +510,10 @@ TEST(MicroBatcher, SweepsExpiredRequestsBeforeBatching) {
 TEST(InferenceServer, ExpiredDeadlineRejectedBeforeBatching) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(63));
-  // A large request occupies the single worker for tens of ms: a small
-  // request with a 1 ms deadline queued behind it deterministically
-  // expires while queued and never reaches the engine.
-  InferenceServer server(quickServerConfig(4, 1), registry);
+  // A large request occupies the worker for tens of ms: a small request
+  // with a 1 ms deadline queued behind it deterministically expires while
+  // queued and never reaches the engine.
+  InferenceServer server(quickServerConfig(4), registry);
   Rng rng(17);
   const auto bigCloud = randomCloud(131072, rng);
   const auto cloud = randomCloud(8, rng);
@@ -487,9 +532,10 @@ TEST(InferenceServer, BoundedQueueShedsNewestAndCountsIt) {
   registry->publish(tinyModel(64));
   ServerConfig cfg = quickServerConfig(/*maxBatch=*/1);
   cfg.policy.maxQueueDepth = 2;
+  cfg.metrics = std::make_shared<ServeMetrics>();
   InferenceServer server(cfg, registry);
   Rng rng(18);
-  // A large request occupies the single worker while a burst overflows
+  // A large request occupies the worker while a burst overflows
   // the depth-2 queue; the overflow sheds as ShedError, newest first out.
   const auto bigCloud = randomCloud(4096, rng);
   const auto cloud = randomCloud(8, rng);
@@ -513,14 +559,14 @@ TEST(InferenceServer, BoundedQueueShedsNewestAndCountsIt) {
   EXPECT_EQ(rep.predict.submitted,
             rep.predict.completed + rep.predict.shed);
   // The shed counter is visible in the JSON export too.
-  const std::string json = server.metricsSink()->toJson();
+  const std::string json = cfg.metrics->toJson();
   EXPECT_NE(json.find("serve.predict.shed"), std::string::npos);
 }
 
 TEST(InferenceServer, DeadlineZeroMeansNoDeadline) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(65));
-  InferenceServer server(quickServerConfig(4, 1), registry);
+  InferenceServer server(quickServerConfig(4), registry);
   Rng rng(20);
   EXPECT_NO_THROW(server.predictSpectrum(randomCloud(8, rng), 0).get());
   const auto rep = server.metrics();
@@ -528,8 +574,8 @@ TEST(InferenceServer, DeadlineZeroMeansNoDeadline) {
 }
 
 TEST(InferenceServer, SharedMetricsSinkAggregatesAcrossServers) {
-  // The sharded TCP front end hangs N single-worker servers off one
-  // ServeMetrics; counts must aggregate across them.
+  // The sharded TCP front end hangs N servers off one ServeMetrics;
+  // counts must aggregate across them.
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish(tinyModel(66));
   auto shared = std::make_shared<ServeMetrics>();
@@ -542,7 +588,6 @@ TEST(InferenceServer, SharedMetricsSinkAggregatesAcrossServers) {
   a.predictSpectrum(cloud).get();
   b.predictSpectrum(cloud).get();
   EXPECT_EQ(shared->report().predict.completed, 2u);
-  EXPECT_EQ(a.metricsSink(), shared);
 }
 
 TEST(ServeMetrics, SingleSampleLatency) {

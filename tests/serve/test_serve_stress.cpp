@@ -70,7 +70,6 @@ TEST(ServeStress, HotSwapUnderLoadKeepsEveryResponseSingleSnapshot) {
 
   ServerConfig cfg;
   cfg.policy.maxBatch = 8;
-  cfg.workers = 2;
   InferenceServer server(cfg, registry);
 
   std::thread publisher([&] {
@@ -111,7 +110,7 @@ TEST(ServeStress, HotSwapUnderLoadKeepsEveryResponseSingleSnapshot) {
       << "a response mixed weights from two snapshots";
   EXPECT_EQ(completed.load(), kClients * kRequestsPerClient);
 
-  server.shutdown(InferenceServer::ShutdownMode::kDrain);
+  server.shutdown();
   const auto rep = server.metrics();
   EXPECT_EQ(rep.predict.submitted,
             static_cast<std::uint64_t>(kClients * kRequestsPerClient));
@@ -119,7 +118,7 @@ TEST(ServeStress, HotSwapUnderLoadKeepsEveryResponseSingleSnapshot) {
             rep.predict.submitted);
   EXPECT_EQ(rep.predict.rejected, 0u);
   EXPECT_EQ(rep.queueDepth, 0u);
-  EXPECT_GE(rep.engineSwaps, 2u);  // both workers rebuilt at least once
+  EXPECT_GE(rep.engineSwaps, 2u);
 }
 
 TEST(ServeStress, MixedEndpointsUnderLoadStayConsistent) {
@@ -146,7 +145,6 @@ TEST(ServeStress, MixedEndpointsUnderLoadStayConsistent) {
 
   ServerConfig cfg;
   cfg.policy.maxBatch = 4;
-  cfg.workers = 2;
   InferenceServer server(cfg, registry);
 
   std::thread publisher([&] {
@@ -352,8 +350,10 @@ TEST(ServeStress, NetworkPipelinedBurstsSurviveShutdownMidFlight) {
 }
 
 TEST(ServeStress, ServerLifecycleChurnWithInFlightWork) {
-  // Construct/destroy servers with requests still queued, alternating
-  // drain and reject: shakes out teardown races (run under ASan in CI).
+  // Construct/destroy servers with requests still queued, alternating an
+  // explicit shutdown() with the destructor's drain: shakes out teardown
+  // races (run under ASan in CI). Either way every accepted request is
+  // served before the server is gone.
   auto registry = std::make_shared<ModelRegistry>();
   Rng rng(300);
   ArtificialScientistModel m(tinyConfig(), rng);
@@ -362,26 +362,18 @@ TEST(ServeStress, ServerLifecycleChurnWithInFlightWork) {
   std::vector<ml::Real> cloud(8 * 6);
   for (auto& v : cloud) v = dataRng.normal();
 
+  ServerConfig cfg;
+  cfg.policy.maxBatch = 4;
   for (int round = 0; round < 10; ++round) {
-    ServerConfig cfg;
-    cfg.policy.maxBatch = 4;
-    cfg.workers = 1 + static_cast<std::size_t>(round % 3);
-    InferenceServer server(cfg, registry);
     std::vector<std::future<InferenceResult>> futs;
-    for (int i = 0; i < 30; ++i) futs.push_back(server.predictSpectrum(cloud));
-    if (round % 2 == 0)
-      server.shutdown(InferenceServer::ShutdownMode::kReject);
-    // else: destructor drains.
-    std::size_t resolved = 0;
-    for (auto& f : futs) {
-      try {
-        f.get();
-        ++resolved;
-      } catch (const RuntimeError&) {
-        ++resolved;
-      }
+    {
+      InferenceServer server(cfg, registry);
+      for (int i = 0; i < 30; ++i)
+        futs.push_back(server.predictSpectrum(cloud));
+      if (round % 2 == 0) server.shutdown();
+      // else: the destructor drains.
     }
-    EXPECT_EQ(resolved, futs.size());
+    for (auto& f : futs) EXPECT_NO_THROW(f.get());
   }
 }
 
