@@ -15,11 +15,8 @@
 ///
 ///   ./bench/bench_fig4_fom_scaling [--json <path>] [steps] [repeats]
 ///
-/// Exits nonzero when the 4-rank E/B/J fields differ from the single-rank
-/// Simulation's on the same trajectory (the determinism contract of
-/// pic/domain.hpp; tests/pic/test_domain.cpp is the exhaustive version).
-/// --json writes the measurement (CI uploads it as the BENCH_fig4
-/// artifact).
+/// --json writes the measured points. The rank stepper's bit-identity to
+/// the single-rank Simulation is tested in tests/pic/test_domain.cpp.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,34 +85,6 @@ double measureFom(std::size_t ranks, int steps, int repeats) {
   return best;
 }
 
-bool sameField(const pic::Field3& x, const pic::Field3& y) {
-  return x.raw().size() == y.raw().size() &&
-         std::memcmp(x.raw().data(), y.raw().data(),
-                     x.raw().size() * sizeof(double)) == 0;
-}
-
-/// The rank stepper's contract: multi-rank E/B/J bit-identical to the
-/// single-rank Simulation on the same trajectory.
-bool bitIdenticalToSingleRank(std::size_t ranks, int steps) {
-  auto dist = makeDistributed(ranks);
-  const pic::KhiConfig kcfg = weakKhi(ranks);
-  pic::SimulationConfig scfg;
-  scfg.grid = kcfg.grid;
-  scfg.dt = kcfg.dt;
-  pic::Simulation ref(scfg);
-  pic::initializeKhi(ref, kcfg);
-  dist->run(steps);
-  ref.run(steps);
-  const auto sameVec = [](const pic::VectorField& a,
-                          const pic::VectorField& b) {
-    return sameField(a.x, b.x) && sameField(a.y, b.y) &&
-           sameField(a.z, b.z);
-  };
-  return sameVec(dist->fieldE(), ref.fieldE()) &&
-         sameVec(dist->fieldB(), ref.fieldB()) &&
-         sameVec(dist->currentJ(), ref.currentJ());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,7 +113,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::size_t checkRanks = 4;
   const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("==============================================================\n");
@@ -158,10 +126,6 @@ int main(int argc, char** argv) {
   std::printf("    host: %u hardware threads; rank counts above that are\n"
               "    oversubscribed (not recorded)\n\n",
               cores);
-
-  const bool identical = bitIdenticalToSingleRank(checkRanks, /*steps=*/3);
-  std::printf("%zu-rank vs single-rank E/B/J after 3 steps: %s\n\n",
-              checkRanks, identical ? "bit-identical" : "MISMATCH");
 
   struct Point {
     std::size_t ranks;
@@ -224,10 +188,8 @@ int main(int argc, char** argv) {
                  "  \"setup\": \"khi_weak_16x32x8_ppc4_per_rank\",\n"
                  "  \"host_cores\": %u,\n"
                  "  \"steps\": %d,\n"
-                 "  \"bit_identical_ranks\": %zu,\n"
-                 "  \"bit_identical\": %s,\n"
                  "  \"measured\": [\n",
-                 cores, steps, checkRanks, identical ? "true" : "false");
+                 cores, steps);
     for (std::size_t i = 0; i < recorded.size(); ++i)
       std::fprintf(f, "    {\"ranks\": %zu, \"fom\": %.6e}%s\n",
                    recorded[i].ranks, recorded[i].fom,
@@ -235,5 +197,5 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
   }
-  return identical ? 0 : 1;
+  return 0;
 }

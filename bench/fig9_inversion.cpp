@@ -6,6 +6,7 @@
 ///   (c) ML-predicted momentum distributions from inverted spectra,
 /// plus the latent-space region classification the paper argues for.
 #include <cstdio>
+#include <exception>
 #include <thread>
 
 #include "common/ascii.hpp"
@@ -16,8 +17,9 @@
 
 using namespace artsci;
 
-int main(int argc, char** argv) {
-  const Config cli = Config::fromArgs(argc, argv);
+int main(int argc, char** argv) try {
+  const Config cli =
+      Config::fromArgs(argc, argv, {"steps", "nrep", "ranks", "lr"});
   std::printf("==============================================================\n");
   std::printf("Fig 9 — inversion: radiation spectra -> momentum distributions\n");
   std::printf("==============================================================\n\n");
@@ -125,4 +127,7 @@ int main(int argc, char** argv) {
       "\npaper: momentum distributions of bulk regions reconstruct well;\n"
       "vortex region shows two populations; regions classify unambiguously\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -3,29 +3,19 @@
 /// radiation kernel. These guard against performance regressions in the
 /// substrate and calibrate the bench harness constants.
 ///
-/// Besides the google-benchmark suite, `--acceptance[=ratio]` runs three
-/// self-contained gates. GEMM: ml::matmul forward+backward (the shared
-/// blocked kernels of ml/kernels/gemm.hpp) must beat the naive
-/// triple-loop reference by the given factor (default 2.5x; the local
-/// target in ROADMAP is 3x); the two sides run in alternating rounds and
-/// each keeps its fastest. Trainer step: an INN training step on the
-/// step arena must grow no arena region in steady state (tensor storage
-/// replays the recorded plan; graph nodes and closures still come from
-/// the heap, uncounted) and match a heap step's gradients bit for bit;
-/// its time is reported. Activation branch: the fused ml::linear node
-/// (fwd+bwd, leaky ReLU) may cost at most 1.3x as much on random-sign
-/// pre-activations as on all-positive ones, so a data-dependent branch in
-/// its activation loops fails it.
-/// `--json <path>` writes the measurements as a JSON document (CI uploads
-/// it as the BENCH_micro_ops artifact).
+/// Besides the google-benchmark suite, `--acceptance` runs the
+/// activation-branch gate: the fused ml::linear node (fwd+bwd, leaky ReLU)
+/// may cost at most 1.3x as much on random-sign pre-activations as on
+/// all-positive ones, so a data-dependent branch in its activation loops
+/// fails it. The two sides run in alternating rounds and each keeps its
+/// fastest. `--json <path>` writes the measurement as a JSON document (CI
+/// uploads it as the BENCH_micro_ops artifact).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,9 +36,8 @@ using namespace artsci::ml;
 namespace {
 
 // --- naive GEMM reference --------------------------------------------------
-// The pre-kernel-library ml::matmul loops, kept verbatim (including the
-// OpenMP row parallelism) as the acceptance baseline and the BM_MatmulNaive
-// A/B partner.
+// The pre-kernel-library ml::matmul forward loops, kept verbatim (including
+// the OpenMP row parallelism) as the BM_MatmulNaive A/B partner.
 
 void naiveForward(const Real* A, const Real* B, Real* C, long M, long N,
                   long K) {
@@ -60,31 +49,6 @@ void naiveForward(const Real* A, const Real* B, Real* C, long M, long N,
       const Real aik = A[i * K + k];
       const Real* brow = B + k * N;
       for (long j = 0; j < N; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-void naiveBackward(const Real* A, const Real* B, const Real* G, Real* GA,
-                   Real* GB, long M, long N, long K) {
-  // dA = G * B^T
-#pragma omp parallel for schedule(static) if (M * N * K > (1L << 16))
-  for (long i = 0; i < M; ++i) {
-    for (long k = 0; k < K; ++k) {
-      Real s = Real(0);
-      const Real* grow = G + i * N;
-      const Real* brow = B + k * N;
-      for (long j = 0; j < N; ++j) s += grow[j] * brow[j];
-      GA[i * K + k] += s;
-    }
-  }
-  // dB = A^T * G
-#pragma omp parallel for schedule(static) if (M * N * K > (1L << 16))
-  for (long k = 0; k < K; ++k) {
-    Real* gbrow = GB + k * N;
-    for (long i = 0; i < M; ++i) {
-      const Real aik = A[i * K + k];
-      const Real* grow = G + i * N;
-      for (long j = 0; j < N; ++j) gbrow[j] += aik * grow[j];
     }
   }
 }
@@ -272,21 +236,20 @@ void BM_RadiationKernel(benchmark::State& state) {
 // cell).
 BENCHMARK(BM_RadiationKernel)->Arg(256)->Arg(1024)->Arg(65536);
 
-// --- GEMM acceptance gate --------------------------------------------------
+// --- activation-branch gate ----------------------------------------------
+// The fused linear node's activation loops (the forward epilogue and the
+// backward's g * act'(out)) must not branch on the data: a branch on the
+// sign of each value mispredicts on half of random-sign inputs. The gate
+// times ml::linear fwd+bwd at the PointNet's third per-point layer
+// ([1024,32] -> 64, leaky ReLU) on random-sign inputs and on all-positive
+// inputs (every value taking the same branch), in interleaved rounds on
+// the step arena, and fails when random-sign takes more than
+// kBranchRatioLimit times as long.
 
-struct GemmShapeSpec {
-  long M, N, K;
-};
+constexpr double kBranchRatioLimit = 1.3;
 
-struct AcceptanceResult {
-  double naiveGflops = 0;
-  double blockedGflops = 0;
-  double ratio = 0;
-  bool pass = false;
-};
-
-/// Rounds per side of the GEMM gate; the gate keeps each side's fastest.
-constexpr int kGemmRounds = 9;
+/// Rounds per side of the gate; the gate keeps each side's fastest.
+constexpr int kRounds = 9;
 
 /// Iterations of `body` that take at least ~`seconds` (after a warm-up
 /// call).
@@ -319,131 +282,12 @@ std::pair<double, double> interleavedMinSeconds(FnA&& a, FnB&& b) {
   const long itersA = calibrateIters(a, kRoundSeconds);
   const long itersB = calibrateIters(b, kRoundSeconds);
   double bestA = 1e300, bestB = 1e300;
-  for (int round = 0; round < kGemmRounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     bestA = std::min(bestA, secondsPerIter(a, itersA));
     bestB = std::min(bestB, secondsPerIter(b, itersB));
   }
   return {bestA, bestB};
 }
-
-/// Forward + backward GF/s of the naive loops vs the blocked autograd path
-/// over the given shapes (6*M*N*K flops per iteration each).
-AcceptanceResult runGemmAcceptance(double threshold) {
-  const GemmShapeSpec shapes[] = {{256, 256, 256}, {200, 120, 72}};
-  double naiveSeconds = 0, blockedSeconds = 0, flops = 0;
-  for (const auto& s : shapes) {
-    Rng rng(1);
-    Tensor a = Tensor::randn({s.M, s.K}, rng, 1, /*requiresGrad=*/true);
-    Tensor b = Tensor::randn({s.K, s.N}, rng, 1, /*requiresGrad=*/true);
-    std::vector<Real> c(static_cast<std::size_t>(s.M * s.N));
-    std::vector<Real> g(static_cast<std::size_t>(s.M * s.N), Real(1));
-    std::vector<Real> ga(static_cast<std::size_t>(s.M * s.K));
-    std::vector<Real> gb(static_cast<std::size_t>(s.K * s.N));
-
-    const auto [naive, blocked] = interleavedMinSeconds(
-        [&] {
-          naiveForward(a.data().data(), b.data().data(), c.data(), s.M, s.N,
-                       s.K);
-          std::fill(ga.begin(), ga.end(), Real(0));
-          std::fill(gb.begin(), gb.end(), Real(0));
-          naiveBackward(a.data().data(), b.data().data(), g.data(),
-                        ga.data(), gb.data(), s.M, s.N, s.K);
-        },
-        [&] {
-          a.zeroGrad();
-          b.zeroGrad();
-          Tensor loss = sumAll(matmul(a, b));
-          loss.backward();
-        });
-    naiveSeconds += naive;
-    blockedSeconds += blocked;
-    flops += 6.0 * static_cast<double>(s.M) * static_cast<double>(s.N) *
-             static_cast<double>(s.K);
-  }
-  AcceptanceResult r;
-  r.naiveGflops = flops / naiveSeconds * 1e-9;
-  r.blockedGflops = flops / blockedSeconds * 1e-9;
-  r.ratio = naiveSeconds / blockedSeconds;
-  r.pass = r.ratio >= threshold;
-  return r;
-}
-
-// --- trainer-step acceptance gate ------------------------------------------
-// An INN fwd+bwd training step on the step arena: once the allocation
-// plan replays, the timed steps must grow no arena region (proven via
-// Arena::stats(); the arena holds tensor storage only, graph nodes and
-// backward closures are heap allocations it does not see) and end with
-// gradients bit-identical to a plain heap step. The step time is
-// reported, not gated — the end-to-end benchmark (perfbench,
-// intransit_train) gates trainer speed against the parent commit.
-
-struct StepAcceptanceResult {
-  double arenaMs = 0;              ///< best-of-rounds steady-state step
-  std::uint64_t steadyAllocs = 0;  ///< arena region growths, timed steps
-  bool bitIdentical = false;       ///< arena grads == heap-step grads
-  bool pass = false;
-};
-
-StepAcceptanceResult runTrainerStepAcceptance() {
-  Rng rng(7);
-  Inn::Config cfg;
-  cfg.dim = 64;
-  cfg.blocks = 4;
-  cfg.hidden = {48, 48};
-  Inn inn(cfg, rng);
-  Tensor x = Tensor::randn({16, 64}, rng);
-  auto params = inn.parameters();
-
-  auto step = [&] {
-    for (auto& p : params) p.zeroGrad();
-    Tensor loss = sumAll(square(inn.forward(x)));
-    loss.backward();
-  };
-  auto grads = [&] {
-    std::vector<Real> g;
-    for (const auto& p : params) {
-      const Real* gp = p.gradPtr();
-      g.insert(g.end(), gp, gp + p.numel());
-    }
-    return g;
-  };
-
-  StepAcceptanceResult r;
-  step();  // heap step, outside any ArenaScope
-  const std::vector<Real> reference = grads();
-
-  Arena arena;
-  auto arenaStep = [&] {
-    arena.beginStep();
-    ArenaScope scope(arena);
-    step();
-  };
-  for (int i = 0; i < 3; ++i) arenaStep();  // warm up until the plan replays
-  r.bitIdentical = grads() == reference;
-
-  const long iters = calibrateIters(arenaStep, 0.05);
-  const std::uint64_t allocsBefore = arena.stats().heapAllocations;
-  double best = 1e300;
-  for (int round = 0; round < 7; ++round)
-    best = std::min(best, secondsPerIter(arenaStep, iters));
-  r.arenaMs = best * 1e3;
-  r.steadyAllocs = arena.stats().heapAllocations - allocsBefore;
-  r.bitIdentical = r.bitIdentical && grads() == reference;
-  r.pass = r.steadyAllocs == 0 && r.bitIdentical;
-  return r;
-}
-
-// --- activation-branch gate ----------------------------------------------
-// The fused linear node's activation loops (the forward epilogue and the
-// backward's g * act'(out)) must not branch on the data: a branch on the
-// sign of each value mispredicts on half of random-sign inputs. The gate
-// times ml::linear fwd+bwd at the PointNet's third per-point layer
-// ([1024,32] -> 64, leaky ReLU) on random-sign inputs and on all-positive
-// inputs (every value taking the same branch), in interleaved rounds on
-// the step arena, and fails when random-sign takes more than
-// kBranchRatioLimit times as long.
-
-constexpr double kBranchRatioLimit = 1.3;
 
 struct BranchAcceptanceResult {
   double randomSignMs = 0;   ///< best-of-rounds fwd+bwd, random signs
@@ -487,42 +331,17 @@ BranchAcceptanceResult runActivationBranchAcceptance() {
   return r;
 }
 
-int acceptanceMain(double threshold, const char* jsonPath) {
+int acceptanceMain(const char* jsonPath) {
   std::printf(
-      "GEMM acceptance: ml::matmul fwd+bwd (shared blocked kernels) vs the "
-      "naive triple loop, shapes 256^3 + 200x120x72, best of %d "
-      "alternating rounds per side\n",
-      kGemmRounds);
-  const AcceptanceResult r = runGemmAcceptance(threshold);
-  std::printf("  naive   : %7.2f GF/s\n", r.naiveGflops);
-  std::printf("  blocked : %7.2f GF/s\n", r.blockedGflops);
-  std::printf("acceptance (blocked >= %.2fx naive): %.2fx -> %s\n", threshold,
-              r.ratio, r.pass ? "PASS" : "FAIL");
-
-  std::printf(
-      "\nTrainer-step acceptance: INN fwd+bwd (dim=64, blocks=4, hidden "
-      "{48,48}, batch=16) on the step arena\n");
-  const StepAcceptanceResult s = runTrainerStepAcceptance();
-  std::printf("  arena step   : %8.3f ms/step (reported, not gated)\n",
-              s.arenaMs);
-  std::printf("  steady-state arena region growths: %llu\n",
-              static_cast<unsigned long long>(s.steadyAllocs));
-  std::printf("  gradients bit-identical to a heap step: %s\n",
-              s.bitIdentical ? "yes" : "NO");
-  std::printf("acceptance (0 arena growths, bit-identical): %s\n",
-              s.pass ? "PASS" : "FAIL");
-
-  std::printf(
-      "\nActivation-branch acceptance: ml::linear fwd+bwd [1024,32]->64 "
+      "Activation-branch acceptance: ml::linear fwd+bwd [1024,32]->64 "
       "leaky ReLU, random-sign vs all-positive inputs, best of %d "
       "alternating rounds per side\n",
-      kGemmRounds);
+      kRounds);
   const BranchAcceptanceResult b = runActivationBranchAcceptance();
   std::printf("  random sign  : %8.3f ms\n", b.randomSignMs);
   std::printf("  all positive : %8.3f ms\n", b.allPositiveMs);
   std::printf("acceptance (random-sign <= %.2fx all-positive): %.2fx -> %s\n",
               kBranchRatioLimit, b.ratio, b.pass ? "PASS" : "FAIL");
-  const bool pass = r.pass && s.pass && b.pass;
 
   if (jsonPath != nullptr) {
     std::FILE* f = std::fopen(jsonPath, "w");
@@ -533,21 +352,6 @@ int acceptanceMain(double threshold, const char* jsonPath) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"micro_ops_acceptance\",\n"
-                 "  \"gemm\": {\n"
-                 "    \"shapes\": [[256, 256, 256], [200, 120, 72]],\n"
-                 "    \"naive_gflops\": %.4f,\n"
-                 "    \"blocked_gflops\": %.4f,\n"
-                 "    \"ratio\": %.4f,\n"
-                 "    \"threshold\": %.4f,\n"
-                 "    \"pass\": %s\n"
-                 "  },\n"
-                 "  \"trainer_step\": {\n"
-                 "    \"workload\": \"inn_fwd_bwd_dim64_blocks4_batch16\",\n"
-                 "    \"arena_ms\": %.4f,\n"
-                 "    \"steady_state_arena_growths\": %llu,\n"
-                 "    \"grads_bit_identical\": %s,\n"
-                 "    \"pass\": %s\n"
-                 "  },\n"
                  "  \"activation_branch\": {\n"
                  "    \"workload\": \"linear_fwd_bwd_1024x32x64_leaky_relu\",\n"
                  "    \"random_sign_ms\": %.4f,\n"
@@ -558,37 +362,23 @@ int acceptanceMain(double threshold, const char* jsonPath) {
                  "  },\n"
                  "  \"pass\": %s\n"
                  "}\n",
-                 r.naiveGflops, r.blockedGflops, r.ratio, threshold,
-                 r.pass ? "true" : "false", s.arenaMs,
-                 static_cast<unsigned long long>(s.steadyAllocs),
-                 s.bitIdentical ? "true" : "false", s.pass ? "true" : "false",
                  b.randomSignMs, b.allPositiveMs, b.ratio, kBranchRatioLimit,
-                 b.pass ? "true" : "false", pass ? "true" : "false");
+                 b.pass ? "true" : "false", b.pass ? "true" : "false");
     std::fclose(f);
   }
-  return pass ? 0 : 1;
+  return b.pass ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  double threshold = -1;
+  bool acceptance = false;
   const char* jsonPath = nullptr;
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--acceptance") == 0) {
-      threshold = 2.5;
-    } else if (std::strncmp(arg, "--acceptance=", 13) == 0) {
-      char* end = nullptr;
-      threshold = std::strtod(arg + 13, &end);
-      if (end == arg + 13 || *end != '\0' || !(threshold > 0)) {
-        std::fprintf(stderr,
-                     "invalid %s — expected --acceptance=<ratio> with "
-                     "ratio > 0 (e.g. --acceptance=2.5)\n",
-                     arg);
-        return 2;
-      }
+      acceptance = true;
     } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
       jsonPath = argv[++i];
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
@@ -597,7 +387,7 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  if (threshold > 0) return acceptanceMain(threshold, jsonPath);
+  if (acceptance) return acceptanceMain(jsonPath);
 
   int count = static_cast<int>(passthrough.size());
   benchmark::Initialize(&count, passthrough.data());

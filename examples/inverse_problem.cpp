@@ -4,6 +4,7 @@
 ///
 ///   ./examples/inverse_problem [steps=60] [nrep=6] [ckpt=/tmp/artsci.ckpt]
 #include <cstdio>
+#include <exception>
 #include <thread>
 
 #include "common/config.hpp"
@@ -11,9 +12,10 @@
 #include "core/pipeline.hpp"
 #include "ml/serialize.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli =
+      Config::fromArgs(argc, argv, {"steps", "nrep", "lr", "ckpt"});
   const std::string ckpt = cli.getString("ckpt", "/tmp/artsci_model.ckpt");
 
   auto cfg = core::PipelineConfig::quickDemo();
@@ -23,10 +25,12 @@ int main(int argc, char** argv) {
 
   std::printf("[1] in-transit training on a live KHI simulation...\n");
   auto run = core::runPipeline(cfg);
-  std::printf("    %ld batches trained; loss %.4f -> %.4f\n\n",
-              run.result.train.iterations,
-              run.result.train.lossHistory.front(),
-              run.result.train.lossHistory.back());
+  const auto& losses = run.result.train.lossHistory;
+  if (losses.empty())
+    std::printf("    no batch trained (fewer steps than the warm-up)\n\n");
+  else
+    std::printf("    %ld batches trained; loss %.4f -> %.4f\n\n",
+                run.result.train.iterations, losses.front(), losses.back());
 
   // Checkpoint (the one deliberate file write in the workflow).
   std::printf("[2] checkpointing model to %s\n", ckpt.c_str());
@@ -86,4 +90,7 @@ int main(int argc, char** argv) {
       "posterior samples N~N(0,1); the distribution over draws (not a\n"
       "single answer) is the model's reconstruction of the dynamics.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

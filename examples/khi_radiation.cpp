@@ -5,15 +5,16 @@
 ///
 ///   ./examples/khi_radiation [steps=120] [nx=16] [ny=32]
 #include <cstdio>
+#include <exception>
 
 #include "common/ascii.hpp"
 #include "common/config.hpp"
 #include "pic/diagnostics.hpp"
 #include "radiation/plugin.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli = Config::fromArgs(argc, argv, {"steps", "nx", "ny"});
 
   pic::KhiConfig kcfg;
   kcfg.grid = pic::GridSpec{cli.getInt("nx", 16), cli.getInt("ny", 32), 4,
@@ -87,4 +88,7 @@ int main(int argc, char** argv) {
   std::printf("relativistic Doppler for beta=0.2 predicts up to (1+b)/(1-b) "
               "= 1.50\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -13,6 +13,7 @@
 /// "process" in the trace — Perfetto shows ranks side by side with their
 /// OpenMP workers as threads.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <future>
 #include <vector>
@@ -59,9 +60,10 @@ void traceDistributedSteps(std::size_t ranks, long steps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli = Config::fromArgs(
+      argc, argv, {"steps", "requests", "ranks", "trace", "metrics"});
   const std::string tracePath = cli.getString("trace", "artsci_trace.json");
   const std::string metricsPath =
       cli.getString("metrics", "artsci_metrics.json");
@@ -128,4 +130,7 @@ int main(int argc, char** argv) {
               "chrome://tracing): ranks appear\nas processes, their OpenMP "
               "workers as threads, spans nest per category.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

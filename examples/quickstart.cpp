@@ -6,14 +6,15 @@
 ///
 ///   ./examples/quickstart [steps=40] [ranks=2] [nrep=4]
 #include <cstdio>
+#include <exception>
 
 #include "common/config.hpp"
 #include "core/pipeline.hpp"
 #include "fault/fault.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli = Config::fromArgs(argc, argv, {"steps", "ranks", "nrep"});
   // Chaos on demand: ARTSCI_FAULT_PLAN="sst.writer.end_step@3:die" etc.
   // arms the deterministic fault schedule (src/fault) for this run.
   fault::Plan::global().armFromEnv();
@@ -63,4 +64,7 @@ int main(int argc, char** argv) {
               "trained model;\nbench/fig9_inversion reproduces the paper's "
               "evaluation.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -6,6 +6,7 @@
 ///   ./examples/render_khi [steps=150] [out=khi.ppm]
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <vector>
 
@@ -13,9 +14,9 @@
 #include "pic/deposit.hpp"
 #include "pic/khi.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli = Config::fromArgs(argc, argv, {"steps", "out"});
   const long steps = cli.getInt("steps", 150);
   const std::string out = cli.getString("out", "khi.ppm");
 
@@ -88,4 +89,7 @@ int main(int argc, char** argv) {
   const double eb = sim.solver().magneticEnergy(sim.fieldB());
   std::printf("\nmagnetic field energy (instability marker): %.3e\n", eb);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -6,25 +6,28 @@
 ///   ./examples/serve_surrogate [steps=30] [requests=300]
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <thread>
 
 #include "common/config.hpp"
 #include "core/pipeline.hpp"
 #include "serve/server.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli = Config::fromArgs(argc, argv, {"steps", "requests"});
 
   // [1] In-transit training: PIC -> radiation -> stream -> replay -> DDP.
   auto cfg = core::PipelineConfig::quickDemo();
   cfg.producer.totalSteps = cli.getInt("steps", 30);
   std::printf("[1] in-transit training on a live KHI simulation...\n");
   auto run = core::runPipeline(cfg);
-  std::printf("    %ld batches trained, loss %.4f -> %.4f\n\n",
-              run.result.train.iterations,
-              run.result.train.lossHistory.front(),
-              run.result.train.lossHistory.back());
+  const auto& losses = run.result.train.lossHistory;
+  if (losses.empty())
+    std::printf("    no batch trained (fewer steps than the warm-up)\n\n");
+  else
+    std::printf("    %ld batches trained, loss %.4f -> %.4f\n\n",
+                run.result.train.iterations, losses.front(), losses.back());
 
   // [2] Publish the trained weights as serving snapshot v1.
   auto registry = std::make_shared<serve::ModelRegistry>();
@@ -112,4 +115,7 @@ int main(int argc, char** argv) {
               "response is computed entirely by exactly one snapshot\n"
               "version.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

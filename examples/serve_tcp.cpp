@@ -10,6 +10,7 @@
 /// With port= set, the server stays up (Ctrl-C to quit) so external tools
 /// can speak the protocol to it; the default runs a self-contained demo.
 #include <cstdio>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -18,9 +19,10 @@
 #include "serve/client.hpp"
 #include "serve/net_server.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli =
+      Config::fromArgs(argc, argv, {"shards", "clients", "requests", "port"});
   const auto shards = static_cast<std::size_t>(cli.getInt("shards", 2));
   const int clients = static_cast<int>(cli.getInt("clients", 3));
   const long requests = cli.getInt("requests", 50);
@@ -92,4 +94,7 @@ int main(int argc, char** argv) {
   server.stop();
   std::printf("[5] metrics: %s\n", server.serveMetrics().toJson().c_str());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

@@ -5,6 +5,7 @@
 ///
 ///   ./examples/streaming_noop [writers=4] [readers=2] [steps=5] [queue=2]
 #include <cstdio>
+#include <exception>
 #include <thread>
 
 #include "common/config.hpp"
@@ -14,9 +15,10 @@
 #include "pic/khi.hpp"
 #include "stream/sst.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace artsci;
-  const Config cli = Config::fromArgs(argc, argv);
+  const Config cli =
+      Config::fromArgs(argc, argv, {"writers", "readers", "steps", "queue"});
   const auto writers = static_cast<std::size_t>(cli.getInt("writers", 4));
   const auto readers = static_cast<std::size_t>(cli.getInt("readers", 2));
   const long steps = cli.getInt("steps", 5);
@@ -97,4 +99,7 @@ int main(int argc, char** argv) {
   std::printf("\n(The Frontier-scale version of this benchmark is "
               "bench/fig6_streaming.)\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "%s\n", e.what());
+  return 1;
 }

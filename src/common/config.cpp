@@ -7,26 +7,26 @@
 
 namespace artsci {
 
-Config Config::fromArgs(int argc, const char* const* argv) {
+Config Config::fromArgs(int argc, const char* const* argv,
+                        const std::vector<std::string>& keys) {
+  const auto accepted = [&] {
+    std::string list;
+    for (const auto& k : keys) list += (list.empty() ? "" : ", ") + k;
+    return list;
+  };
   Config cfg;
   for (int i = 1; i < argc; ++i) {
     const std::string tok = argv[i];
     const auto eq = tok.find('=');
-    if (eq == std::string::npos) {
-      cfg.positional_.push_back(tok);
-    } else {
-      cfg.set(tok.substr(0, eq), tok.substr(eq + 1));
-    }
+    const std::string key = tok.substr(0, eq);
+    ARTSCI_CHECK_MSG(
+        eq != std::string::npos &&
+            std::find(keys.begin(), keys.end(), key) != keys.end(),
+        "unknown argument '" << tok << "'; accepted keys (key=value): "
+                             << accepted());
+    cfg.values_[key] = tok.substr(eq + 1);
   }
   return cfg;
-}
-
-void Config::set(const std::string& key, const std::string& value) {
-  values_[key] = value;
-}
-
-bool Config::has(const std::string& key) const {
-  return values_.count(key) > 0;
 }
 
 std::string Config::getString(const std::string& key,
@@ -67,13 +67,6 @@ bool Config::getBool(const std::string& key, bool fallback) const {
   ARTSCI_CHECK_MSG(false, "config key '" << key << "' is not a bool: '"
                                          << it->second << "'");
   return fallback;
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
 }
 
 }  // namespace artsci

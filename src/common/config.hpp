@@ -5,7 +5,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,15 +12,11 @@ namespace artsci {
 
 class Config {
  public:
-  Config() = default;
-
-  /// Parse "key=value" tokens; tokens without '=' are collected as
-  /// positional arguments.
-  static Config fromArgs(int argc, const char* const* argv);
-
-  void set(const std::string& key, const std::string& value);
-
-  bool has(const std::string& key) const;
+  /// Parse "key=value" tokens. `keys` are the keys the binary reads: an
+  /// unknown key, or a token without '=', throws ContractError naming the
+  /// token and listing the accepted keys.
+  static Config fromArgs(int argc, const char* const* argv,
+                         const std::vector<std::string>& keys);
 
   std::string getString(const std::string& key,
                         const std::string& fallback) const;
@@ -29,14 +24,8 @@ class Config {
   double getDouble(const std::string& key, double fallback) const;
   bool getBool(const std::string& key, bool fallback) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// All keys, for diagnostics.
-  std::vector<std::string> keys() const;
-
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace artsci

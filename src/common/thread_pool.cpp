@@ -2,10 +2,6 @@
 
 #include <utility>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 namespace artsci {
 
 void Barrier::arriveAndWait() {
@@ -72,34 +68,6 @@ void RankTeam::serve(std::size_t rank) {
 void runRankTeam(std::size_t ranks,
                  const std::function<void(std::size_t)>& fn) {
   RankTeam(ranks).run(fn);
-}
-
-bool pinThisThreadToCpuSlot(std::size_t slot) {
-#ifdef __linux__
-  // Enumerate the CPUs this process is allowed on (respects taskset and
-  // container cpusets), then pin to the slot-th one round-robin.
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
-  const int nAllowed = CPU_COUNT(&allowed);
-  if (nAllowed <= 0) return false;
-  int want = static_cast<int>(slot % static_cast<std::size_t>(nAllowed));
-  int cpu = -1;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (CPU_ISSET(c, &allowed) && want-- == 0) {
-      cpu = c;
-      break;
-    }
-  }
-  if (cpu < 0) return false;
-  cpu_set_t target;
-  CPU_ZERO(&target);
-  CPU_SET(cpu, &target);
-  return sched_setaffinity(0, sizeof(target), &target) == 0;
-#else
-  (void)slot;
-  return false;
-#endif
 }
 
 }  // namespace artsci

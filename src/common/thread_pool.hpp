@@ -1,5 +1,5 @@
 /// \file thread_pool.hpp
-/// Rank teams, their barrier, and CPU pinning.
+/// Rank teams and their barrier.
 ///
 /// Two distinct parallel idioms appear in the paper's stack:
 ///  * data-parallel loops inside one "GPU" (we use OpenMP for those), and
@@ -73,12 +73,5 @@ class RankTeam {
 /// Run `fn(rank)` on a team of `ranks` threads made for this one call:
 /// `RankTeam(ranks).run(fn)`.
 void runRankTeam(std::size_t ranks, const std::function<void(std::size_t)>& fn);
-
-/// Pin the calling thread to one CPU of its allowed set: `slot` indexes
-/// round-robin into the CPUs the process may run on (cgroup/taskset aware),
-/// so slot 0..N-1 spreads N serving workers across distinct cores when the
-/// machine has them and degrades to sharing when it doesn't. No-op (returns
-/// false) on platforms without sched_setaffinity.
-bool pinThisThreadToCpuSlot(std::size_t slot);
 
 }  // namespace artsci

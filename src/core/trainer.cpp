@@ -155,10 +155,10 @@ void InTransitTrainer::trainIterations(long iterations) {
       for (auto& p : replicaParams_[rank]) p.zeroGrad();
       // The whole forward/backward graph for this iteration lives in the
       // rank's step arena: beginStep() recycles last iteration's memory
-      // (and, once the allocation plan is recorded, replays it with zero
-      // heap traffic). Nothing arena-backed may outlive the iteration —
-      // the scalar terms are read out via item() below, before the next
-      // beginStep() reclaims the buffers.
+      // (with no heap traffic once the regions are sized). Nothing
+      // arena-backed may outlive the iteration — the scalar terms are read
+      // out via item() below, before the next beginStep() reclaims the
+      // buffers.
       arenas_[rank]->beginStep();
       ml::LossTerms terms;
       ml::Tensor total;

@@ -83,9 +83,8 @@ class InTransitTrainer {
   /// Effective learning rates after scaling (VAE group, INN group).
   std::pair<ml::Real, ml::Real> learningRates() const;
 
-  /// Rank-0 step-arena statistics (allocation-plan replay counters;
-  /// `heapAllocations` counts region growths of tensor storage, not the
-  /// graph nodes' heap allocations).
+  /// Step-arena statistics of `rank` (`heapAllocations` counts region
+  /// growths of tensor storage, not the graph nodes' heap allocations).
   ml::Arena::Stats arenaStats(std::size_t rank = 0) const;
 
   /// Capture resume state. Call between trainIterations() calls (like

@@ -17,7 +17,7 @@ void Arena::resetRegion(Region& r) {
   r.highWater = std::max(r.highWater, r.stepTotal);
   // Consolidate: after a growth step, replace the chunk list with one
   // chunk covering the whole high-water footprint. Steady state is then a
-  // single chunk per region, so replayed steps bump identical offsets and
+  // single chunk per region, so repeated steps bump identical offsets and
   // never touch the heap.
   if (r.chunks.size() > 1) {
     std::size_t total = 0;
@@ -38,19 +38,6 @@ void Arena::resetRegion(Region& r) {
 }
 
 void Arena::beginStep() {
-  if (stepOpen_) {
-    // Close out the previous step's plan accounting.
-    if (recording_) {
-      recording_ = false;
-      stats_.planLength = plan_.size();
-    } else if (!deviated_ && planPos_ == plan_.size()) {
-      ++stats_.planReplays;
-    } else {
-      ++stats_.planDeviations;
-      plan_.clear();
-      recording_ = true;  // re-record the new topology next step
-    }
-  }
   resetRegion(data_);
   resetRegion(grad_);
   // One bulk zero of the grad region per step, sized to what steps
@@ -59,14 +46,7 @@ void Arena::beginStep() {
     const std::size_t n = std::min(grad_.highWater, grad_.chunks[0].cap);
     std::memset(grad_.chunks[0].mem.get(), 0, n * sizeof(Real));
   }
-  planPos_ = 0;
-  deviated_ = false;
-  stepOpen_ = true;
   ++stats_.steps;
-  stats_.dataBytesPeak =
-      std::max(stats_.dataBytesPeak, data_.highWater * sizeof(Real));
-  stats_.gradBytesPeak =
-      std::max(stats_.gradBytesPeak, grad_.highWater * sizeof(Real));
 }
 
 Real* Arena::bump(Region& r, std::size_t n, bool zeroed) {
@@ -107,62 +87,12 @@ Real* Arena::bump(Region& r, std::size_t n, bool zeroed) {
   return p;
 }
 
-void Arena::recordOrCheck(std::int64_t key) {
-  if (recording_) {
-    plan_.push_back(key);
-  } else if (!deviated_) {
-    if (planPos_ >= plan_.size() || plan_[planPos_] != key) deviated_ = true;
-    ++planPos_;
-  }
-}
-
 Real* Arena::allocData(long n) {
-  recordOrCheck((static_cast<std::int64_t>(n) << 1) | 0);
   return bump(data_, static_cast<std::size_t>(n), /*zeroed=*/false);
 }
 
 Real* Arena::allocGrad(long n) {
-  recordOrCheck((static_cast<std::int64_t>(n) << 1) | 1);
   return bump(grad_, static_cast<std::size_t>(n), /*zeroed=*/true);
-}
-
-Arena::Stats Arena::stats() const {
-  Stats s = stats_;
-  if (stepOpen_) {
-    if (recording_) {
-      s.planLength = plan_.size();
-    } else if (deviated_) {
-      ++s.planDeviations;
-    } else if (planPos_ == plan_.size()) {
-      ++s.planReplays;
-    }
-    // A non-deviated step that has not yet consumed the whole plan is
-    // still in flight — counted as neither replay nor deviation.
-  }
-  s.dataBytesPeak =
-      std::max({s.dataBytesPeak, data_.stepTotal * sizeof(Real),
-                data_.highWater * sizeof(Real)});
-  s.gradBytesPeak =
-      std::max({s.gradBytesPeak, grad_.stepTotal * sizeof(Real),
-                grad_.highWater * sizeof(Real)});
-  return s;
-}
-
-std::size_t Arena::reservedBytes() const {
-  std::size_t total = 0;
-  for (const auto& c : data_.chunks) total += c.cap;
-  for (const auto& c : grad_.chunks) total += c.cap;
-  return total * sizeof(Real);
-}
-
-void Arena::releaseMemory() {
-  data_ = Region{};
-  grad_ = Region{};
-  plan_.clear();
-  planPos_ = 0;
-  recording_ = true;
-  deviated_ = false;
-  stepOpen_ = false;
 }
 
 ArenaScope::ArenaScope(Arena& arena) : previous_(tCurrentArena) {

@@ -5,11 +5,10 @@
 /// same sequence of result nodes with the same shapes. A general-purpose
 /// heap re-discovers that fact the hard way — one malloc (+ one more for
 /// the grad) per node per step. The Arena instead hands out offsets from a
-/// step-lifetime region that `beginStep()` resets in O(1), and records the
-/// allocation sequence as a *plan*: after one warm-up step the region is
-/// sized, every subsequent step replays the identical offsets, and
-/// `stats().heapAllocations` stops moving — the proof (CI-gated in
-/// bench_micro_ops --acceptance) that steady-state steps grow no region.
+/// step-lifetime region that `beginStep()` resets in O(1). The first step
+/// sizes the regions and the next `beginStep()` merges their chunks into
+/// one, so every later step of the same topology bumps the same offsets
+/// and `stats().heapAllocations` stops moving (tests/ml/test_arena.cpp).
 /// The arena covers tensor storage only: graph nodes (`TensorImpl`
 /// blocks, their parent lists and backward closures) still come from
 /// the heap.
@@ -43,21 +42,16 @@ class Arena {
   struct Stats {
     std::uint64_t steps = 0;            ///< beginStep() calls
     std::uint64_t heapAllocations = 0;  ///< region growths (actual mallocs)
-    std::uint64_t planLength = 0;       ///< allocations in the recorded plan
-    std::uint64_t planReplays = 0;      ///< steps that replayed the plan exactly
-    std::uint64_t planDeviations = 0;   ///< steps that diverged (re-recorded)
-    std::size_t dataBytesPeak = 0;      ///< high-water data region bytes
-    std::size_t gradBytesPeak = 0;      ///< high-water grad region bytes
   };
 
   Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Start a step: O(1) reset of both regions, one bulk zero of the grad
-  /// region up to its high-water mark, plan bookkeeping. Memory handed out
-  /// before this call is invalidated — tensors from the previous step must
-  /// not be read afterwards.
+  /// Start a step: O(1) reset of both regions and one bulk zero of the
+  /// grad region up to its high-water mark. Memory handed out before this
+  /// call is invalidated — tensors from the previous step must not be read
+  /// afterwards.
   void beginStep();
 
   /// `n` Reals of *uninitialized* step-lifetime storage.
@@ -65,15 +59,7 @@ class Arena {
   /// `n` Reals of *zeroed* step-lifetime storage (gradient buffers).
   Real* allocGrad(long n);
 
-  /// Snapshot of the counters, including the still-open step: a fully
-  /// replayed (or deviated) in-flight step is counted as if beginStep had
-  /// already closed it, so callers can read honest numbers right after a
-  /// step's work without issuing another beginStep.
-  Stats stats() const;
-  /// Total bytes currently reserved across both regions.
-  std::size_t reservedBytes() const;
-  /// Drop all reserved memory and the recorded plan (tests).
-  void releaseMemory();
+  Stats stats() const { return stats_; }
 
  private:
   struct Region {
@@ -90,19 +76,9 @@ class Arena {
 
   Real* bump(Region& r, std::size_t n, bool zeroed);
   void resetRegion(Region& r);
-  void recordOrCheck(std::int64_t key);
 
   Region data_;
   Region grad_;
-
-  // Plan: the (region, size) sequence of one full step, re-recorded after
-  // any deviation. Encoded as (n << 1) | isGrad.
-  std::vector<std::int64_t> plan_;
-  std::size_t planPos_ = 0;
-  bool recording_ = true;
-  bool deviated_ = false;
-  bool stepOpen_ = false;
-
   Stats stats_;
 };
 

@@ -98,7 +98,7 @@ struct TensorImpl {
   }
 
   /// Materialize (and zero) the gradient buffer if absent. Views delegate
-  /// to their storage owner; arena nodes take pre-zeroed plan storage
+  /// to their storage owner; arena nodes take pre-zeroed arena storage
   /// (one bulk memset per step instead of per-node assigns); heap nodes
   /// keep the original assign-on-size-mismatch behavior.
   void ensureGrad() {

@@ -114,7 +114,6 @@ NetServer::NetServer(NetServerConfig cfg,
     // Distinct seed stream per shard so posterior draws never correlate
     // across shards.
     scfg.seed = cfg_.seed + 0x5bf03635ULL * (s + 1);
-    scfg.pinCoreBase = cfg_.pinCores ? static_cast<int>(s) : -1;
     scfg.metrics = metrics_;
     auto shard = std::make_unique<Shard>();
     shard->server = std::make_unique<InferenceServer>(scfg, registry_);

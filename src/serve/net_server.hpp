@@ -64,8 +64,6 @@ struct NetServerConfig {
   std::uint16_t port = 0;          ///< 0 = ephemeral; NetServer::port() tells
   std::size_t shards = 1;          ///< MicroBatcher+engine workers
   BatchPolicy policy;              ///< per-shard batching policy
-  /// Pin shard k's worker to CPU slot k of the process's allowed set.
-  bool pinCores = false;
   std::uint64_t seed = 0xced5ULL;  ///< base seed for posterior-draw RNGs
 };
 

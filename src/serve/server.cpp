@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
 
@@ -80,8 +79,6 @@ std::future<InferenceResult> InferenceServer::submit(
 }
 
 void InferenceServer::workerLoop() {
-  if (cfg_.pinCoreBase >= 0)
-    pinThisThreadToCpuSlot(static_cast<std::size_t>(cfg_.pinCoreBase));
   // Worker-local RNG for posterior draws; each incarnation of the worker
   // (one more per crash) draws its own stream.
   std::uint64_t generation = 0;

@@ -46,11 +46,6 @@ class ShutdownError : public RuntimeError {
 struct ServerConfig {
   BatchPolicy policy;
   std::uint64_t seed = 0xced5ULL;  ///< base seed for posterior-draw RNGs
-  /// Pin the worker to CPU slot pinCoreBase of the process's allowed set
-  /// (common/thread_pool.hpp::pinThisThreadToCpuSlot). -1 = no pinning.
-  /// The TCP front end (net_server.hpp) uses this to give each shard's
-  /// worker its own core.
-  int pinCoreBase = -1;
   /// Record into this ServeMetrics instead of a private one — the sharded
   /// front end aggregates all shards into a single metrics namespace.
   /// The registry record path is lock-free, so sharing does not contend.

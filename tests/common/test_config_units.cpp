@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -7,38 +10,53 @@
 namespace artsci {
 namespace {
 
-TEST(Config, ParsesKeyValuesAndPositionals) {
-  const char* argv[] = {"prog", "nodes=8", "beta=0.2", "run", "stream=off"};
-  const Config cfg = Config::fromArgs(5, argv);
+TEST(Config, ParsesKeyValues) {
+  const char* argv[] = {"prog", "nodes=8", "beta=0.2", "stream=off"};
+  const Config cfg = Config::fromArgs(4, argv, {"nodes", "beta", "stream"});
   EXPECT_EQ(cfg.getInt("nodes", 0), 8);
   EXPECT_DOUBLE_EQ(cfg.getDouble("beta", 0.0), 0.2);
   EXPECT_FALSE(cfg.getBool("stream", true));
-  ASSERT_EQ(cfg.positional().size(), 1u);
-  EXPECT_EQ(cfg.positional()[0], "run");
 }
 
 TEST(Config, FallbacksUsedWhenMissing) {
-  const Config cfg;
+  const char* argv[] = {"prog"};
+  const Config cfg = Config::fromArgs(1, argv, {"missing"});
   EXPECT_EQ(cfg.getInt("missing", 17), 17);
   EXPECT_EQ(cfg.getString("missing", "abc"), "abc");
   EXPECT_TRUE(cfg.getBool("missing", true));
 }
 
+TEST(Config, RejectsUnknownKeysNamingTheAcceptedOnes) {
+  const std::vector<std::string> keys = {"steps", "ranks", "nrep"};
+  for (const char* bad : {"stepz=2", "run"}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"prog", "steps=2", bad};
+    try {
+      (void)Config::fromArgs(3, argv, keys);
+      ADD_FAILURE() << "no ContractError";
+    } catch (const ContractError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("steps, ranks, nrep"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Config, MalformedNumberThrows) {
-  Config cfg;
-  cfg.set("n", "12x");
+  const char* argv[] = {"prog", "n=12x"};
+  const Config cfg = Config::fromArgs(2, argv, {"n"});
   EXPECT_THROW(cfg.getInt("n", 0), ContractError);
 }
 
 TEST(Config, BoolSpellings) {
-  Config cfg;
-  for (const char* t : {"1", "true", "yes", "on"}) {
-    cfg.set("b", t);
-    EXPECT_TRUE(cfg.getBool("b", false)) << t;
+  for (const char* t : {"b=1", "b=true", "b=yes", "b=on"}) {
+    const char* argv[] = {"prog", t};
+    EXPECT_TRUE(Config::fromArgs(2, argv, {"b"}).getBool("b", false)) << t;
   }
-  for (const char* f : {"0", "false", "no", "off"}) {
-    cfg.set("b", f);
-    EXPECT_FALSE(cfg.getBool("b", true)) << f;
+  for (const char* f : {"b=0", "b=false", "b=no", "b=off"}) {
+    const char* argv[] = {"prog", f};
+    EXPECT_FALSE(Config::fromArgs(2, argv, {"b"}).getBool("b", true)) << f;
   }
 }
 

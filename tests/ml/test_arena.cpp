@@ -1,13 +1,14 @@
 /// Tests of the step arena: results built under an ArenaScope live in
-/// arena storage (heap vector access trips the guard), the recorded
-/// allocation plan replays with zero steady-state heap allocations
-/// (proven via Arena::stats()), deviation re-records cleanly, and — the
+/// arena storage (heap vector access trips the guard), repeated steps of
+/// one topology grow no region once the regions are sized (proven via
+/// Arena::stats()), a new topology grows them once, and — the
 /// hard contract — values and gradients are bit-identical across {1,2,8}
 /// threads, across heap and arena storage, and to the reference graph of
 /// tests/ml/reference_graph.hpp (copied views, separate activation nodes)
 /// for every layer type the model uses.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,15 +72,15 @@ TEST(Arena, ScopeMakesResultsArenaBacked) {
   // Outside the scope results are heap again.
   Tensor c = square(a);
   EXPECT_NO_THROW(c.data());
-  EXPECT_GT(arena.stats().dataBytesPeak, 0u);
+  EXPECT_GT(arena.stats().heapAllocations, 0u);
 }
 
-TEST(Arena, PlanReplayZeroSteadyStateAllocations) {
+TEST(Arena, ZeroSteadyStateAllocations) {
   Rng rng(2);
   StepFixture fixture(rng);
   Arena arena;
 
-  // Warm-up: first step records the plan and grows the regions.
+  // Warm-up: the first step grows the regions.
   arena.beginStep();
   std::vector<Real> g0;
   {
@@ -88,22 +89,19 @@ TEST(Arena, PlanReplayZeroSteadyStateAllocations) {
   }
   const Arena::Stats warm = arena.stats();
   EXPECT_EQ(warm.steps, 1u);
-  EXPECT_GT(warm.planLength, 0u);
   EXPECT_GT(warm.heapAllocations, 0u);
 
-  // Step 2: the plan replays; its beginStep may still consolidate the
-  // warm-up chunks into one allocation. From here on the heap is off
-  // limits.
+  // Step 2: its beginStep may still consolidate the warm-up chunks into
+  // one allocation. From here on the heap is off limits.
   arena.beginStep();
   {
     ArenaScope scope(arena);
     EXPECT_EQ(fixture.step(), g0);
   }
   const Arena::Stats settled = arena.stats();
-  EXPECT_EQ(settled.planReplays, 1u);
 
-  // Steady state: identical topology -> plan replays, zero new mallocs,
-  // and bit-identical gradients every step.
+  // Steady state: identical topology -> zero new mallocs and
+  // bit-identical gradients every step.
   for (int i = 0; i < 4; ++i) {
     arena.beginStep();
     ArenaScope scope(arena);
@@ -111,17 +109,16 @@ TEST(Arena, PlanReplayZeroSteadyStateAllocations) {
   }
   const Arena::Stats steady = arena.stats();
   EXPECT_EQ(steady.steps, 6u);
-  EXPECT_EQ(steady.planReplays, 5u);
-  EXPECT_EQ(steady.planDeviations, 0u);
   EXPECT_EQ(steady.heapAllocations, settled.heapAllocations)
       << "steady-state steps must not touch the heap";
 }
 
-TEST(Arena, DeviationReRecordsThenReplays) {
+TEST(Arena, NewTopologyGrowsOnceThenRepeatsGrowNothing) {
   Rng rng(3);
   Arena arena;
+  // b's 16 384 elements exceed a's first chunk (kMinChunkElems = 8 192).
   Tensor a = Tensor::randn({4, 4}, rng);
-  Tensor b = Tensor::randn({8, 8}, rng);
+  Tensor b = Tensor::randn({128, 128}, rng);
 
   auto run = [&](const Tensor& t) {
     arena.beginStep();
@@ -129,14 +126,18 @@ TEST(Arena, DeviationReRecordsThenReplays) {
     Tensor loss = sumAll(square(t));
     (void)loss.item();
   };
-  run(a);            // records plan A
-  run(b);            // deviates (different shapes)
-  run(b);            // re-records as plan B
-  run(b);            // replays plan B
-  const Arena::Stats s = arena.stats();
-  EXPECT_EQ(s.steps, 4u);
-  EXPECT_EQ(s.planDeviations, 1u);
-  EXPECT_EQ(s.planReplays, 1u);
+  run(a);
+  run(a);
+  const std::uint64_t settledA = arena.stats().heapAllocations;
+  run(b);  // outgrows the regions sized for a
+  EXPECT_GT(arena.stats().heapAllocations, settledA);
+  run(b);  // its beginStep merges the grown chunks into one
+  const std::uint64_t settledB = arena.stats().heapAllocations;
+  for (int i = 0; i < 3; ++i) run(b);
+  EXPECT_EQ(arena.stats().heapAllocations, settledB);
+  run(a);  // a smaller topology fits the merged chunk
+  EXPECT_EQ(arena.stats().heapAllocations, settledB);
+  EXPECT_EQ(arena.stats().steps, 8u);
 }
 
 /// Output values and gradients (in `leaves` order) of one fwd+bwd of
@@ -168,8 +169,9 @@ StepBits runArenaStep(Arena& arena, const std::vector<Tensor>& leaves,
 }
 
 /// The production graph and the reference graph give the same values and
-/// gradients, bit for bit, on the heap and in an arena (the recording
-/// step, the consolidating step and a replayed step).
+/// gradients, bit for bit, on the heap and in an arena (the sizing step,
+/// the consolidating step and a settled step), and the settled step grows
+/// no arena region.
 template <typename Prod, typename Ref>
 void expectMatchesReference(const std::vector<Tensor>& leaves, Prod&& prod,
                             Ref&& ref) {
@@ -178,8 +180,13 @@ void expectMatchesReference(const std::vector<Tensor>& leaves, Prod&& prod,
   EXPECT_EQ(heapRef.out, expect.out) << "heap: values";
   EXPECT_EQ(heapRef.grads, expect.grads) << "heap: gradients";
   Arena prodArena, refArena;
+  std::uint64_t prodSettled = 0, refSettled = 0;
   for (int step = 0; step < 3; ++step) {
     SCOPED_TRACE("arena step " + std::to_string(step));
+    if (step == 2) {
+      prodSettled = prodArena.stats().heapAllocations;
+      refSettled = refArena.stats().heapAllocations;
+    }
     const StepBits p = runArenaStep(prodArena, leaves, prod);
     const StepBits r = runArenaStep(refArena, leaves, ref);
     EXPECT_EQ(p.out, expect.out) << "arena: production values";
@@ -187,8 +194,10 @@ void expectMatchesReference(const std::vector<Tensor>& leaves, Prod&& prod,
     EXPECT_EQ(r.out, expect.out) << "arena: reference values";
     EXPECT_EQ(r.grads, expect.grads) << "arena: reference gradients";
   }
-  EXPECT_EQ(prodArena.stats().planDeviations, 0u);
-  EXPECT_EQ(refArena.stats().planDeviations, 0u);
+  EXPECT_EQ(prodArena.stats().heapAllocations, prodSettled)
+      << "production: the third arena step grew a region";
+  EXPECT_EQ(refArena.stats().heapAllocations, refSettled)
+      << "reference: the third arena step grew a region";
 }
 
 /// Parameters followed by the extra leaves whose gradients also count.
@@ -214,9 +223,9 @@ TEST(Arena, GradsBitIdenticalAcrossArenaAndReferenceGraph) {
     }
   }
 
-  // The trainer-step workload of bench_micro_ops --acceptance: an INN
-  // (dim 64, 4 blocks, hidden {48, 48}, batch 16) against the reference
-  // graph with copied column slices and separate leaky-ReLU nodes.
+  // An INN training step (dim 64, 4 blocks, hidden {48, 48}, batch 16)
+  // against the reference graph with copied column slices and separate
+  // leaky-ReLU nodes; its third arena step must grow no region.
   Rng innRng(7);
   Inn::Config cfg;
   cfg.dim = 64;
@@ -278,18 +287,25 @@ TEST(Arena, VoxelDecoderMatchesReferenceGraph) {
       [&] { return reference::decoder(dec, z); });
 }
 
-TEST(Arena, PlanReplayBitIdenticalAcrossThreadCounts) {
+TEST(Arena, BitIdenticalAcrossThreadCounts) {
   Rng rng(5);
   StepFixture fixture(rng);
   Arena arena;
 
-  // Baseline at the default thread count, through plan warm-up + replay.
+  // Baseline at the default thread count: a sizing step, then a settled
+  // step that repeats its bits.
   arena.beginStep();
   std::vector<Real> reference;
   {
     ArenaScope scope(arena);
     reference = fixture.step();
   }
+  arena.beginStep();
+  {
+    ArenaScope scope(arena);
+    EXPECT_EQ(fixture.step(), reference);
+  }
+  const std::uint64_t settled = arena.stats().heapAllocations;
 #ifdef _OPENMP
   for (int threads : {1, 2, 8}) {
     omp_set_num_threads(threads);
@@ -306,29 +322,8 @@ TEST(Arena, PlanReplayBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(fixture.step(), reference);
   }
 #endif
-  EXPECT_EQ(arena.stats().planDeviations, 0u)
-      << "thread count must not perturb the allocation plan";
-}
-
-TEST(Arena, ReleaseMemoryResetsRegionsAndPlan) {
-  Rng rng(6);
-  StepFixture fixture(rng);
-  Arena arena;
-  arena.beginStep();
-  {
-    ArenaScope scope(arena);
-    (void)fixture.step();
-  }
-  EXPECT_GT(arena.reservedBytes(), 0u);
-  arena.releaseMemory();
-  EXPECT_EQ(arena.reservedBytes(), 0u);
-  // The arena is reusable after release: next step re-records and runs.
-  arena.beginStep();
-  {
-    ArenaScope scope(arena);
-    (void)fixture.step();
-  }
-  EXPECT_GT(arena.reservedBytes(), 0u);
+  EXPECT_EQ(arena.stats().heapAllocations, settled)
+      << "thread count must not grow an arena region";
 }
 
 }  // namespace
