@@ -189,8 +189,8 @@ int main(int argc, char** argv) {
     const std::uint64_t picHits = it == hits.end() ? 0 : it->second;
     const double ratio = onRate / offRate;
     // picHits > 0 guards against vacuity: the hook must actually sit on
-    // the measured path (ARTSCI_FAULTS=0 builds legitimately record 0 and
-    // fail here — this check is for instrumented builds).
+    // the measured path (a FAULT_POINT moved off it records 0 and fails
+    // here).
     const bool pass = picHits > 0;
     std::printf(
         "fault-point overhead: fused KHI 32x64x8 ppc 9, %d steps, best of "

@@ -166,10 +166,8 @@ void atomicWriteFile(const std::string& path,
                           "': " + std::strerror(errno));
 
   std::size_t want = bytes.size();
-#if ARTSCI_FAULTS
   if (fault::Plan::global().armed())
     want = fault::Plan::global().tornBytes("ckpt.write", bytes.size());
-#endif
   std::size_t done = 0;
   while (done < want) {
     const ::ssize_t w = ::write(fd, bytes.data() + done, want - done);

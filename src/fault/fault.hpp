@@ -9,11 +9,10 @@
 /// reproducible from its seed and spec.
 ///
 /// Cost model (`bench_particle_pipeline --fault-overhead` reports the
-/// armed/disarmed ratio, mirroring TRACE_SCOPE):
-///  * `ARTSCI_FAULTS=0` (CMake option OFF): FAULT_POINT compiles to
-///    nothing — zero code, zero data;
-///  * compiled in but disarmed (the default, and the only production
-///    state): one relaxed atomic load and a predictable branch per site;
+/// armed/disarmed ratio, mirroring TRACE_SCOPE). Hooks are always
+/// compiled in; a plan arms them at runtime:
+///  * disarmed (the default, and the only production state): one relaxed
+///    atomic load and a predictable branch per site;
 ///  * armed (chaos tests only): a mutex + map lookup per site — sites sit
 ///    on step/batch boundaries, never in per-particle loops.
 ///
@@ -43,12 +42,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-
-// Compile-time master switch. The CMake option ARTSCI_FAULTS=OFF passes
-// -DARTSCI_FAULTS=0; default is compiled-in (runtime-disarmed).
-#ifndef ARTSCI_FAULTS
-#define ARTSCI_FAULTS 1
-#endif
 
 namespace artsci::fault {
 
@@ -143,15 +136,11 @@ class ScopedPlan {
 
 }  // namespace artsci::fault
 
-#if ARTSCI_FAULTS
-/// Zero-cost-when-disarmed fault hook. Site strings are dotted paths
-/// ("subsystem.component.event"); the table of live sites is in
+/// Near-zero-cost-when-disarmed fault hook. Site strings are dotted
+/// paths ("subsystem.component.event"); the table of live sites is in
 /// docs/ARCHITECTURE.md § Fault tolerance.
 #define FAULT_POINT(site)                                       \
   do {                                                          \
     if (::artsci::fault::Plan::global().armed())                \
       ::artsci::fault::Plan::global().onSite(site);             \
   } while (false)
-#else
-#define FAULT_POINT(site) ((void)0)
-#endif

@@ -7,11 +7,10 @@
 /// JSON that chrome://tracing and https://ui.perfetto.dev load directly.
 ///
 /// Cost model (bench/particle_pipeline.cpp --trace-overhead reports the
-/// enabled/disabled ratio):
-///  * `ARTSCI_TRACING=0` (CMake option OFF): TRACE_SCOPE compiles to
-///    nothing — zero code, zero data;
-///  * compiled in but disabled (the default at runtime): one relaxed
-///    atomic load and a predictable branch per scope (~1 ns);
+/// enabled/disabled ratio). Spans are always compiled in; the recorder
+/// is switched on at runtime:
+///  * disabled (the default): one relaxed atomic load and a predictable
+///    branch per scope (~1 ns);
 ///  * enabled: two steady_clock reads plus one ring-buffer store per
 ///    scope (~tens of ns) — cheap enough to leave on around phases, far
 ///    too hot for per-particle loops (instrument the loop, not the body).
@@ -35,12 +34,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-// Compile-time master switch. The CMake option ARTSCI_TRACING=OFF passes
-// -DARTSCI_TRACING=0; default is compiled-in (runtime-disabled).
-#ifndef ARTSCI_TRACING
-#define ARTSCI_TRACING 1
-#endif
 
 namespace artsci::obs {
 
@@ -150,13 +143,9 @@ class TraceScope {
 
 }  // namespace artsci::obs
 
-#if ARTSCI_TRACING
 #define ARTSCI_TRACE_CONCAT2(a, b) a##b
 #define ARTSCI_TRACE_CONCAT(a, b) ARTSCI_TRACE_CONCAT2(a, b)
 /// Time the enclosing scope as one span. category/name: string literals.
 #define TRACE_SCOPE(category, name)                                  \
   ::artsci::obs::TraceScope ARTSCI_TRACE_CONCAT(artsciTraceScope_,   \
                                                 __COUNTER__)(category, name)
-#else
-#define TRACE_SCOPE(category, name) ((void)0)
-#endif

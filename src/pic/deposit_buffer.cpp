@@ -19,7 +19,7 @@ const GridSpec& validatedGrid(const GridSpec& grid) {
 
 DepositBuffer::DepositBuffer(const GridSpec& grid, TileDepositConfig cfg)
     : grid_(validatedGrid(grid)),
-      bins_(grid, cfg.tileEdgeX, cfg.tileEdgeY, grid.nz) {
+      bins_(grid, cfg.tileEdgeX, cfg.tileEdgeY) {
   padX_ = bins_.tileEdgeX() + 2 * kHalo;
   padY_ = bins_.tileEdgeY() + 2 * kHalo;
   padZ_ = grid.nz + 2 * kHalo;
@@ -63,7 +63,8 @@ void DepositBuffer::binParticles(const std::vector<double>& xs,
 }
 
 void DepositBuffer::reduceComponent(Field3& dst, int comp,
-                                    const SupercellIndex& occ) const {
+                                    const SupercellIndex& occ, long xBegin,
+                                    long xEnd) const {
   const long nyz = grid_.ny * grid_.nz;
   for (long t = 0; t < tileCount(); ++t) {
     const SupercellIndex::Range r = occ.tileRange(t);
@@ -74,6 +75,7 @@ void DepositBuffer::reduceComponent(Field3& dst, int comp,
     const long spanY = (e.y1 - e.y0) + 2 * kHalo;
     for (long li = 0; li < spanX; ++li) {
       const long gi = Field3::wrap(e.x0 - kHalo + li, grid_.nx);
+      if (gi < xBegin || gi >= xEnd) continue;
       for (long lj = 0; lj < spanY; ++lj) {
         const long gj = Field3::wrap(e.y0 - kHalo + lj, grid_.ny);
         const double* row = src + (li * padY_ + lj) * padZ_;
@@ -82,40 +84,6 @@ void DepositBuffer::reduceComponent(Field3& dst, int comp,
           const double v = row[lk];
           // The skip is itself deterministic (tile values are), so it
           // never perturbs the fixed summation order.
-          if (v != 0.0)
-            dst.flat(base + wrapZ_[static_cast<std::size_t>(lk)]) += v;
-        }
-      }
-    }
-  }
-}
-
-void DepositBuffer::reduceTileRows(VectorField& J, long tile, long xBegin,
-                                   long xEnd) const {
-  ARTSCI_EXPECTS(tile >= 0 && tile < tileCount());
-  ARTSCI_EXPECTS(xBegin >= 0 && xBegin < xEnd && xEnd <= grid_.nx);
-  ARTSCI_EXPECTS(J.x.nx() == grid_.nx && J.x.ny() == grid_.ny &&
-                 J.x.nz() == grid_.nz);
-  const long nyz = grid_.ny * grid_.nz;
-  const TileExtent e = extentOf(tile);
-  const long spanX = (e.x1 - e.x0) + 2 * kHalo;
-  const long spanY = (e.y1 - e.y0) + 2 * kHalo;
-  Field3* const comps[3] = {&J.x, &J.y, &J.z};
-  for (int comp = 0; comp < 3; ++comp) {
-    Field3& dst = *comps[comp];
-    const double* src = tileComponent(tile, comp);
-    for (long li = 0; li < spanX; ++li) {
-      const long gi = Field3::wrap(e.x0 - kHalo + li, grid_.nx);
-      // Row filter: only destination rows inside the caller's slab commit.
-      // Everything else matches reduceComponent's loops exactly, so the
-      // union over disjoint slabs is the serial single-rank reduction.
-      if (gi < xBegin || gi >= xEnd) continue;
-      for (long lj = 0; lj < spanY; ++lj) {
-        const long gj = Field3::wrap(e.y0 - kHalo + lj, grid_.ny);
-        const double* row = src + (li * padY_ + lj) * padZ_;
-        const long base = gi * nyz + gj * grid_.nz;
-        for (long lk = 0; lk < padZ_; ++lk) {
-          const double v = row[lk];
           if (v != 0.0)
             dst.flat(base + wrapZ_[static_cast<std::size_t>(lk)]) += v;
         }
@@ -217,15 +185,16 @@ void DepositBuffer::scatterEsirkepovTile(const GridSpec& grid, double x0,
   }
 }
 
-void DepositBuffer::reduce(VectorField& J, const SupercellIndex& occupancy) {
-  ARTSCI_EXPECTS(occupancy.tileCount() == tileCount() &&
-                 occupancy.tilesX() == tilesX() &&
+void DepositBuffer::reduce(VectorField& J, const SupercellIndex& occupancy,
+                           long xBegin, long xEnd) const {
+  ARTSCI_EXPECTS(occupancy.tilesX() == tilesX() &&
                  occupancy.tilesY() == tilesY());
+  ARTSCI_EXPECTS(xBegin >= 0 && xBegin <= xEnd && xEnd <= grid_.nx);
   ARTSCI_EXPECTS(J.x.nx() == grid_.nx && J.x.ny() == grid_.ny &&
                  J.x.nz() == grid_.nz);
-  reduceComponent(J.x, 0, occupancy);
-  reduceComponent(J.y, 1, occupancy);
-  reduceComponent(J.z, 2, occupancy);
+  reduceComponent(J.x, 0, occupancy, xBegin, xEnd);
+  reduceComponent(J.y, 1, occupancy, xBegin, xEnd);
+  reduceComponent(J.z, 2, occupancy, xBegin, xEnd);
 }
 
 void DepositBuffer::depositCharge(Field3& rho, const ParticleBuffer& buffer) {
@@ -251,7 +220,7 @@ void DepositBuffer::depositCharge(Field3& rho, const ParticleBuffer& buffer) {
     }
   }
 
-  reduceComponent(rho, 0, bins_);
+  reduceComponent(rho, 0, bins_, 0, grid_.nx);
 }
 
 }  // namespace artsci::pic

@@ -19,7 +19,10 @@
 ///     no other tile writes it (the +-2-cell Esirkepov stencil stays
 ///     within the halo by construction);
 ///  3. *reduces* the tile accumulators into the global field serially in
-///     ascending tile order, wrapping padded cells periodically.
+///     ascending tile order, wrapping padded cells periodically. One loop
+///     does this for every caller; it commits only destination rows in a
+///     caller-given x range, so the rank-decomposed driver runs the same
+///     loop over its slab that Simulation runs over [0, nx).
 ///
 /// Determinism invariant: every global cell receives its partial sums
 /// grouped per tile and ordered by (tile index, particle index within
@@ -50,12 +53,14 @@ struct TileDepositConfig {
 /// Reusable tile-accumulator storage + binning scratch for deterministic
 /// deposition on one grid. Not thread-safe: one DepositBuffer per
 /// concurrent depositing driver (it is itself internally OpenMP-parallel).
-/// Steady-state callers (Simulation) keep one instance alive across steps
-/// so no allocation happens in the hot loop.
+/// Steady-state callers keep one instance alive across steps so no
+/// allocation happens in the hot loop; each FusedPipeline owns the one
+/// its current is scattered into.
 ///
 /// Binning is a SupercellIndex with full-z tile columns, the geometry of
-/// the fused pipeline's supercell sort; the fused pipeline scatters its
-/// current into these accumulators through zeroedTile()/reduce() below.
+/// the fused pipeline's supercell sort, and every tile edge below comes
+/// from it. The fused pipeline scatters its current into these
+/// accumulators through zeroedTile(); reduce() adds them into J.
 class DepositBuffer {
  public:
   /// Halo width in cells around each tile's owned region, per axis and
@@ -144,22 +149,17 @@ class DepositBuffer {
   TileAccum zeroedTile(long tile, int components = 3);
 
   /// Fixed-order reduction of every tile `occupancy` marks non-empty into
-  /// J (ascending tile order, serial — the determinism-critical step).
-  /// `occupancy` must share this buffer's tile geometry; the fused
-  /// pipeline passes its post-sort SupercellIndex.
-  void reduce(VectorField& J, const SupercellIndex& occupancy);
-
-  /// Reduce one tile's accumulators (all three components) into J, but
-  /// commit only destination rows whose wrapped global x index lies in
-  /// [xBegin, xEnd). The rank-decomposed driver's collective reduction:
-  /// every rank applies all ranks' occupied tiles in the same fixed
-  /// (tile, source-rank) order restricted to its own slab rows, so the
-  /// writes are disjoint across concurrent ranks while every cell still
-  /// receives its partial sums in the canonical global order (equal to
-  /// the single-rank reduce; see pic/domain.hpp). The caller checks
-  /// occupancy — this call assumes the tile was scattered this step.
-  void reduceTileRows(VectorField& J, long tile, long xBegin,
-                      long xEnd) const;
+  /// J (ascending tile order, serial — the determinism-critical step),
+  /// committing only destination rows whose wrapped global x index lies
+  /// in [xBegin, xEnd). `occupancy` must share this buffer's tile
+  /// geometry; the fused pipeline's post-sort index() does. Reducing
+  /// disjoint row ranges that cover [0, nx), in any order, gives every
+  /// cell the bits of one reduce over [0, nx): a cell's adds still come
+  /// in ascending tile order. The rank-decomposed driver relies on that
+  /// (pic/domain.hpp); reads are const, so ranks with disjoint ranges
+  /// may reduce from one buffer concurrently.
+  void reduce(VectorField& J, const SupercellIndex& occupancy, long xBegin,
+              long xEnd) const;
 
  private:
   /// Stable counting sort of particle indices by owning tile, delegated
@@ -180,10 +180,12 @@ class DepositBuffer {
            static_cast<std::size_t>((tile * 3 + comp) * tileStride_);
   }
 
-  /// Serially add `comp` of every tile `occ` marks non-empty into `dst`
-  /// in ascending tile order, wrapping padded cells periodically.
-  void reduceComponent(Field3& dst, int comp,
-                       const SupercellIndex& occ) const;
+  /// The one loop that adds tile accumulators into a global field:
+  /// serially add `comp` of every tile `occ` marks non-empty into `dst`
+  /// in ascending tile order, wrapping padded cells periodically and
+  /// committing only rows with wrapped x in [xBegin, xEnd).
+  void reduceComponent(Field3& dst, int comp, const SupercellIndex& occ,
+                       long xBegin, long xEnd) const;
 
   GridSpec grid_;
   /// Charge binning: x/y tiles over full z columns. Also the occupancy

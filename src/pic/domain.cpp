@@ -17,25 +17,20 @@ DistributedSimulation::DistributedSimulation(Config cfg)
   ARTSCI_EXPECTS(cfg.ranks >= 1);
   ARTSCI_EXPECTS(cfg.grid.nx >= 1 && cfg.grid.ny >= 1 && cfg.grid.nz >= 1);
   ARTSCI_EXPECTS(solver_.cflNumber(cfg.dt) < 1.0);
-  ARTSCI_EXPECTS(cfg.tiles.tileEdgeX >= 1 && cfg.tiles.tileEdgeY >= 1);
-  // Same clamp as SupercellIndex/DepositBuffer, so the column arithmetic
-  // below agrees with the tile geometry the buffers actually build.
-  tileEdgeX_ = std::min(cfg.tiles.tileEdgeX, cfg.grid.nx);
-  tilesX_ = (cfg.grid.nx + tileEdgeX_ - 1) / tileEdgeX_;
-  ARTSCI_EXPECTS_MSG(static_cast<long>(cfg.ranks) <= tilesX_,
+  // Rank 0's pipeline is built first: its index owns the tile geometry
+  // (edges clamped to the grid) that the slab arithmetic below reads.
+  fused_.push_back(std::make_unique<FusedPipeline>(cfg.grid, cfg.tiles));
+  const long tilesX = geometry().tilesX();
+  ARTSCI_EXPECTS_MSG(static_cast<long>(cfg.ranks) <= tilesX,
                      "rank slabs are whole tile columns: need ranks <= "
                      "ceil(nx / tileEdgeX) = "
-                         << tilesX_
+                         << tilesX
                          << "; shrink Config::tiles.tileEdgeX or ranks");
   particles_.resize(cfg.ranks);
   outbox_.resize(cfg.ranks);
   for (auto& perDst : outbox_) perDst.resize(cfg.ranks);
-  depositBuf_.reserve(cfg.ranks);
-  fused_.reserve(cfg.ranks);
-  for (std::size_t r = 0; r < cfg.ranks; ++r) {
-    depositBuf_.push_back(std::make_unique<DepositBuffer>(cfg.grid, cfg.tiles));
+  for (std::size_t r = 1; r < cfg.ranks; ++r)
     fused_.push_back(std::make_unique<FusedPipeline>(cfg.grid, cfg.tiles));
-  }
 }
 
 std::size_t DistributedSimulation::addSpecies(const SpeciesInfo& info) {
@@ -55,26 +50,18 @@ ParticleBuffer& DistributedSimulation::staging(std::size_t speciesIdx) {
 
 std::pair<long, long> DistributedSimulation::columnsOf(std::size_t rank) const {
   ARTSCI_EXPECTS(rank < cfg_.ranks);
-  const long base = tilesX_ / static_cast<long>(cfg_.ranks);
-  const long rem = tilesX_ % static_cast<long>(cfg_.ranks);
+  const long tilesX = geometry().tilesX();
+  const long base = tilesX / static_cast<long>(cfg_.ranks);
+  const long rem = tilesX % static_cast<long>(cfg_.ranks);
   const long r = static_cast<long>(rank);
   const long begin = r * base + std::min(r, rem);
   return {begin, begin + base + (r < rem ? 1 : 0)};
 }
 
-std::size_t DistributedSimulation::rankOfColumn(long column) const {
-  ARTSCI_EXPECTS(column >= 0 && column < tilesX_);
-  const long base = tilesX_ / static_cast<long>(cfg_.ranks);
-  const long rem = tilesX_ % static_cast<long>(cfg_.ranks);
-  const long wide = (base + 1) * rem;  // columns held by the rem wider ranks
-  const long r =
-      column < wide ? column / (base + 1) : rem + (column - wide) / base;
-  return static_cast<std::size_t>(r);
-}
-
 std::pair<long, long> DistributedSimulation::slabOf(std::size_t rank) const {
   const auto [c0, c1] = columnsOf(rank);
-  return {c0 * tileEdgeX_, std::min(cfg_.grid.nx, c1 * tileEdgeX_)};
+  const long edge = geometry().tileEdgeX();
+  return {c0 * edge, std::min(cfg_.grid.nx, c1 * edge)};
 }
 
 std::size_t DistributedSimulation::ownerOf(double xCell) const {
@@ -86,7 +73,11 @@ std::size_t DistributedSimulation::ownerOf(double xCell) const {
                      "particle x position "
                          << xCell << " outside the domain [0, " << nx
                          << ") — positions must be wrapped and finite");
-  return rankOfColumn(static_cast<long>(std::floor(xCell)) / tileEdgeX_);
+  const long column =
+      static_cast<long>(std::floor(xCell)) / geometry().tileEdgeX();
+  std::size_t rank = 0;
+  while (columnsOf(rank).second <= column) ++rank;
+  return rank;
 }
 
 void DistributedSimulation::distribute() {
@@ -122,8 +113,6 @@ void DistributedSimulation::stepRank(std::size_t rank, Barrier& barrier) {
   const GridSpec& g = cfg_.grid;
   const auto [x0, x1] = slabOf(rank);
   const double dt = cfg_.dt;
-  const long tiles = depositBuf_[rank]->tileCount();
-  const long tilesY = depositBuf_[rank]->tilesY();
 
   // Zero this rank's J slab. No barrier around it: every J row is
   // written only by its owning rank for the whole step (this zeroing and
@@ -153,7 +142,7 @@ void DistributedSimulation::stepRank(std::size_t rank, Barrier& barrier) {
     ParticleBuffer& p = particles_[rank][s];
     {
       TRACE_SCOPE("domain", "scatter");
-      fused_[rank]->pushAndScatter(p, E_, B_, dt, *depositBuf_[rank]);
+      fused_[rank]->pushAndScatter(p, E_, B_, dt);
       std::vector<std::size_t> leaving;
       for (std::size_t i = 0; i < p.size(); ++i) {
         if (p.x[i] < static_cast<double>(x0) ||
@@ -172,22 +161,19 @@ void DistributedSimulation::stepRank(std::size_t rank, Barrier& barrier) {
     }
     barrier.arriveAndWait();
 
-    // Reduction phase — the deterministic halo exchange. Every rank
-    // walks ALL ranks' tiles in ascending tile order and commits only
-    // its own slab's rows (reduceTileRows): concurrent writes are
-    // disjoint, accumulator reads are immutable, and each J cell
-    // receives its per-tile sums in the single-rank reduce order. A
+    // Reduction phase — the deterministic halo exchange. Every rank runs
+    // the single-rank reduce over its own slab's rows, on every rank's
+    // accumulators in rank order: concurrent writes are disjoint,
+    // accumulator reads are immutable, and since slabs are ascending
+    // runs of tile columns, rank order is ascending tile order — each J
+    // cell receives its per-tile sums in the single-rank reduce order. A
     // tile's halo rows that spill into this slab are committed here from
-    // the owner's accumulator. Occupancy comes from the owner's
-    // post-sort index, so never-scattered (stale) tiles are skipped.
+    // the owner's accumulator. Occupancy comes from each owner's
+    // post-sort index, which marks only tiles of its own slab.
     {
       TRACE_SCOPE("domain", "halo_reduce");
-      for (long t = 0; t < tiles; ++t) {
-        const std::size_t owner = rankOfColumn(t / tilesY);
-        const SupercellIndex::Range r = fused_[owner]->index().tileRange(t);
-        if (r.begin == r.end) continue;
-        depositBuf_[owner]->reduceTileRows(J_, t, x0, x1);
-      }
+      for (const auto& owner : fused_)
+        owner->accumulators().reduce(J_, owner->index(), x0, x1);
     }
     // Second barrier: the next species' scatter (or the step end) must
     // not overwrite accumulators another rank is still reducing from.

@@ -11,7 +11,9 @@
 /// ingredients make that hold:
 ///
 ///  1. *Tile-column-aligned slabs.* Rank slabs are whole columns of
-///     deposit tiles (Config::tiles), so every tile's particles live on
+///     deposit tiles (Config::tiles, clamped by the pipelines'
+///     SupercellIndex, whose geometry the slab arithmetic reads), so
+///     every tile's particles live on
 ///     exactly one rank and each tile accumulator is computed whole, by
 ///     one rank, in one canonical-order fold. Slab boundaries cutting
 ///     through a tile would split that fold into per-rank partial sums,
@@ -23,15 +25,16 @@
 ///     is a pure function of the particle multiset — independent of how
 ///     distribution and migration history ordered each rank's buffer.
 ///  3. *Collective fixed-order halo reduction.* After all ranks scatter
-///     (concurrently, into rank-private accumulators), every rank walks
-///     ALL ranks' occupied tiles in ascending tile order and commits only
-///     the rows of its own slab (DepositBuffer::reduceTileRows): writes
-///     are disjoint across ranks, reads are shared and immutable, and
-///     every J cell receives its per-tile partial sums in exactly the
-///     order the single-rank reduce uses. Halo rows that spill into a
-///     neighbour's slab are committed by that neighbour from this rank's
-///     accumulator — the halo exchange, with no atomics and no
-///     arrival-order dependence.
+///     (concurrently, into rank-private accumulators), every rank runs
+///     the single-rank reduce (DepositBuffer::reduce) on every rank's
+///     accumulators in rank order, committing only the rows of its own
+///     slab. Slabs are ascending runs of tile columns, so rank order is
+///     ascending tile order: writes are disjoint across ranks, reads are
+///     shared and immutable, and every J cell receives its per-tile
+///     partial sums in exactly the order the single-rank reduce uses.
+///     Halo rows that spill into a neighbour's slab are committed by that
+///     neighbour from this rank's accumulator — the halo exchange, with
+///     no atomics and no arrival-order dependence.
 ///
 /// Migration is deterministic too: leaving particles go into
 /// per-(source, destination) outboxes written only by the source rank and
@@ -118,27 +121,24 @@ class DistributedSimulation {
     double w;
   };
 
+  /// Tile geometry of every rank's pipeline (rank 0's index holds it).
+  const SupercellIndex& geometry() const { return fused_[0]->index(); }
   /// Tile columns [begin, end) owned by `rank` (base+remainder split).
   std::pair<long, long> columnsOf(std::size_t rank) const;
-  /// Inverse of columnsOf: the rank owning tile column `column`.
-  std::size_t rankOfColumn(long column) const;
 
   void stepRank(std::size_t rank, Barrier& barrier);
 
   Config cfg_;
-  long tileEdgeX_ = 0;  ///< x tile edge, clamped to the grid like the buffers
-  long tilesX_ = 0;     ///< number of x tile columns
   FieldSolver solver_;
   VectorField E_, B_, J_;
   std::vector<SpeciesInfo> speciesInfo_;
   std::vector<ParticleBuffer> staging_;
   /// particles_[rank][species]
   std::vector<std::vector<ParticleBuffer>> particles_;
-  /// Per rank: private tile accumulators + fused driver over
+  /// Per rank: the fused driver with its private tile accumulators, over
   /// the full grid geometry (only owned tiles are ever touched; the full
-  /// extent keeps tile indices global, which the collective reduction
-  /// and the cross-rank occupancy lookups rely on).
-  std::vector<std::unique_ptr<DepositBuffer>> depositBuf_;
+  /// extent keeps tile indices global, so every rank's reduce walks one
+  /// shared tile order).
   std::vector<std::unique_ptr<FusedPipeline>> fused_;
   /// outbox_[src][dst][species], written only by rank `src`
   /// during its migrant scan, drained only by rank `dst` during the

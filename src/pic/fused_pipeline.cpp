@@ -55,40 +55,16 @@ void fillCache(double* dst, const Field3& f, long x0, long spanX, long y0,
 
 }  // namespace
 
-FusedPipeline::FusedPipeline(const GridSpec& grid, TileDepositConfig accumCfg)
-    : grid_(grid),
-      index_(grid, accumCfg.tileEdgeX, accumCfg.tileEdgeY, grid.nz) {}
-
-void FusedPipeline::pushAndDeposit(ParticleBuffer& p, const VectorField& E,
-                                   const VectorField& B, VectorField& J,
-                                   double dt, DepositBuffer& accum,
-                                   std::vector<double>* bdx,
-                                   std::vector<double>* bdy,
-                                   std::vector<double>* bdz) {
-  pushAndScatter(p, E, B, dt, accum, bdx, bdy, bdz);
-  // Fixed-order tile reduction.
-  if (!p.empty()) {
-    TRACE_SCOPE("pic", "reduce");
-    accum.reduce(J, index_);
-  }
-}
+FusedPipeline::FusedPipeline(const GridSpec& grid, TileDepositConfig tiles)
+    : index_(grid, tiles.tileEdgeX, tiles.tileEdgeY),
+      accum_(grid, tiles) {}
 
 void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
                                    const VectorField& B, double dt,
-                                   DepositBuffer& accum,
                                    std::vector<double>* bdx,
                                    std::vector<double>* bdy,
                                    std::vector<double>* bdz) {
   ARTSCI_EXPECTS(dt > 0);
-  ARTSCI_EXPECTS(accum.grid().nx == grid_.nx && accum.grid().ny == grid_.ny &&
-                 accum.grid().nz == grid_.nz && accum.grid().dx == grid_.dx &&
-                 accum.grid().dy == grid_.dy && accum.grid().dz == grid_.dz);
-  // Full geometry match: equal tile counts alone would let mismatched
-  // edges scatter outside a tile's padded accumulator.
-  ARTSCI_EXPECTS(accum.tileCount() == index_.tileCount() &&
-                 accum.tilesX() == index_.tilesX() &&
-                 accum.tileEdgeX() == index_.tileEdgeX() &&
-                 accum.tileEdgeY() == index_.tileEdgeY());
   ARTSCI_EXPECTS((bdx == nullptr) == (bdy == nullptr) &&
                  (bdx == nullptr) == (bdz == nullptr));
   const std::size_t n = p.size();
@@ -116,13 +92,13 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
 
   const double qOverM = p.info().charge / p.info().mass;
   const double q = p.info().charge;
-  const GridSpec& g = grid_;
+  const GridSpec& g = accum_.grid();
   const double lx = static_cast<double>(g.nx);
   const double ly = static_cast<double>(g.ny);
   const double lz = static_cast<double>(g.nz);
   const long tiles = index_.tileCount();
   // Tile 0 is never ragged, so its spans bound every tile's cache size.
-  const DepositBuffer::TileExtent e0 = accum.extentOf(0);
+  const DepositBuffer::TileExtent e0 = accum_.extentOf(0);
   const std::size_t compStride =
       static_cast<std::size_t>((e0.x1 - e0.x0 + 2) * (e0.y1 - e0.y0 + 2) *
                                (g.nz + 2));
@@ -164,7 +140,7 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
     for (long t = 0; t < tiles; ++t) {
       const SupercellIndex::Range range = index_.tileRange(t);
       if (range.begin == range.end) continue;
-      const DepositBuffer::TileExtent e = accum.extentOf(t);
+      const DepositBuffer::TileExtent e = accum_.extentOf(t);
       const long spanX = e.x1 - e.x0;
       const long spanY = e.y1 - e.y0;
       const long padY = spanY + 2;
@@ -181,7 +157,7 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
       const CacheAt ex = at(0), ey = at(1), ez = at(2);
       const CacheAt bx = at(3), by = at(4), bz = at(5);
 
-      const DepositBuffer::TileAccum sink = accum.zeroedTile(t);
+      const DepositBuffer::TileAccum sink = accum_.zeroedTile(t);
 
       // (a) gather, with SoA-staged addressing. Yee staggering only ever
       // offsets an axis by 0 or 0.5, so a particle has just 6 distinct

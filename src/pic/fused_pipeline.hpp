@@ -6,7 +6,7 @@
 ///      strides, no per-access periodic-wrap arithmetic,
 ///  (b) runs the Boris push and the move,
 ///  (c) scatters Esirkepov current straight into the tile's private
-///      DepositBuffer accumulator, and
+///      accumulator in the pipeline's own DepositBuffer, and
 ///  (d) wraps positions in place.
 ///
 /// One pass over the population per step: no separate gather, deposit
@@ -38,48 +38,41 @@ namespace artsci::pic {
 
 /// Driver of the fused per-tile pass — the particle update of Simulation
 /// and DistributedSimulation. Owns the supercell index used for the
-/// per-step sort; accumulator storage and the fixed-order reduction live
-/// in DepositBuffer. Not thread-safe (internally OpenMP-parallel): one
-/// instance per simulation driver.
+/// per-step sort and the DepositBuffer its current is scattered into,
+/// both built from one TileDepositConfig, so their geometry agrees by
+/// construction. Not thread-safe (internally OpenMP-parallel): one
+/// instance per simulation driver (per rank in the distributed one).
 class FusedPipeline {
  public:
-  /// Tile geometry is taken from `accumCfg` and must match the
-  /// DepositBuffer later passed to pushAndDeposit (checked there).
-  explicit FusedPipeline(const GridSpec& grid, TileDepositConfig accumCfg = {});
+  explicit FusedPipeline(const GridSpec& grid, TileDepositConfig tiles = {});
 
   /// One fused update of every particle in `p`: sort by supercell, then
-  /// per tile gather/push/move/deposit/wrap, then reduce the tile
-  /// accumulators into J (accumulates; caller zeroes J per step).
+  /// per tile gather/push/move/deposit/wrap, leaving the tile
+  /// accumulators() populated for the occupied tiles of index(). J is
+  /// not touched: the caller adds the accumulators into J with
+  /// `accumulators().reduce(J, index(), xBegin, xEnd)`, over [0, nx) on
+  /// one rank or over each rank's slab (pic/domain.hpp).
   /// Positions must be wrapped into [0, n) on entry (throws otherwise);
   /// per-particle displacement must stay under one cell per axis (the
   /// CFL bound guarantees this — violated means dt is invalid, throws).
   /// `bdx/bdy/bdz`, when non-null, receive d(beta)/dt per particle,
   /// index-parallel to the *post-sort* SoA columns (all three or none).
-  void pushAndDeposit(ParticleBuffer& p, const VectorField& E,
-                      const VectorField& B, VectorField& J, double dt,
-                      DepositBuffer& accum, std::vector<double>* bdx = nullptr,
-                      std::vector<double>* bdy = nullptr,
-                      std::vector<double>* bdz = nullptr);
-
-  /// The fused pass *without* the final reduction: sort, then per tile
-  /// gather/push/move/deposit/wrap, leaving the tile accumulators in
-  /// `accum` populated for the occupied tiles of index(). The
-  /// rank-decomposed driver uses this so every rank can scatter into its
-  /// private accumulators concurrently and the cross-rank reduction can
-  /// run as its own collectively-ordered phase (DepositBuffer::
-  /// reduceTileRows); same contract as pushAndDeposit otherwise.
   void pushAndScatter(ParticleBuffer& p, const VectorField& E,
-                      const VectorField& B, double dt, DepositBuffer& accum,
+                      const VectorField& B, double dt,
                       std::vector<double>* bdx = nullptr,
                       std::vector<double>* bdy = nullptr,
                       std::vector<double>* bdz = nullptr);
 
-  /// Post-sort supercell occupancy of the most recent pushAndDeposit.
+  /// Post-sort supercell occupancy of the most recent pushAndScatter;
+  /// also the tile geometry (edges clamped to the grid).
   const SupercellIndex& index() const { return index_; }
+  /// Tile accumulators of the most recent pushAndScatter (valid for the
+  /// tiles index() marks occupied).
+  const DepositBuffer& accumulators() const { return accum_; }
 
  private:
-  GridSpec grid_;
   SupercellIndex index_;
+  DepositBuffer accum_;
   /// Per-thread E/B tile-cache arenas (grow-only, reused across steps so
   /// the hot loop never allocates). Contents are fully rewritten per
   /// tile, so reuse cannot leak state between tiles or steps.

@@ -92,28 +92,20 @@ long clampedEdge(long edge, long cells) {
 
 }  // namespace
 
-SupercellIndex::SupercellIndex(const GridSpec& grid, long tileEdge)
-    : SupercellIndex(grid, tileEdge, tileEdge, tileEdge) {}
-
-SupercellIndex::SupercellIndex(const GridSpec& grid, long edgeX, long edgeY,
-                               long edgeZ)
+SupercellIndex::SupercellIndex(const GridSpec& grid, long edgeX, long edgeY)
     : edgeX_(clampedEdge(edgeX, grid.nx)),
       edgeY_(clampedEdge(edgeY, grid.ny)),
-      edgeZ_(clampedEdge(edgeZ, grid.nz)),
       grid_(grid) {
+  ARTSCI_EXPECTS(grid.nz >= 1);
   tilesX_ = (grid.nx + edgeX_ - 1) / edgeX_;
   tilesY_ = (grid.ny + edgeY_ - 1) / edgeY_;
-  tilesZ_ = (grid.nz + edgeZ_ - 1) / edgeZ_;
 }
 
-long SupercellIndex::tileOf(double xCell, double yCell, double zCell) const {
-  long ti = static_cast<long>(std::floor(xCell)) / edgeX_;
-  long tj = static_cast<long>(std::floor(yCell)) / edgeY_;
-  long tk = static_cast<long>(std::floor(zCell)) / edgeZ_;
-  ti = std::clamp(ti, 0L, tilesX_ - 1);
-  tj = std::clamp(tj, 0L, tilesY_ - 1);
-  tk = std::clamp(tk, 0L, tilesZ_ - 1);
-  return (ti * tilesY_ + tj) * tilesZ_ + tk;
+long SupercellIndex::tileOf(double xCell, double yCell, double) const {
+  const long ti = static_cast<long>(std::floor(xCell)) / edgeX_;
+  const long tj = static_cast<long>(std::floor(yCell)) / edgeY_;
+  return std::clamp(ti, 0L, tilesX_ - 1) * tilesY_ +
+         std::clamp(tj, 0L, tilesY_ - 1);
 }
 
 bool SupercellIndex::bin(const double* xs, const double* ys, const double* zs,
@@ -142,8 +134,7 @@ bool SupercellIndex::bin(const double* xs, const double* ys, const double* zs,
     // the domain check above.
     const long ti = std::clamp(ci / edgeX_, 0L, tilesX_ - 1);
     const long tj = std::clamp(cj / edgeY_, 0L, tilesY_ - 1);
-    const long tk = std::clamp(ck / edgeZ_, 0L, tilesZ_ - 1);
-    tileOf_[s] = static_cast<std::int32_t>((ti * tilesY_ + tj) * tilesZ_ + tk);
+    tileOf_[s] = static_cast<std::int32_t>(ti * tilesY_ + tj);
   }
 
   // Stable counting sort: per-tile order is ascending particle index.

@@ -4,8 +4,8 @@
 /// PIConGPU's key data structure is the supercell: particles are kept
 /// grouped by small tiles of cells so neighbouring particles are adjacent
 /// in memory [Hoenig et al. 2010]. We reproduce that with a counting-sort
-/// based reordering into supercell bins; the radiation plugin and the
-/// ML region extraction iterate tiles for locality.
+/// based reordering into supercell bins (full-z tile columns); the fused
+/// particle pipeline and the tiled deposits iterate tiles for locality.
 ///
 /// Positions are stored in *cell units* (continuous, x in [0, nx)),
 /// momenta as u = gamma*beta in units of m c.
@@ -99,17 +99,16 @@ inline double wrapCoordinate(double v, double n) {
 /// (see pic/domain.hpp).
 class SupercellIndex {
  public:
-  /// Cubic tiles: edge in cells per axis (PIConGPU typically uses 8x8x4;
-  /// we default 4^3).
-  SupercellIndex(const GridSpec& grid, long tileEdge = 4);
+  /// Tiles of edgeX x edgeY cells over full z columns (the KHI box is thin
+  /// in z; PIConGPU's supercells are 8x8x4). Each edge is clamped to the
+  /// grid extent here and nowhere else: DepositBuffer, the fused pipeline
+  /// and the rank decomposition all read their tile geometry from an
+  /// index.
+  SupercellIndex(const GridSpec& grid, long edgeX, long edgeY);
 
-  /// Per-axis tile edges (each clamped to the grid extent). Pass
-  /// edgeZ = grid.nz for full-z tile columns — the geometry DepositBuffer
-  /// and the fused particle pipeline share.
-  SupercellIndex(const GridSpec& grid, long edgeX, long edgeY, long edgeZ);
-
-  long tileCount() const { return tilesX_ * tilesY_ * tilesZ_; }
-  /// Owning tile of a position in cell units (clamped into the grid).
+  long tileCount() const { return tilesX_ * tilesY_; }
+  /// Owning tile of a position in cell units (clamped into the grid); z
+  /// never selects the tile, since tiles are full z columns.
   long tileOf(double xCell, double yCell, double zCell) const;
 
   /// Stable counting-sort binning of `n` positions into an index
@@ -141,15 +140,12 @@ class SupercellIndex {
 
   long tilesX() const { return tilesX_; }
   long tilesY() const { return tilesY_; }
-  long tilesZ() const { return tilesZ_; }
-  /// Tile edge along x (== the edge on every axis for the cubic ctor).
-  long tileEdge() const { return edgeX_; }
   long tileEdgeX() const { return edgeX_; }
   long tileEdgeY() const { return edgeY_; }
 
  private:
-  long edgeX_, edgeY_, edgeZ_;
-  long tilesX_, tilesY_, tilesZ_;
+  long edgeX_, edgeY_;
+  long tilesX_, tilesY_;
   GridSpec grid_;
   std::vector<Range> ranges_;
   std::vector<std::uint32_t> perm_;  ///< tile-sorted particle indices

@@ -9,7 +9,6 @@ namespace artsci::pic {
 Simulation::Simulation(SimulationConfig cfg)
     : cfg_(cfg),
       solver_(cfg.grid),
-      depositBuffer_(cfg.grid, cfg.tiles),
       fused_(cfg.grid, cfg.tiles),
       E_(cfg.grid),
       B_(cfg.grid),
@@ -59,16 +58,6 @@ const std::vector<double>& Simulation::betaDotZ(std::size_t s) const {
   return scratch_[s].bdz;
 }
 
-void Simulation::pushAndDeposit(std::size_t speciesIdx) {
-  ParticleBuffer& p = species_[speciesIdx];
-  if (p.empty()) return;
-  Scratch& scr = scratch_[speciesIdx];
-  std::vector<double>* bdx = cfg_.recordBetaDot ? &scr.bdx : nullptr;
-  std::vector<double>* bdy = cfg_.recordBetaDot ? &scr.bdy : nullptr;
-  std::vector<double>* bdz = cfg_.recordBetaDot ? &scr.bdz : nullptr;
-  fused_.pushAndDeposit(p, E_, B_, J_, cfg_.dt, depositBuffer_, bdx, bdy, bdz);
-}
-
 void Simulation::step() {
   TRACE_SCOPE("pic", "step");
   FAULT_POINT("pic.step");
@@ -81,7 +70,19 @@ void Simulation::step() {
 
   Timer timer;
   J_.fill(0.0);
-  for (std::size_t s = 0; s < species_.size(); ++s) pushAndDeposit(s);
+  for (std::size_t s = 0; s < species_.size(); ++s) {
+    ParticleBuffer& p = species_[s];
+    if (p.empty()) continue;
+    Scratch& scr = scratch_[s];
+    const bool record = cfg_.recordBetaDot;
+    fused_.pushAndScatter(p, E_, B_, cfg_.dt, record ? &scr.bdx : nullptr,
+                          record ? &scr.bdy : nullptr,
+                          record ? &scr.bdz : nullptr);
+    // Fixed-order tile reduction: each species is fully added into J
+    // before the next one scatters.
+    TRACE_SCOPE("pic", "reduce");
+    fused_.accumulators().reduce(J_, fused_.index(), 0, cfg_.grid.nx);
+  }
   {
     TRACE_SCOPE("pic", "field_solve");
     solver_.updateBHalf(B_, E_, cfg_.dt);

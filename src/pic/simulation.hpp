@@ -11,7 +11,6 @@
 
 #include "common/timer.hpp"
 #include "pic/deposit.hpp"
-#include "pic/deposit_buffer.hpp"
 #include "pic/fields.hpp"
 #include "pic/fused_pipeline.hpp"
 #include "pic/particles.hpp"
@@ -37,13 +36,13 @@ struct SimulationConfig {
   /// Record per-particle acceleration (d beta / dt) during the push; the
   /// far-field radiation plugin needs it (costs 3 extra arrays/species).
   bool recordBetaDot = false;
-  /// Tile geometry for the deposit accumulators and the supercell sort
-  /// of the fused particle pipeline (fused_pipeline.hpp). The default 8x8
-  /// is right for production grids; tests shrink it to exercise edge
-  /// cases. Must match DistributedSimulation::Config::
-  /// tiles when comparing the two drivers bit-for-bit (tile geometry
-  /// fixes the deterministic accumulation grouping, so it is part of the
-  /// bit-level contract, not just a performance knob).
+  /// Tile geometry of the fused particle pipeline (fused_pipeline.hpp),
+  /// which owns the supercell sort and the deposit accumulators. The
+  /// default 8x8 is right for production grids; tests shrink it to
+  /// exercise edge cases. Must match DistributedSimulation::Config::tiles
+  /// when comparing the two drivers bit-for-bit (tile geometry fixes the
+  /// deterministic accumulation grouping, so it is part of the bit-level
+  /// contract, not just a performance knob).
   TileDepositConfig tiles = {};
 };
 
@@ -108,13 +107,10 @@ class Simulation {
   std::size_t particleCount() const;
 
  private:
-  void pushAndDeposit(std::size_t speciesIdx);
-
   SimulationConfig cfg_;
   FieldSolver solver_;
-  /// Tile accumulators reused every step.
-  DepositBuffer depositBuffer_;
-  /// The particle update: supercell sort + one per-tile pass per species.
+  /// The particle update: supercell sort + one per-tile pass per species,
+  /// into tile accumulators reused every step.
   FusedPipeline fused_;
   VectorField E_, B_, J_;
   std::vector<ParticleBuffer> species_;

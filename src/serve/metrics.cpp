@@ -11,7 +11,6 @@ ServeMetrics::ServeMetrics(std::size_t latencyWindow)
   bind(invert_, "serve.invert");
   engineSwaps_ = &registry_->counter("serve.engine_swaps");
   workerRestarts_ = &registry_->counter("serve.worker_restarts");
-  queueDepth_ = &registry_->gauge("serve.queue_depth");
 }
 
 void ServeMetrics::bind(PerEndpoint& p, const std::string& prefix) {
@@ -54,10 +53,6 @@ void ServeMetrics::recordBatch(Endpoint e, std::size_t batchSize,
 void ServeMetrics::recordEngineSwap() { engineSwaps_->add(); }
 
 void ServeMetrics::recordWorkerRestart() { workerRestarts_->add(); }
-
-void ServeMetrics::recordQueueDepth(std::size_t depth) {
-  queueDepth_->set(static_cast<double>(depth));
-}
 
 ServeMetrics::EndpointStats ServeMetrics::summarize(
     const PerEndpoint& p) const {

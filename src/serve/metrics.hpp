@@ -5,13 +5,15 @@
 ///
 /// Counts live in a per-instance obs::Registry ("serve.predict.submitted",
 /// "serve.invert.rejected", ..., "serve.engine_swaps",
-/// "serve.worker_restarts", gauge "serve.queue_depth", histograms
-/// "serve.<endpoint>.latency_us") — the record path is the registry's
-/// lock-free sharded counters, so workers never contend with a report()
-/// in flight. The registry is instance-owned,
-/// not global: benches build several servers in sequence and each server's
-/// report must start from zero. Only the exact-percentile latency window
-/// keeps a mutex (a ring of raw samples has no lock-free aggregation).
+/// "serve.worker_restarts", histograms "serve.<endpoint>.latency_us") —
+/// the record path is the registry's lock-free sharded counters, so
+/// workers never contend with a report() in flight. Queue depth is not a
+/// registry gauge: each server reads it from its own batcher in
+/// report(), and NetServer::metrics() sums it over shards. The registry
+/// is instance-owned, not global: benches build several servers in
+/// sequence and each server's report must start from zero. Only the
+/// exact-percentile latency window keeps a mutex (a ring of raw samples
+/// has no lock-free aggregation).
 #pragma once
 
 #include <cstdint>
@@ -50,8 +52,6 @@ class ServeMetrics {
   void recordEngineSwap();
   /// A worker crashed mid-batch and restarted in place.
   void recordWorkerRestart();
-  /// Instantaneous batcher depth (the server samples it on submit).
-  void recordQueueDepth(std::size_t depth);
 
   struct EndpointStats {
     std::uint64_t submitted = 0;
@@ -83,7 +83,8 @@ class ServeMetrics {
   obs::Registry& registry() { return *registry_; }
 
   /// Registry snapshot as JSON — every serve.* counter ("serve.predict.
-  /// shed", "serve.invert.deadline_timeouts", ...), gauge, and histogram.
+  /// shed", "serve.invert.deadline_timeouts", ...) and histogram, plus the
+  /// net.* metrics a NetServer registers in the same registry.
   std::string toJson() const { return registry_->toJson(); }
 
  private:
@@ -108,7 +109,6 @@ class ServeMetrics {
   std::unique_ptr<obs::Registry> registry_;
   obs::Counter* engineSwaps_ = nullptr;
   obs::Counter* workerRestarts_ = nullptr;
-  obs::Gauge* queueDepth_ = nullptr;
   mutable std::mutex mutex_;  ///< guards the latency windows only
   std::size_t window_;
   PerEndpoint predict_, invert_;

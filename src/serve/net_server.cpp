@@ -311,7 +311,7 @@ std::size_t NetServer::pickShard() {
   if (shards_.size() == 1) return 0;
   const std::uint64_t hint =
       nextShard_.fetch_add(1, std::memory_order_relaxed);
-  // Snapshot the per-shard queue depths (the gauges the batchers already
+  // Snapshot the per-shard queue depths (the counts the batchers already
   // maintain), then pick the shallowest; the rotating hint both spreads
   // ties and keeps the scan O(shards) worst case.
   for (std::size_t s = 0; s < shards_.size(); ++s)

@@ -2,9 +2,9 @@
 /// The TCP serving front end: an epoll-based, dependency-free network
 /// server speaking the ASV1 length-prefixed binary protocol
 /// (protocol.hpp), sharding decoded requests across N MicroBatcher +
-/// InferenceEngine workers (one InferenceServer of one worker per shard,
-/// optionally pinned to distinct cores), with admission control and
-/// deadline-based load shedding on every shard's bounded queue. Dispatch
+/// InferenceEngine workers (one InferenceServer of one worker per shard),
+/// with admission control and deadline-based load shedding on every
+/// shard's bounded queue. Dispatch
 /// is least-loaded: each request goes to the shard with the least queued
 /// and in-flight work (ties broken by a rotating hint so idle shards share
 /// work evenly), so a long request cannot head-of-line-block the short
@@ -85,12 +85,6 @@ class NetServer {
   /// its shard, flush all replies, then close every connection.
   /// Idempotent.
   void stop();
-
-  /// Shard workers restarted after a crash so far (the
-  /// `serve.worker_restarts` counter).
-  std::uint64_t workerRestarts() const {
-    return metrics_->report().workerRestarts;
-  }
 
   /// Aggregated metrics across all shards (shared ServeMetrics; queue
   /// depth summed over the shard batchers).

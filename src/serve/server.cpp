@@ -74,7 +74,6 @@ std::future<InferenceResult> InferenceServer::submit(
           "request shed: inference queue is at capacity")));
     }
   }
-  metrics_->recordQueueDepth(batcher_.depth());
   return fut;
 }
 

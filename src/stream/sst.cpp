@@ -130,7 +130,6 @@ void SstEngine::waitStepLocked(std::unique_lock<std::mutex>& lock,
 
 void SstEngine::injectSiteFault(const char* site, const char* who,
                                 std::size_t rank) {
-#if ARTSCI_FAULTS
   if (!fault::Plan::global().armed()) return;
   try {
     fault::Plan::global().onSite(site);
@@ -141,11 +140,6 @@ void SstEngine::injectSiteFault(const char* site, const char* who,
           " died: " + e.what());
     throw;
   }
-#else
-  (void)site;
-  (void)who;
-  (void)rank;
-#endif
 }
 
 void SstEngine::publishLocked(std::size_t ended) {

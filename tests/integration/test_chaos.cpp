@@ -230,7 +230,7 @@ TEST(Chaos, ServeCrashStormEveryRequestAccountedFor) {
   EXPECT_GE(typedErrors.load(), 1) << "the injected crashes must surface";
 
   // Counted before the crashed batch's replies left the server.
-  EXPECT_GE(server.workerRestarts(), 1u);
+  EXPECT_GE(server.metrics().workerRestarts, 1u);
 
   // Recovered: a fresh round trip succeeds with the plan disarmed.
   serve::NetClient after("127.0.0.1", server.port());

@@ -155,8 +155,7 @@ class Stepper {
         cfg_(cfg),
         solver_(cfg.grid),
         accum_(cfg.grid, cfg.tiles),
-        index_(cfg.grid, cfg.tiles.tileEdgeX, cfg.tiles.tileEdgeY,
-               cfg.grid.nz) {
+        index_(cfg.grid, cfg.tiles.tileEdgeX, cfg.tiles.tileEdgeY) {
     for (std::size_t s = 0; s < initial.speciesCount(); ++s)
       species.push_back(initial.species(s));
     bdx.resize(species.size());
@@ -229,7 +228,7 @@ class Stepper {
         scatterEsirkepov(g, p.x[i], p.y[i], p.z[i], x1[i], y1[i], z1[i],
                          q * p.w[i], dt, sink);
     }
-    accum_.reduce(J, index_);
+    accum_.reduce(J, index_, 0, g.nx);
 
     const double lx = static_cast<double>(g.nx);
     const double ly = static_cast<double>(g.ny);

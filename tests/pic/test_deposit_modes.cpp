@@ -63,18 +63,18 @@ ParticleBuffer makeParticles(const GridSpec& g, int n, std::uint64_t seed) {
 /// Current of one field-free fused step (E = B = 0, so every particle
 /// drifts by u / gamma * dt) of a copy of `p`.
 VectorField fusedCurrent(const GridSpec& g, ParticleBuffer p, double dt,
-                         FusedPipeline& pipeline, DepositBuffer& accum) {
+                         FusedPipeline& pipeline) {
   const VectorField zero(g);
   VectorField J(g);
-  pipeline.pushAndDeposit(p, zero, zero, J, dt, accum);
+  pipeline.pushAndScatter(p, zero, zero, dt);
+  pipeline.accumulators().reduce(J, pipeline.index(), 0, g.nx);
   return J;
 }
 
 VectorField fusedCurrent(const GridSpec& g, const ParticleBuffer& p,
                          double dt) {
   FusedPipeline pipeline(g);
-  DepositBuffer accum(g);
-  return fusedCurrent(g, p, dt, pipeline, accum);
+  return fusedCurrent(g, p, dt, pipeline);
 }
 
 /// The same field-free moves, deposited serially in particle order by the
@@ -166,13 +166,51 @@ TEST(TiledDeposit, BitIdenticalAcrossRepeatedRuns) {
   const double dt = 0.1;
   const ParticleBuffer p = makeParticles(g, 4000, 31);
   FusedPipeline pipeline(g);
-  DepositBuffer scratch(g);
 
-  const VectorField first = fusedCurrent(g, p, dt, pipeline, scratch);
+  const VectorField first = fusedCurrent(g, p, dt, pipeline);
   for (int run = 0; run < 3; ++run) {
-    const VectorField again = fusedCurrent(g, p, dt, pipeline, scratch);
+    const VectorField again = fusedCurrent(g, p, dt, pipeline);
     EXPECT_TRUE(bitIdentical(first, again)) << "run " << run;
   }
+}
+
+TEST(DepositBuffer, ReduceOverSlabsEqualsFullRange) {
+  // The rank-decomposed driver reduces each slab's rows separately; the
+  // union over disjoint row ranges must be the single reduce over
+  // [0, nx) bit for bit, including the halo rows that wrap across the
+  // periodic seam (tile column 0 spills into rows nx-2, nx-1 and the
+  // last column into rows 0, 1). 3 x 3 tiles, the last y row ragged.
+  const GridSpec g{12, 10, 4, 0.25, 0.25, 0.25};
+  const double dt = 0.1;
+  ParticleBuffer p = makeParticles(g, 3000, 61);
+  FusedPipeline pipeline(g, TileDepositConfig{4, 4});
+  const VectorField zero(g);
+  pipeline.pushAndScatter(p, zero, zero, dt);
+  const DepositBuffer& accum = pipeline.accumulators();
+
+  VectorField full(g);
+  accum.reduce(full, pipeline.index(), 0, g.nx);
+  ASSERT_GT(full.x.sumSquares(), 0.0);
+
+  // Two slabs split inside a tile column; rows past the first slab stay
+  // untouched until the second reduce.
+  VectorField two(g);
+  const long a = 5;
+  accum.reduce(two, pipeline.index(), 0, a);
+  for (long i = a; i < g.nx; ++i)
+    for (long j = 0; j < g.ny; ++j)
+      for (long k = 0; k < g.nz; ++k)
+        ASSERT_EQ(two.x.at(i, j, k), 0.0) << "row " << i << " committed";
+  accum.reduce(two, pipeline.index(), a, g.nx);
+  EXPECT_TRUE(bitIdentical(full, two));
+
+  // Three ragged slabs (one row, eight rows, three rows), reduced in
+  // descending order: disjoint ranges make the order irrelevant.
+  VectorField three(g);
+  accum.reduce(three, pipeline.index(), 9, g.nx);
+  accum.reduce(three, pipeline.index(), 1, 9);
+  accum.reduce(three, pipeline.index(), 0, 1);
+  EXPECT_TRUE(bitIdentical(full, three));
 }
 
 TEST(TiledDeposit, ContinuityHoldsOverDistributedSteps) {

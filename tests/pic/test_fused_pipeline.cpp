@@ -253,13 +253,11 @@ TEST(FusedPipeline, ExcessiveDisplacementThrows) {
   // cell per step must be rejected, not silently mis-deposited.
   const GridSpec g{8, 8, 8, 0.1, 0.1, 0.1};
   FusedPipeline pipeline(g);
-  DepositBuffer accum(g);
-  VectorField E(g), B(g), J(g);
+  VectorField E(g), B(g);
   ParticleBuffer p({-1.0, 1.0, "e"});
   p.push({4.0, 4.0, 4.0}, {1000.0, 0.0, 0.0}, 1.0);  // beta ~ 1
   // displacement ~ c * dt / dx = 5 cells.
-  EXPECT_THROW(pipeline.pushAndDeposit(p, E, B, J, 0.5, accum),
-               ContractError);
+  EXPECT_THROW(pipeline.pushAndScatter(p, E, B, 0.5), ContractError);
 }
 
 TEST(FusedPipeline, OutOfDomainPositionThrows) {

@@ -30,7 +30,7 @@ ParticleBuffer randomParticles(const GridSpec& g, int n, std::uint64_t seed) {
 TEST(SupercellSort, CanonicalOrderWithinEveryTile) {
   const GridSpec g{16, 16, 8, 0.2, 0.2, 0.2};
   ParticleBuffer p = randomParticles(g, 2000, 3);
-  SupercellIndex idx(g, 8, 8, g.nz);
+  SupercellIndex idx(g, 8, 8);
   EXPECT_TRUE(idx.sort(p));
   std::size_t seen = 0;
   for (long t = 0; t < idx.tileCount(); ++t) {
@@ -58,7 +58,7 @@ TEST(SupercellSort, OrderIsIndependentOfInputOrder) {
   for (std::size_t i = p.size(); i-- > 0;)
     reversed.push({p.x[i], p.y[i], p.z[i]}, {p.ux[i], p.uy[i], p.uz[i]},
                   p.w[i]);
-  SupercellIndex idx(g, 8, 8, g.nz);
+  SupercellIndex idx(g, 8, 8);
   EXPECT_TRUE(idx.sort(p));
   EXPECT_TRUE(idx.sort(reversed));
   ASSERT_EQ(p.size(), reversed.size());
@@ -82,7 +82,7 @@ TEST(SupercellSort, AllOneTileSortsCanonically) {
     for (double w : p.w) s += w;
     return s;
   }();
-  SupercellIndex idx(g, 8, 8, g.nz);
+  SupercellIndex idx(g, 8, 8);
   EXPECT_TRUE(idx.sort(p));
   // Everything lives in tile 0, ordered by ascending x; nothing lost.
   EXPECT_EQ(idx.tileRange(0).end, p.size());
@@ -99,7 +99,7 @@ TEST(SupercellSort, AllOneTileSortsCanonically) {
 TEST(SupercellSort, EmptyBufferIsFine) {
   const GridSpec g{8, 8, 8, 0.2, 0.2, 0.2};
   ParticleBuffer p({-1.0, 1.0, "e"});
-  SupercellIndex idx(g, 4);
+  SupercellIndex idx(g, 4, 4);
   EXPECT_TRUE(idx.sort(p));
   EXPECT_TRUE(p.empty());
   for (long t = 0; t < idx.tileCount(); ++t)
@@ -110,7 +110,7 @@ TEST(SupercellSort, PermutationReflectsAppliedSort) {
   const GridSpec g{16, 16, 4, 0.2, 0.2, 0.2};
   ParticleBuffer p = randomParticles(g, 500, 7);
   ParticleBuffer sorted = p;
-  SupercellIndex idx(g, 8, 8, g.nz);
+  SupercellIndex idx(g, 8, 8);
   EXPECT_TRUE(idx.sort(sorted));
   // permutation() after sort() is the gather actually applied (bin()'s
   // stable-by-index permutation plus the canonical in-tile reorder).
@@ -128,7 +128,7 @@ TEST(SupercellSort, BinAloneStaysStableByIndex) {
   // pre-push order rather than re-sort by post-push state.
   const GridSpec g{16, 16, 4, 0.2, 0.2, 0.2};
   ParticleBuffer p = randomParticles(g, 500, 7);
-  SupercellIndex idx(g, 8, 8, g.nz);
+  SupercellIndex idx(g, 8, 8);
   EXPECT_TRUE(idx.bin(p.x.data(), p.y.data(), p.z.data(), p.size()));
   const std::vector<std::uint32_t>& perm = idx.permutation();
   for (long t = 0; t < idx.tileCount(); ++t) {
@@ -144,7 +144,7 @@ TEST(SupercellSort, FlagsOutOfDomainButStaysValid) {
   p.push({2.0, 2.0, 2.0}, {}, 0.0);
   p.push({-0.5, 2.0, 2.0}, {}, 1.0);  // unwrapped x
   p.push({2.0, 2.0, 9.5}, {}, 2.0);   // unwrapped z
-  SupercellIndex idx(g, 4);
+  SupercellIndex idx(g, 4, 4);
   EXPECT_FALSE(idx.sort(p));
   EXPECT_EQ(p.size(), 3u);  // clamped into valid tiles, nothing lost
   std::size_t counted = 0;
@@ -155,15 +155,14 @@ TEST(SupercellSort, FlagsOutOfDomainButStaysValid) {
 
 TEST(SupercellIndexGeometry, PerAxisEdgesAndFullZColumns) {
   const GridSpec g{32, 64, 8, 0.2, 0.2, 0.2};
-  SupercellIndex idx(g, 8, 8, g.nz);
+  SupercellIndex idx(g, 8, 8);
   EXPECT_EQ(idx.tilesX(), 4);
   EXPECT_EQ(idx.tilesY(), 8);
-  EXPECT_EQ(idx.tilesZ(), 1);
   EXPECT_EQ(idx.tileCount(), 32);
   // z never affects the tile id (full columns).
   EXPECT_EQ(idx.tileOf(10.0, 20.0, 0.5), idx.tileOf(10.0, 20.0, 7.5));
   // Edges are clamped to the grid extent.
-  SupercellIndex small(GridSpec{4, 4, 4, 0.2, 0.2, 0.2}, 8, 8, 4);
+  SupercellIndex small(GridSpec{4, 4, 4, 0.2, 0.2, 0.2}, 8, 8);
   EXPECT_EQ(small.tileCount(), 1);
   EXPECT_EQ(small.tileEdgeX(), 4);
 }
@@ -210,7 +209,7 @@ TEST(ParticleBuffer, AppendSortSwapRemoveInteraction) {
   ParticleBuffer incoming = randomParticles(g, 10, 13);
   p.append(incoming);
   ASSERT_EQ(p.size(), 50u);
-  SupercellIndex idx(g, 4);
+  SupercellIndex idx(g, 4, 4);
   EXPECT_TRUE(idx.sort(p));
   const auto sumW = [](const ParticleBuffer& b) {
     double s = 0;

@@ -307,7 +307,7 @@ TEST(SupercellIndexTest, SortGroupsByTile) {
   for (int i = 0; i < 500; ++i)
     p.push({rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 8)},
            {rng.normal(), rng.normal(), rng.normal()}, 1.0);
-  SupercellIndex idx(g, 4);
+  SupercellIndex idx(g, 4, 2);
   EXPECT_EQ(idx.tileCount(), 8);
   idx.sort(p);
   // Every particle within a tile range must map back to that tile.

@@ -465,7 +465,7 @@ TEST(NetServer, WorkerCrashIsContainedAndRestartsInPlace) {
   EXPECT_GE(ok, 1) << "the surviving shard must keep answering";
 
   // The restart is counted before the crashed batch's reply is sent.
-  EXPECT_GE(server.workerRestarts(), 1u);
+  EXPECT_GE(server.metrics().workerRestarts, 1u);
 
   // Post-restart the full shard set serves again (plan is disarmed).
   const NetReply after = client.predictSpectrum(cloud);

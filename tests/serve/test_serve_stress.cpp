@@ -240,24 +240,35 @@ TEST(ServeStress, NetworkHotSwapSoakKeepsEveryReplySingleSnapshot) {
   std::vector<std::thread> clients;
   std::atomic<int> mismatches{0};
   std::atomic<int> completed{0};
+  // A reply the server never sends must fail the test, not hang it: each
+  // recv has a deadline, and the resulting NetTimeoutError (or any other
+  // client error) becomes a failure naming the request.
+  NetClientOptions clientOptions;
+  clientOptions.recvTimeoutMillis = 10000;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
-      NetClient client("127.0.0.1", server.port());
-      for (int i = 0; i < kRequestsPerClient; ++i) {
-        const NetReply res = client.predictSpectrum(cloud);
-        const auto version = static_cast<std::size_t>(res.snapshotVersion);
-        ASSERT_GE(version, 1u);
-        ASSERT_LT(version, versionToModel.size());
-        const auto& want =
-            expected[static_cast<std::size_t>(versionToModel[version])];
-        ASSERT_EQ(res.values.size(), want.size());
-        for (std::size_t j = 0; j < want.size(); ++j) {
-          if (std::fabs(res.values[j] - want[j]) > 1e-9) {
-            mismatches.fetch_add(1);
-            break;
+    clients.emplace_back([&, c] {
+      int i = 0;
+      try {
+        NetClient client("127.0.0.1", server.port(), clientOptions);
+        for (; i < kRequestsPerClient; ++i) {
+          const NetReply res = client.predictSpectrum(cloud);
+          const auto version = static_cast<std::size_t>(res.snapshotVersion);
+          ASSERT_GE(version, 1u);
+          ASSERT_LT(version, versionToModel.size());
+          const auto& want =
+              expected[static_cast<std::size_t>(versionToModel[version])];
+          ASSERT_EQ(res.values.size(), want.size());
+          for (std::size_t j = 0; j < want.size(); ++j) {
+            if (std::fabs(res.values[j] - want[j]) > 1e-9) {
+              mismatches.fetch_add(1);
+              break;
+            }
           }
+          completed.fetch_add(1);
         }
-        completed.fetch_add(1);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "client " << c << ", request " << i << ": "
+                      << e.what();
       }
     });
   }
