@@ -52,10 +52,19 @@ void KhiStreamProducer::emitIteration(long index) {
   itParticles.setTime(sim_->time(), sim_->dt());
   itRadiation.setTime(sim_->time(), sim_->dt());
 
+  // The radiation plugin sorted this step's electrons into regions at the
+  // end of the step, by the classification extractRegionCloud would
+  // repeat, and in the same ascending order.
+  const radiation::RegionRanges& regions = radiationPlugin_->ranges();
+  ARTSCI_EXPECTS(regions.order.size() == electrons.size());
   for (int r = 0; r < 3; ++r) {
     const auto region = static_cast<pic::KhiRegion>(r);
-    auto cloud = extractRegionCloud(electrons, sim_->grid().ny, region,
-                                    cfg_.transform, rng_);
+    const auto first = regions.order.begin();
+    candidates_.assign(
+        first + static_cast<std::ptrdiff_t>(regions.bounds[r]),
+        first + static_cast<std::ptrdiff_t>(regions.bounds[r + 1]));
+    auto cloud = sampleRegionCloud(electrons, candidates_, cfg_.transform,
+                                   rng_);
     if (cloud.empty()) {
       log::warn("producer", "region ", pic::khiRegionName(region),
                 " has too few particles; skipping sample");

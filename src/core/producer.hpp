@@ -59,6 +59,7 @@ class KhiStreamProducer {
   std::unique_ptr<openpmd::Series> particleSeries_;
   std::unique_ptr<openpmd::Series> radiationSeries_;
   Rng rng_;
+  std::vector<std::size_t> candidates_;  ///< one region's cloud candidates
   long iterationsStreamed_ = 0;
   bool warmedUp_ = false;
 };

@@ -18,6 +18,12 @@ std::vector<double> extractRegionCloud(const pic::ParticleBuffer& particles,
                                cfg.vortexHalfWidthCells) == region)
       candidates.push_back(i);
   }
+  return sampleRegionCloud(particles, candidates, cfg, rng);
+}
+
+std::vector<double> sampleRegionCloud(const pic::ParticleBuffer& particles,
+                                      std::vector<std::size_t>& candidates,
+                                      const TransformConfig& cfg, Rng& rng) {
   if (candidates.size() < static_cast<std::size_t>(cfg.cloudPoints))
     return {};
 

@@ -27,10 +27,21 @@ struct TransformConfig {
 
 /// Sample a fixed-size, normalized point cloud from the particles of one
 /// KHI region. Returns empty vector if the region holds fewer than
-/// `cloudPoints` particles.
+/// `cloudPoints` particles. Classifies every particle; a caller that
+/// already holds the region's particles calls sampleRegionCloud.
 std::vector<double> extractRegionCloud(const pic::ParticleBuffer& particles,
                                        long ny, pic::KhiRegion region,
                                        const TransformConfig& cfg, Rng& rng);
+
+/// The sampling half of extractRegionCloud: a fixed-size, normalized
+/// point cloud drawn from `candidates`, one region's particle indices in
+/// ascending order — the order extractRegionCloud collects them in, so
+/// equal Rng states give bit-identical clouds. Shuffles `candidates`.
+/// Returns empty vector (and draws nothing) if there are fewer than
+/// `cloudPoints` candidates.
+std::vector<double> sampleRegionCloud(const pic::ParticleBuffer& particles,
+                                      std::vector<std::size_t>& candidates,
+                                      const TransformConfig& cfg, Rng& rng);
 
 /// log10(1 + I/ref) / scale, element-wise.
 std::vector<double> normalizeSpectrum(const std::vector<double>& intensity,

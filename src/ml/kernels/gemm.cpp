@@ -3,26 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/isa_clones.hpp"
+
 namespace artsci::ml::kernels {
 namespace {
-
-/// GCC-on-Linux gets per-CPU clones of each hot kernel (ifunc dispatch);
-/// other toolchains and sanitized builds use the single portable version.
-/// Ifunc resolvers run at IRELATIVE-relocation time, before .preinit_array,
-/// so a sanitizer-instrumented resolver (GCC instruments them) faults in
-/// __tsan_func_entry before the runtime exists. Hence no clones under
-/// ASan *or* TSan.
-/// "arch=x86-64-v3" is AVX2 *with* FMA in one clone; a separate "avx2,fma"
-/// entry makes GCC emit an FMA-less ".avx2" clone that AVX2+FMA hosts
-/// would run.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
-    defined(__linux__) && !defined(__SANITIZE_ADDRESS__) &&            \
-    !defined(__SANITIZE_THREAD__)
-#define ARTSCI_GEMM_CLONES \
-  __attribute__((target_clones("avx512f", "arch=x86-64-v3", "default")))
-#else
-#define ARTSCI_GEMM_CLONES
-#endif
 
 /// Contraction off for one function: its `a - b * c` must round the
 /// product first in the FMA clones too, as the baseline-built graph
@@ -74,7 +58,7 @@ inline void activateRow(Real* c, long n, Act act) {
 /// strictly k-ascending from its initial value, in *every* path (4-row
 /// block, row tail, odd-K step), so blocking never changes bits. A rows
 /// are strided by `lda` (dense A passes lda == K).
-ARTSCI_GEMM_CLONES
+ARTSCI_ISA_CLONES
 void nnBlock(const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c, long rows, long N, long K, long lda,
              bool accumulate) {
@@ -184,7 +168,7 @@ inline Real dotLanes(const Real* __restrict x, const Real* __restrict y,
 /// `rows` rows of C = A·Bᵀ. Four A rows share each streamed B row; every
 /// (i,j) element is one dotLanes() call. C rows are strided by `ldc`
 /// (dense C passes ldc == N).
-ARTSCI_GEMM_CLONES
+ARTSCI_ISA_CLONES
 void ntBlock(const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c, long rows, long N, long K, long ldc,
              bool accumulate) {
@@ -224,7 +208,7 @@ void ntBlock(const Real* __restrict a, const Real* __restrict b,
 /// `rows` rows of C = Aᵀ·B starting at A column `a` (row stride
 /// `strideA`). Same 4-row/2-k streaming block as nnBlock with strided A
 /// loads; per-element order is k ascending in every path.
-ARTSCI_GEMM_CLONES
+ARTSCI_ISA_CLONES
 void tnBlock(const Real* __restrict a, const Real* __restrict b,
              Real* __restrict c, long rows, long N, long K, long strideA,
              bool accumulate) {
@@ -286,7 +270,7 @@ void tnBlock(const Real* __restrict a, const Real* __restrict b,
 /// The fused linear epilogue: bias rows + activation over the GEMM result.
 /// One extra O(m·n) pass over C (which just left the register tile, so it
 /// is cache-hot) — the O(m·n·k) product itself is nnBlock, unduplicated.
-ARTSCI_GEMM_CLONES
+ARTSCI_ISA_CLONES
 void biasActEpilogue(const Real* __restrict bias, Real* __restrict c, long m,
                      long n, Act act) {
   for (long i = 0; i < m; ++i) {
@@ -365,7 +349,7 @@ void linear_forward(const Real* a, const Real* w, const Real* bias, Real* c,
 /// and emits a branch around g·s, which it may not run speculatively
 /// (-ftrapping-math), so no clone but AVX-512 vectorized it. Both passes
 /// vectorize in every clone; g·1 == g and g·s round as the graph node did.
-ARTSCI_GEMM_CLONES ARTSCI_NO_FP_CONTRACT
+ARTSCI_ISA_CLONES ARTSCI_NO_FP_CONTRACT
 void activation_grad(const Real* __restrict g, const Real* __restrict y,
                      Real* __restrict out, long n, Act act) {
   switch (act) {

@@ -1,16 +1,15 @@
 #include "pic/deposit.hpp"
 
+#include <optional>
+
 #include "pic/deposit_buffer.hpp"
 
 namespace artsci::pic {
 
 void depositCharge(Field3& rho, const GridSpec& grid,
                    const ParticleBuffer& buffer, DepositBuffer* scratch) {
-  if (scratch == nullptr) {
-    DepositBuffer local(grid);
-    local.depositCharge(rho, buffer);
-    return;
-  }
+  std::optional<DepositBuffer> local;
+  if (scratch == nullptr) scratch = &local.emplace(grid);
   // Cell sizes must match too: the tiled kernel takes every physics
   // factor (cell volume) from scratch->grid(), so a same-extent grid with
   // different spacing would silently deposit wrongly scaled densities.
@@ -20,7 +19,8 @@ void depositCharge(Field3& rho, const GridSpec& grid,
                  scratch->grid().dx == grid.dx &&
                  scratch->grid().dy == grid.dy &&
                  scratch->grid().dz == grid.dz);
-  scratch->depositCharge(rho, buffer);
+  SupercellIndex bins(grid, scratch->tileEdgeX(), scratch->tileEdgeY());
+  scratch->depositCharge(rho, buffer, bins);
 }
 
 }  // namespace artsci::pic

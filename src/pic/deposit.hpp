@@ -66,8 +66,9 @@ inline void scatterCic(double x, double y, double z, double qw, Sink&& sink) {
 /// CIC deposit of charge density rho (units e n0) at grid nodes.
 /// Positions must lie inside [0, n) per axis (wrapped). Accumulates into
 /// rho; the result is bit-identical for any OMP thread count. `scratch`,
-/// when given, supplies reusable tile storage (must match `grid`) so
-/// steady-state callers avoid per-call allocation.
+/// when given, supplies reusable tile storage (must match `grid`); the
+/// binning index is built per call. A steady-state caller that keeps its
+/// own index calls DepositBuffer::depositCharge instead.
 void depositCharge(Field3& rho, const GridSpec& grid,
                    const ParticleBuffer& buffer,
                    DepositBuffer* scratch = nullptr);

@@ -7,8 +7,8 @@ namespace artsci::pic {
 
 namespace {
 
-/// Grid validation must precede bins_ construction (member-init order),
-/// so invalid extents fail with this message, not a clamp internals one.
+/// Grid validation must precede the geometry index's construction, so
+/// invalid extents fail with this message, not a clamp internals one.
 const GridSpec& validatedGrid(const GridSpec& grid) {
   ARTSCI_EXPECTS_MSG(grid.nx > 0 && grid.ny > 0 && grid.nz > 0,
                      "DepositBuffer needs positive grid extents");
@@ -18,10 +18,16 @@ const GridSpec& validatedGrid(const GridSpec& grid) {
 }  // namespace
 
 DepositBuffer::DepositBuffer(const GridSpec& grid, TileDepositConfig cfg)
-    : grid_(validatedGrid(grid)),
-      bins_(grid, cfg.tileEdgeX, cfg.tileEdgeY) {
-  padX_ = bins_.tileEdgeX() + 2 * kHalo;
-  padY_ = bins_.tileEdgeY() + 2 * kHalo;
+    : grid_(validatedGrid(grid)) {
+  // The geometry of the indexes callers bin with; built only to read the
+  // edges it clamps, so the clamp stays in one place.
+  const SupercellIndex geometry(grid, cfg.tileEdgeX, cfg.tileEdgeY);
+  edgeX_ = geometry.tileEdgeX();
+  edgeY_ = geometry.tileEdgeY();
+  tilesX_ = geometry.tilesX();
+  tilesY_ = geometry.tilesY();
+  padX_ = edgeX_ + 2 * kHalo;
+  padY_ = edgeY_ + 2 * kHalo;
   padZ_ = grid.nz + 2 * kHalo;
   tileStride_ = padX_ * padY_ * padZ_;
   store_.resize(static_cast<std::size_t>(tileCount() * 3 * tileStride_));
@@ -34,10 +40,10 @@ DepositBuffer::TileExtent DepositBuffer::extentOf(long tile) const {
   const long tx = tile / tilesY();
   const long ty = tile % tilesY();
   TileExtent e;
-  e.x0 = tx * bins_.tileEdgeX();
-  e.x1 = std::min(grid_.nx, e.x0 + bins_.tileEdgeX());
-  e.y0 = ty * bins_.tileEdgeY();
-  e.y1 = std::min(grid_.ny, e.y0 + bins_.tileEdgeY());
+  e.x0 = tx * edgeX_;
+  e.x1 = std::min(grid_.nx, e.x0 + edgeX_);
+  e.y0 = ty * edgeY_;
+  e.y1 = std::min(grid_.ny, e.y0 + edgeY_);
   return e;
 }
 
@@ -50,16 +56,6 @@ DepositBuffer::TileAccum DepositBuffer::zeroedTile(long tile, int components) {
   double* jz = tileComponent(tile, 2);
   std::fill(jx, jx + components * tileStride_, 0.0);  // planes are adjacent
   return TileAccum{jx, jy, jz, e.x0 - kHalo, e.y0 - kHalo, padY_, padZ_};
-}
-
-void DepositBuffer::binParticles(const std::vector<double>& xs,
-                                 const std::vector<double>& ys,
-                                 const std::vector<double>& zs) {
-  ARTSCI_EXPECTS(xs.size() == ys.size() && xs.size() == zs.size());
-  const bool inDomain = bins_.bin(xs.data(), ys.data(), zs.data(), xs.size());
-  ARTSCI_EXPECTS_MSG(inDomain,
-                     "tiled deposit: particle position outside [0, n) — "
-                     "positions must be periodically wrapped");
 }
 
 void DepositBuffer::reduceComponent(Field3& dst, int comp,
@@ -197,20 +193,29 @@ void DepositBuffer::reduce(VectorField& J, const SupercellIndex& occupancy,
   reduceComponent(J.z, 2, occupancy, xBegin, xEnd);
 }
 
-void DepositBuffer::depositCharge(Field3& rho, const ParticleBuffer& buffer) {
+void DepositBuffer::depositCharge(Field3& rho, const ParticleBuffer& buffer,
+                                  SupercellIndex& bins) {
   ARTSCI_EXPECTS(rho.nx() == grid_.nx && rho.ny() == grid_.ny &&
                  rho.nz() == grid_.nz);
-  binParticles(buffer.x, buffer.y, buffer.z);
+  ARTSCI_EXPECTS(bins.tilesX() == tilesX_ && bins.tilesY() == tilesY_ &&
+                 bins.tileEdgeX() == edgeX_ && bins.tileEdgeY() == edgeY_);
+  // bin() checks every axis: z doesn't affect the tile key, but an
+  // unwrapped z would scatter outside the padded column.
+  const bool inDomain = bins.bin(buffer.x.data(), buffer.y.data(),
+                                 buffer.z.data(), buffer.size());
+  ARTSCI_EXPECTS_MSG(inDomain,
+                     "tiled deposit: particle position outside [0, n) — "
+                     "positions must be periodically wrapped");
 
   const double q = buffer.info().charge;
   const double invV = 1.0 / grid_.cellVolume();
-  const std::vector<std::uint32_t>& perm = bins_.permutation();
+  const std::vector<std::uint32_t>& perm = bins.permutation();
   const long tiles = tileCount();
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic)
 #endif
   for (long t = 0; t < tiles; ++t) {
-    const SupercellIndex::Range r = bins_.tileRange(t);
+    const SupercellIndex::Range r = bins.tileRange(t);
     if (r.begin == r.end) continue;
     const TileAccum sink = zeroedTile(t, /*components=*/1);
     for (std::size_t s = r.begin; s < r.end; ++s) {
@@ -220,7 +225,7 @@ void DepositBuffer::depositCharge(Field3& rho, const ParticleBuffer& buffer) {
     }
   }
 
-  reduceComponent(rho, 0, bins_, 0, grid_.nx);
+  reduceComponent(rho, 0, bins, 0, grid_.nx);
 }
 
 }  // namespace artsci::pic

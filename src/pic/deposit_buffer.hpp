@@ -50,17 +50,18 @@ struct TileDepositConfig {
   long tileEdgeY = 8;  ///< owned cells per tile along y (>= 1)
 };
 
-/// Reusable tile-accumulator storage + binning scratch for deterministic
-/// deposition on one grid. Not thread-safe: one DepositBuffer per
-/// concurrent depositing driver (it is itself internally OpenMP-parallel).
-/// Steady-state callers keep one instance alive across steps so no
-/// allocation happens in the hot loop; each FusedPipeline owns the one
-/// its current is scattered into.
+/// Reusable tile-accumulator storage for deterministic deposition on one
+/// grid. Not thread-safe: one DepositBuffer per concurrent depositing
+/// driver (it is itself internally OpenMP-parallel). Steady-state callers
+/// keep one instance alive across steps so no allocation happens in the
+/// hot loop; each FusedPipeline owns the one its current is scattered
+/// into.
 ///
-/// Binning is a SupercellIndex with full-z tile columns, the geometry of
-/// the fused pipeline's supercell sort, and every tile edge below comes
-/// from it. The fused pipeline scatters its current into these
-/// accumulators through zeroedTile(); reduce() adds them into J.
+/// The buffer holds no index of its own: callers bin with a
+/// SupercellIndex of the same geometry (full-z tile columns; the tile
+/// edges below are that index's clamped edges). The fused pipeline
+/// scatters its current into these accumulators through zeroedTile();
+/// reduce() adds them into J.
 class DepositBuffer {
  public:
   /// Halo width in cells around each tile's owned region, per axis and
@@ -73,16 +74,18 @@ class DepositBuffer {
   explicit DepositBuffer(const GridSpec& grid, TileDepositConfig cfg = {});
 
   /// CIC charge deposition (same contract as the free depositCharge):
-  /// positions wrapped into [0, n). Accumulates into rho. Bit-identical
-  /// for any thread count.
-  void depositCharge(Field3& rho, const ParticleBuffer& buffer);
+  /// positions wrapped into [0, n). Bins the particles with `bins`, which
+  /// must share this buffer's tile geometry, and accumulates into rho.
+  /// Bit-identical for any thread count.
+  void depositCharge(Field3& rho, const ParticleBuffer& buffer,
+                     SupercellIndex& bins);
 
   const GridSpec& grid() const { return grid_; }
-  long tilesX() const { return bins_.tilesX(); }
-  long tilesY() const { return bins_.tilesY(); }
-  long tileCount() const { return bins_.tileCount(); }
-  long tileEdgeX() const { return bins_.tileEdgeX(); }
-  long tileEdgeY() const { return bins_.tileEdgeY(); }
+  long tilesX() const { return tilesX_; }
+  long tilesY() const { return tilesY_; }
+  long tileCount() const { return tilesX_ * tilesY_; }
+  long tileEdgeX() const { return edgeX_; }
+  long tileEdgeY() const { return edgeY_; }
 
   /// Cell range [x0,x1) x [y0,y1) owned by one tile (full z column).
   /// Public so the fused pipeline can size its tile field caches.
@@ -162,14 +165,6 @@ class DepositBuffer {
               long xEnd) const;
 
  private:
-  /// Stable counting sort of particle indices by owning tile, delegated
-  /// to the SupercellIndex member. Throws ContractError if any position
-  /// (z included — it doesn't affect the tile key but an unwrapped z
-  /// would scatter outside the padded column) lies outside [0, n).
-  void binParticles(const std::vector<double>& xs,
-                    const std::vector<double>& ys,
-                    const std::vector<double>& zs);
-
   /// Base pointer of component `comp` (0..2) of tile `tile`.
   double* tileComponent(long tile, int comp) {
     return store_.data() +
@@ -188,9 +183,8 @@ class DepositBuffer {
                        long xBegin, long xEnd) const;
 
   GridSpec grid_;
-  /// Charge binning: x/y tiles over full z columns. Also the occupancy
-  /// source for depositCharge's reduction.
-  SupercellIndex bins_;
+  long edgeX_ = 0, edgeY_ = 0;    ///< clamped tile edges in cells
+  long tilesX_ = 0, tilesY_ = 0;  ///< tiles per axis
   long padX_ = 0, padY_ = 0, padZ_ = 0;  ///< padded accumulator extents
   long tileStride_ = 0;                  ///< padX_ * padY_ * padZ_
   /// Accumulators, [tile][component][padX_ x padY_ x padZ_] row-major.

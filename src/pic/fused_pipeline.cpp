@@ -4,11 +4,12 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "common/isa_clones.hpp"
 #include "obs/trace.hpp"
-#include "pic/interpolate.hpp"
 #include "pic/pusher.hpp"
 
 namespace artsci::pic {
@@ -53,6 +54,181 @@ void fillCache(double* dst, const Field3& f, long x0, long spanX, long y0,
   }
 }
 
+/// Particles per block of the block kernel: its staging arrays (~11 KiB)
+/// stay in L1.
+constexpr std::size_t kBlock = 64;
+
+/// One tile's share of a pushAndScatter call, as the block kernel reads
+/// it. Column pointers start at the tile's first (post-sort) particle.
+struct TileWork {
+  double* x;
+  double* y;
+  double* z;
+  double* ux;
+  double* uy;
+  double* uz;
+  const double* w;
+  double* bdx;  ///< d(beta)/dt columns, or null when not recorded
+  double* bdy;
+  double* bdz;
+  std::size_t count;  ///< particles in the tile
+  const CacheAt* fields;  ///< Ex Ey Ez Bx By Bz tile caches
+  DepositBuffer::TileAccum sink;
+  const GridSpec* grid;
+  double qOverM, q, dt;
+};
+
+/// The block kernel: one tile's particles, kBlock at a time, each block
+/// in five phases — (1) stage the staggered (floor, frac) pairs, (2)
+/// gather E/B into SoA arrays, (3) Boris push, gamma, d(beta)/dt, new
+/// positions and the displacement check, (4) Esirkepov scatter particle
+/// by particle in sorted order, (5) wrap. Phase 3, the arithmetic of the
+/// update, vectorizes across the block in the AVX-512 and x86-64-v3
+/// clones.
+///
+/// Every lane runs exactly the scalar operation sequence of the reference
+/// kernels: the expressions are theirs, this file is built with
+/// -ffp-contract=off (the AVX-512 and x86-64-v3 clones may not fuse a
+/// multiply-add the baseline build rounds twice) and -fno-math-errno (sqrt
+/// vectorizes; IEEE sqrt and division round the same in every lane). Bits
+/// therefore do not depend on the clone that runs. Returns false when some
+/// particle moved a cell or more on some axis.
+ARTSCI_ISA_CLONES
+bool updateTile(const TileWork& t) {
+  const GridSpec& g = *t.grid;
+  const double lx = static_cast<double>(g.nx);
+  const double ly = static_cast<double>(g.ny);
+  const double lz = static_cast<double>(g.nz);
+  const double qOverM = t.qOverM;
+  const double dt = t.dt;
+  const double dx = g.dx, dy = g.dy, dz = g.dz;
+  // Per component and axis: 0 -> the offset-0.0 pair, 1 -> offset 0.5
+  // (Yee staggering only ever offsets an axis by 0 or 0.5).
+  static constexpr int sel[6][3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1},
+                                    {0, 1, 1}, {1, 0, 1}, {1, 1, 0}};
+  bool inCell = true;
+
+  for (std::size_t blk = 0; blk < t.count; blk += kBlock) {
+    const std::size_t m = std::min(kBlock, t.count - blk);
+    double* const x = t.x + blk;
+    double* const y = t.y + blk;
+    double* const z = t.z + blk;
+    double* const ux = t.ux + blk;
+    double* const uy = t.uy + blk;
+    double* const uz = t.uz + blk;
+    const double* const w = t.w + blk;
+
+    // (1) A particle has just 6 distinct staggered (floor, frac) pairs —
+    // two per axis — not the 18 six gatherStaggeredAt calls recompute.
+    // Cell indices as int: double -> int64 conversion has no packed form
+    // before AVX-512DQ, double -> int32 has one in every clone.
+    int ix[2][kBlock], iy[2][kBlock], iz[2][kBlock];
+    double fx[2][kBlock], fy[2][kBlock], fz[2][kBlock];
+    for (int s = 0; s < 2; ++s) {
+      const double off = s ? 0.5 : 0.0;
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+      for (std::size_t u = 0; u < m; ++u) {
+        const double gx = x[u] - off;
+        const double gy = y[u] - off;
+        const double gz = z[u] - off;
+        const int i0 = static_cast<int>(std::floor(gx));
+        const int j0 = static_cast<int>(std::floor(gy));
+        const int k0 = static_cast<int>(std::floor(gz));
+        ix[s][u] = i0;
+        iy[s][u] = j0;
+        iz[s][u] = k0;
+        fx[s][u] = gx - static_cast<double>(i0);
+        fy[s][u] = gy - static_cast<double>(j0);
+        fz[s][u] = gz - static_cast<double>(k0);
+      }
+    }
+
+    // (2) Corner terms add in (a,b,c)-ascending order with the exact
+    // gatherStaggeredAt weight expression, so every field value is the
+    // scalar gatherE/gatherB's. Particle-outer on purpose: a
+    // corner-outer/particle-inner layout is an indirect gather that
+    // measured ~20% slower end to end.
+    double field[6][kBlock];  // Ex Ey Ez Bx By Bz
+    for (std::size_t u = 0; u < m; ++u) {
+      for (int comp = 0; comp < 6; ++comp) {
+        const CacheAt& f = t.fields[comp];
+        const long i0 = ix[sel[comp][0]][u];
+        const long j0 = iy[sel[comp][1]][u];
+        const long k0 = iz[sel[comp][2]][u];
+        const double fxv = fx[sel[comp][0]][u];
+        const double fyv = fy[sel[comp][1]][u];
+        const double fzv = fz[sel[comp][2]][u];
+        double acc = 0.0;
+        for (int a = 0; a < 2; ++a) {
+          const double wxp = a ? fxv : 1.0 - fxv;
+          for (int b = 0; b < 2; ++b) {
+            const double wyp = b ? fyv : 1.0 - fyv;
+            for (int c = 0; c < 2; ++c) {
+              const double wzp = c ? fzv : 1.0 - fzv;
+              acc += wxp * wyp * wzp * f(i0 + a, j0 + b, k0 + c);
+            }
+          }
+        }
+        field[comp][u] = acc;
+      }
+    }
+
+    // (3) Push and move.
+    double x1[kBlock], y1[kBlock], z1[kBlock];
+    double bd[3][kBlock];
+    int blockInCell = 1;
+#ifdef _OPENMP
+#pragma omp simd reduction(& : blockInCell)
+#endif
+    for (std::size_t u = 0; u < m; ++u) {
+      const Vec3d Ep{field[0][u], field[1][u], field[2][u]};
+      const Vec3d Bp{field[3][u], field[4][u], field[5][u]};
+      const Vec3d uOld{ux[u], uy[u], uz[u]};
+      const double gOld = std::sqrt(1.0 + uOld.dot(uOld));
+      const Vec3d uNew = borisPush(uOld, Ep, Bp, qOverM, dt);
+      const double gNew = std::sqrt(1.0 + uNew.dot(uNew));
+      ux[u] = uNew.x;
+      uy[u] = uNew.y;
+      uz[u] = uNew.z;
+      bd[0][u] = (uNew.x / gNew - uOld.x / gOld) / dt;
+      bd[1][u] = (uNew.y / gNew - uOld.y / gOld) / dt;
+      bd[2][u] = (uNew.z / gNew - uOld.z / gOld) / dt;
+      x1[u] = x[u] + uNew.x / gNew * dt / dx;
+      y1[u] = y[u] + uNew.y / gNew * dt / dy;
+      z1[u] = z[u] + uNew.z / gNew * dt / dz;
+      blockInCell &= (std::abs(x1[u] - x[u]) < 1.0) &
+                     (std::abs(y1[u] - y[u]) < 1.0) &
+                     (std::abs(z1[u] - z[u]) < 1.0);
+    }
+    inCell = inCell && blockInCell;
+    if (t.bdx != nullptr) {
+      std::copy(bd[0], bd[0] + m, t.bdx + blk);
+      std::copy(bd[1], bd[1] + m, t.bdy + blk);
+      std::copy(bd[2], bd[2] + m, t.bdz + blk);
+    }
+
+    // (4) Deposit from the unwrapped displacement, straight into the
+    // tile's private accumulator — the support-clipped bit-exact replica
+    // of the reference Esirkepov kernel, in sorted particle order.
+    for (std::size_t u = 0; u < m; ++u)
+      DepositBuffer::scatterEsirkepovTile(g, x[u], y[u], z[u], x1[u], y1[u],
+                                          z1[u], t.q * w[u], dt, t.sink);
+
+    // (5) Wrap in place.
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+    for (std::size_t u = 0; u < m; ++u) {
+      x[u] = wrapCoordinate(x1[u], lx);
+      y[u] = wrapCoordinate(y1[u], ly);
+      z[u] = wrapCoordinate(z1[u], lz);
+    }
+  }
+  return inCell;
+}
+
 }  // namespace
 
 FusedPipeline::FusedPipeline(const GridSpec& grid, TileDepositConfig tiles)
@@ -93,9 +269,6 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
   const double qOverM = p.info().charge / p.info().mass;
   const double q = p.info().charge;
   const GridSpec& g = accum_.grid();
-  const double lx = static_cast<double>(g.nx);
-  const double ly = static_cast<double>(g.ny);
-  const double lz = static_cast<double>(g.nz);
   const long tiles = index_.tileCount();
   // Tile 0 is never ragged, so its spans bound every tile's cache size.
   const DepositBuffer::TileExtent e0 = accum_.extentOf(0);
@@ -143,124 +316,36 @@ void FusedPipeline::pushAndScatter(ParticleBuffer& p, const VectorField& E,
       const DepositBuffer::TileExtent e = accum_.extentOf(t);
       const long spanX = e.x1 - e.x0;
       const long spanY = e.y1 - e.y0;
-      const long padY = spanY + 2;
-      const long padZ = g.nz + 2;
 
       const Field3* comps[6] = {&E.x, &E.y, &E.z, &B.x, &B.y, &B.z};
-      for (int c = 0; c < 6; ++c)
-        fillCache(cache.data() + static_cast<std::size_t>(c) * compStride,
-                  *comps[c], e.x0, spanX, e.y0, spanY, g);
-      const auto at = [&](int c) {
-        return CacheAt{cache.data() + static_cast<std::size_t>(c) * compStride,
-                       e.x0 - 1, e.y0 - 1, padY, padZ};
-      };
-      const CacheAt ex = at(0), ey = at(1), ez = at(2);
-      const CacheAt bx = at(3), by = at(4), bz = at(5);
-
-      const DepositBuffer::TileAccum sink = accum_.zeroedTile(t);
-
-      // (a) gather, with SoA-staged addressing. Yee staggering only ever
-      // offsets an axis by 0 or 0.5, so a particle has just 6 distinct
-      // staggered (floor, frac) pairs — two per axis — not the 18 the
-      // six per-component gatherStaggeredAt calls recomputed. Phase 1
-      // stages those pairs for a block of particles in SoA form (a flat
-      // simd loop); the per-particle pass then reads its pairs from the
-      // staging arrays and accumulates the 8 corners per component in
-      // registers — corner terms add in (a,b,c)-ascending order with the
-      // exact gatherStaggeredAt weight expression, so every field value
-      // is bit-identical to the scalar gatherE/B (pinned by
-      // test_fused_pipeline). Keeping the corner accumulation
-      // particle-outer matters: a corner-outer/particle-inner layout is
-      // an indirect gather the compiler cannot vectorize, and measured
-      // ~20% slower end-to-end than this form.
-      constexpr std::size_t kBlock = 64;
-      long ix[2][kBlock], iy[2][kBlock], iz[2][kBlock];
-      double fx[2][kBlock], fy[2][kBlock], fz[2][kBlock];
-      const CacheAt comps6[6] = {ex, ey, ez, bx, by, bz};
-      // Per component and axis: 0 -> offset 0.0 pair, 1 -> offset 0.5.
-      static constexpr int sel[6][3] = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1},
-                                        {0, 1, 1}, {1, 0, 1}, {1, 1, 0}};
-
-      for (std::size_t blk = range.begin; blk < range.end; blk += kBlock) {
-        const std::size_t m = std::min(kBlock, range.end - blk);
-        for (int s = 0; s < 2; ++s) {
-          const double off = s ? 0.5 : 0.0;
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-          for (std::size_t u = 0; u < m; ++u) {
-            const double gx = p.x[blk + u] - off;
-            const double gy = p.y[blk + u] - off;
-            const double gz = p.z[blk + u] - off;
-            const long i0 = static_cast<long>(std::floor(gx));
-            const long j0 = static_cast<long>(std::floor(gy));
-            const long k0 = static_cast<long>(std::floor(gz));
-            ix[s][u] = i0;
-            iy[s][u] = j0;
-            iz[s][u] = k0;
-            fx[s][u] = gx - static_cast<double>(i0);
-            fy[s][u] = gy - static_cast<double>(j0);
-            fz[s][u] = gz - static_cast<double>(k0);
-          }
-        }
-        for (std::size_t u = 0; u < m; ++u) {
-          const std::size_t i = blk + u;
-          const double ox = p.x[i], oy = p.y[i], oz = p.z[i];
-          double field[6];  // Ex Ey Ez Bx By Bz
-          for (int comp = 0; comp < 6; ++comp) {
-            const CacheAt& f = comps6[comp];
-            const long i0 = ix[sel[comp][0]][u];
-            const long j0 = iy[sel[comp][1]][u];
-            const long k0 = iz[sel[comp][2]][u];
-            const double fxv = fx[sel[comp][0]][u];
-            const double fyv = fy[sel[comp][1]][u];
-            const double fzv = fz[sel[comp][2]][u];
-            double acc = 0.0;
-            for (int a = 0; a < 2; ++a) {
-              const double wxp = a ? fxv : 1.0 - fxv;
-              for (int b = 0; b < 2; ++b) {
-                const double wyp = b ? fyv : 1.0 - fyv;
-                for (int c = 0; c < 2; ++c) {
-                  const double wzp = c ? fzv : 1.0 - fzv;
-                  acc += wxp * wyp * wzp * f(i0 + a, j0 + b, k0 + c);
-                }
-              }
-            }
-            field[comp] = acc;
-          }
-          const Vec3d Ep{field[0], field[1], field[2]};
-          const Vec3d Bp{field[3], field[4], field[5]};
-          // (b) push + move.
-          const Vec3d uOld{p.ux[i], p.uy[i], p.uz[i]};
-          const double gOld = std::sqrt(1.0 + uOld.dot(uOld));
-          const Vec3d uNew = borisPush(uOld, Ep, Bp, qOverM, dt);
-          const double gNew = std::sqrt(1.0 + uNew.dot(uNew));
-          p.ux[i] = uNew.x;
-          p.uy[i] = uNew.y;
-          p.uz[i] = uNew.z;
-          if (bdx != nullptr) {
-            (*bdx)[i] = (uNew.x / gNew - uOld.x / gOld) / dt;
-            (*bdy)[i] = (uNew.y / gNew - uOld.y / gOld) / dt;
-            (*bdz)[i] = (uNew.z / gNew - uOld.z / gOld) / dt;
-          }
-          const double nx1 = ox + uNew.x / gNew * dt / g.dx;
-          const double ny1 = oy + uNew.y / gNew * dt / g.dy;
-          const double nz1 = oz + uNew.z / gNew * dt / g.dz;
-          displacementOk = displacementOk && std::abs(nx1 - ox) < 1.0 &&
-                           std::abs(ny1 - oy) < 1.0 &&
-                           std::abs(nz1 - oz) < 1.0;
-          // (c) deposit from the unwrapped displacement, straight into the
-          // tile's private accumulator — the support-clipped bit-exact
-          // replica of the reference Esirkepov kernel.
-          DepositBuffer::scatterEsirkepovTile(g, ox, oy, oz, nx1, ny1, nz1,
-                                              q * p.w[i], dt, sink);
-          // (d) wrap in place — the old position died in this iteration's
-          // registers; no snapshot vectors, no separate wrap sweep.
-          p.x[i] = wrapCoordinate(nx1, lx);
-          p.y[i] = wrapCoordinate(ny1, ly);
-          p.z[i] = wrapCoordinate(nz1, lz);
-        }
+      CacheAt fields[6];
+      for (int c = 0; c < 6; ++c) {
+        double* dst = cache.data() + static_cast<std::size_t>(c) * compStride;
+        fillCache(dst, *comps[c], e.x0, spanX, e.y0, spanY, g);
+        fields[c] = CacheAt{dst, e.x0 - 1, e.y0 - 1, spanY + 2, g.nz + 2};
       }
+
+      const std::size_t b = range.begin;
+      const TileWork work{
+          .x = p.x.data() + b,
+          .y = p.y.data() + b,
+          .z = p.z.data() + b,
+          .ux = p.ux.data() + b,
+          .uy = p.uy.data() + b,
+          .uz = p.uz.data() + b,
+          .w = p.w.data() + b,
+          .bdx = bdx != nullptr ? bdx->data() + b : nullptr,
+          .bdy = bdy != nullptr ? bdy->data() + b : nullptr,
+          .bdz = bdz != nullptr ? bdz->data() + b : nullptr,
+          .count = range.end - b,
+          .fields = fields,
+          .sink = accum_.zeroedTile(t),
+          .grid = &g,
+          .qOverM = qOverM,
+          .q = q,
+          .dt = dt};
+      const bool inCell = updateTile(work);
+      displacementOk = displacementOk && inCell;
     }
   }
   ARTSCI_EXPECTS_MSG(displacementOk,

@@ -1,18 +1,27 @@
 /// \file fused_pipeline.hpp
 /// Supercell-fused particle pipeline (PIConGPU's supercell design
-/// [Hoenig et al. 2010] applied to the whole particle update): one stable
-/// counting sort per step, then a single per-tile pass that
-///  (a) gathers E/B from per-tile halo-padded read caches — precomputed
-///      strides, no per-access periodic-wrap arithmetic,
-///  (b) runs the Boris push and the move,
-///  (c) scatters Esirkepov current straight into the tile's private
-///      accumulator in the pipeline's own DepositBuffer, and
-///  (d) wraps positions in place.
+/// [Hoenig et al. 2010] applied to the whole particle update): one
+/// supercell sort per step, then a single per-tile pass that runs the
+/// tile's particles in blocks of 64, each block in phases:
+///  (1) stage the staggered (floor, frac) pairs of every particle,
+///  (2) gather E/B for the whole block into SoA arrays from per-tile
+///      halo-padded read caches — precomputed strides, no per-access
+///      periodic-wrap arithmetic,
+///  (3) run the Boris push, gamma, d(beta)/dt, the move and the
+///      displacement check for the whole block (vectorized across
+///      particles),
+///  (4) scatter Esirkepov current particle by particle, in sorted order,
+///      straight into the tile's private accumulator in the pipeline's
+///      own DepositBuffer, and
+///  (5) wrap positions in place.
 ///
-/// One pass over the population per step: no separate gather, deposit
-/// and wrap sweeps, and no old-position snapshot vectors — old positions
-/// live in the tile loop's registers. bench/particle_pipeline.cpp reports
-/// its particle updates/s on the quick-demo KHI.
+/// The block kernel is built in per-ISA clones (common/isa_clones.hpp:
+/// AVX-512, x86-64-v3, baseline) from a file compiled with FP contraction
+/// and math-errno off, so every lane runs exactly the scalar operation
+/// sequence and the bits do not depend on the clone that runs. One pass
+/// over the population per step: no separate gather, deposit and wrap
+/// sweeps, and no old-position snapshot vectors. bench/particle_pipeline.cpp
+/// reports its particle updates/s on the quick-demo KHI.
 ///
 /// Determinism: the sort orders each tile canonically by phase-space key
 /// (a pure function of the particle multiset — see SupercellIndex), tile
@@ -20,8 +29,8 @@
 /// kernels (interpolate.hpp / pusher.hpp, and the Esirkepov reference
 /// loops), per-tile scatter order is the sorted order, and the reduction
 /// is the fixed-order DepositBuffer reduce — so a fused step is
-/// bit-identical across OMP thread counts, schedules, and repeated runs,
-/// bit-identical to the scalar reference step of
+/// bit-identical across OMP thread counts, schedules, ISA clones and
+/// repeated runs, bit-identical to the scalar reference step of
 /// tests/pic/reference_step.hpp (sort, scalar gather/push/move,
 /// reference scatter, reduce, wrap), and bit-identical to the
 /// rank-decomposed driver for any rank count (pic/domain.hpp). Enforced

@@ -83,7 +83,7 @@ inline double wrapCoordinate(double v, double n) {
 /// Supercell index: after sort(), particles are ordered by tile and
 /// tileRange() gives each tile's contiguous [begin, end) range. bin()
 /// provides a stable counting sort as an index permutation without
-/// moving particle data (the deposition buffer's binning).
+/// moving particle data (charge deposition's binning).
 ///
 /// Determinism: binning depends only on positions and the tile geometry.
 /// bin()'s per-tile order is ascending input index (stable); sort()
@@ -97,6 +97,13 @@ inline double wrapCoordinate(double v, double n) {
 /// x-major), so scattering rank parts in ascending rank order
 /// reproduces the single-rank per-tile scatter sequence exactly
 /// (see pic/domain.hpp).
+///
+/// Cost: both passes run on the OpenMP team. sort() expects each tile to
+/// arrive nearly in canonical order — the previous step's sort, pushed —
+/// and sorts it with an insertion pass on (x, index) keys, falling back
+/// to std::sort when a tile needs more than a fixed number of moves per
+/// particle (a fresh load, random within each cell), so the worst case
+/// stays O(m log m) per tile of m particles.
 class SupercellIndex {
  public:
   /// Tiles of edgeX x edgeY cells over full z columns (the KHI box is thin
@@ -107,13 +114,12 @@ class SupercellIndex {
   SupercellIndex(const GridSpec& grid, long edgeX, long edgeY);
 
   long tileCount() const { return tilesX_ * tilesY_; }
-  /// Owning tile of a position in cell units (clamped into the grid); z
-  /// never selects the tile, since tiles are full z columns.
-  long tileOf(double xCell, double yCell, double zCell) const;
 
   /// Stable counting-sort binning of `n` positions into an index
   /// permutation; no particle data moves. Fills tileRange() and
-  /// permutation(); per-tile order is ascending input index. Returns
+  /// permutation(); per-tile order is ascending input index. A particle's
+  /// tile is (floor(x) / edgeX, floor(y) / edgeY), each clamped into the
+  /// grid; z never selects the tile, since tiles are full z columns. Returns
   /// false when any position lies outside [0, extent) on some axis (its
   /// tile key is clamped, so the ranges stay valid either way).
   bool bin(const double* xs, const double* ys, const double* zs,
@@ -150,8 +156,9 @@ class SupercellIndex {
   std::vector<Range> ranges_;
   std::vector<std::uint32_t> perm_;  ///< tile-sorted particle indices
   std::vector<std::int32_t> tileOf_;  ///< binning scratch: particle -> tile
-  std::vector<std::size_t> cursor_;   ///< counting-sort write heads
-  ParticleBuffer scratch_;            ///< sort() staging (storage reused)
+  /// bin()'s counting-sort write heads, one row of tiles per thread.
+  std::vector<std::size_t> heads_;
+  ParticleBuffer scratch_;  ///< sort() staging (storage reused)
 };
 
 }  // namespace artsci::pic

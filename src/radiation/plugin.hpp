@@ -26,6 +26,11 @@ class RegionRadiationPlugin : public pic::Plugin {
 
   const SpectralAccumulator& accumulator(pic::KhiRegion region) const;
 
+  /// The latest step's electrons by region, indexed by KhiRegion: region
+  /// k is order[bounds[k]] .. order[bounds[k + 1] - 1], each in ascending
+  /// particle index. Valid until the next step.
+  const RegionRanges& ranges() const { return ranges_; }
+
  private:
   std::size_t speciesIdx_;
   double vortexHalfWidth_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "core/pipeline.hpp"
 #include "core/transforms.hpp"
 #include "obs/trace.hpp"
+#include "radiation/plugin.hpp"
 
 namespace artsci::core {
 namespace {
@@ -108,6 +111,68 @@ TEST(Transforms, TooFewParticlesReturnsEmpty) {
   EXPECT_TRUE(extractRegionCloud(buf, 32, pic::KhiRegion::kApproaching, cfg,
                                  rng)
                   .empty());
+}
+
+TEST(Transforms, PluginRangesGiveTheExtractedClouds) {
+  // The producer samples each region from the radiation plugin's ranges
+  // instead of classifying every electron again; from equal Rng states
+  // the clouds must be extractRegionCloud's, bit for bit, and a region
+  // too small for a cloud must still yield no sample (and draw nothing).
+  pic::KhiConfig kcfg;
+  kcfg.grid = pic::GridSpec{8, 32, 4, 0.25, 0.25, 0.25};
+  kcfg.dt = 0.05;
+  kcfg.particlesPerCell = 4;
+  pic::SimulationConfig sc;
+  sc.grid = kcfg.grid;
+  sc.dt = kcfg.dt;
+  sc.recordBetaDot = true;
+  pic::Simulation sim(sc);
+  const auto sp = pic::initializeKhi(sim, kcfg);
+  TransformConfig cfg;
+  cfg.cloudPoints = 64;
+  auto plugin = std::make_shared<radiation::RegionRadiationPlugin>(
+      radiation::DetectorConfig::defaultKhi(8), sp.electrons,
+      cfg.vortexHalfWidthCells);
+  sim.addPlugin(plugin);
+  sim.run(2);
+
+  const pic::ParticleBuffer& electrons = sim.species(sp.electrons);
+  const radiation::RegionRanges& ranges = plugin->ranges();
+  ASSERT_EQ(ranges.order.size(), electrons.size());
+  const auto fromRanges = [&](int r, const TransformConfig& c, Rng& rng) {
+    std::vector<std::size_t> candidates(
+        ranges.order.begin() + static_cast<std::ptrdiff_t>(ranges.bounds[r]),
+        ranges.order.begin() +
+            static_cast<std::ptrdiff_t>(ranges.bounds[r + 1]));
+    return sampleRegionCloud(electrons, candidates, c, rng);
+  };
+  std::size_t smallest = electrons.size();
+  for (int r = 0; r < 3; ++r) {
+    smallest = std::min(smallest, ranges.bounds[r + 1] - ranges.bounds[r]);
+    Rng a(100 + r), b(100 + r);
+    const auto extracted = extractRegionCloud(
+        electrons, kcfg.grid.ny, static_cast<pic::KhiRegion>(r), cfg, a);
+    const auto sampled = fromRanges(r, cfg, b);
+    ASSERT_EQ(extracted.size(), 64u * 6u) << "region " << r;
+    ASSERT_EQ(sampled.size(), extracted.size()) << "region " << r;
+    EXPECT_EQ(std::memcmp(sampled.data(), extracted.data(),
+                          sampled.size() * sizeof(double)),
+              0)
+        << "region " << r;
+    EXPECT_EQ(a.uniformInt(1u << 30), b.uniformInt(1u << 30));
+  }
+
+  TransformConfig tooMany = cfg;
+  tooMany.cloudPoints = static_cast<long>(smallest) + 1;
+  for (int r = 0; r < 3; ++r) {
+    if (ranges.bounds[r + 1] - ranges.bounds[r] >= smallest + 1) continue;
+    Rng a(7), b(7);
+    EXPECT_TRUE(extractRegionCloud(electrons, kcfg.grid.ny,
+                                   static_cast<pic::KhiRegion>(r), tooMany, a)
+                    .empty());
+    EXPECT_TRUE(fromRanges(r, tooMany, b).empty()) << "region " << r;
+    EXPECT_EQ(a.uniformInt(1u << 30), b.uniformInt(1u << 30));
+  }
 }
 
 TEST(Model, ReducedConfigShapes) {

@@ -16,8 +16,17 @@
 ///    accumulators in sorted order, then the fixed-order reduce, then
 ///    wrapCoordinate, then the FDTD update. Its fields, particle state and
 ///    d(beta)/dt are bit-identical to the fused Simulation::step().
+///  * KeyedIndex: a SupercellIndex that also names the tile of a position,
+///    by the key arithmetic SupercellIndex::bin inlines.
+///
+/// Also the tests' ThreadCountGuard.
 #pragma once
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -29,6 +38,38 @@
 #include "pic/simulation.hpp"
 
 namespace artsci::pic::reference {
+
+/// Restores the global OMP thread count on scope exit so one test cannot
+/// perturb the others.
+struct ThreadCountGuard {
+#ifdef _OPENMP
+  int saved = omp_get_max_threads();
+  ~ThreadCountGuard() { omp_set_num_threads(saved); }
+#endif
+  void set(int n) {
+#ifdef _OPENMP
+    omp_set_num_threads(n);
+#else
+    (void)n;
+#endif
+  }
+};
+
+/// SupercellIndex that also names the owning tile of a position: floor,
+/// divide by the tile edge, clamp into the grid — the arithmetic bin()
+/// keys particles with. z never selects the tile (tiles are full z
+/// columns).
+class KeyedIndex : public SupercellIndex {
+ public:
+  using SupercellIndex::SupercellIndex;
+
+  long tileOf(double xCell, double yCell, double /*zCell*/) const {
+    const long ti = static_cast<long>(std::floor(xCell)) / tileEdgeX();
+    const long tj = static_cast<long>(std::floor(yCell)) / tileEdgeY();
+    return std::clamp(ti, 0L, tilesX() - 1) * tilesY() +
+           std::clamp(tj, 0L, tilesY() - 1);
+  }
+};
 
 /// Esirkepov density-decomposition scatter for one particle that moved
 /// from (x0,y0,z0) to (x1,y1,z1) in cell units (|x1-x0| < 1 cell per

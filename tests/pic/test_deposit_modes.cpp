@@ -8,10 +8,6 @@
 /// "Determinism guarantees" section points at for deposition.
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -28,21 +24,7 @@
 namespace artsci::pic {
 namespace {
 
-/// Restores the global OMP thread count on scope exit so one test cannot
-/// perturb the others.
-struct ThreadCountGuard {
-#ifdef _OPENMP
-  int saved = omp_get_max_threads();
-  ~ThreadCountGuard() { omp_set_num_threads(saved); }
-#endif
-  void set(int n) {
-#ifdef _OPENMP
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-};
+using reference::ThreadCountGuard;
 
 /// Random wrapped particles. Their field-free moves (u / gamma * dt per
 /// step, under half a cell for dt/dx <= 0.5) cross cell boundaries and the

@@ -9,10 +9,6 @@
 /// distributed driver.
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -23,25 +19,12 @@
 #include "pic/domain.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
+#include "reference_step.hpp"
 
 namespace artsci::pic {
 namespace {
 
-/// Restores the global OMP thread count on scope exit so one test cannot
-/// perturb the others.
-struct ThreadCountGuard {
-#ifdef _OPENMP
-  int saved = omp_get_max_threads();
-  ~ThreadCountGuard() { omp_set_num_threads(saved); }
-#endif
-  void set(int n) {
-#ifdef _OPENMP
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-};
+using reference::ThreadCountGuard;
 
 bool bitEqual(const Field3& a, const Field3& b) {
   return a.raw().size() == b.raw().size() &&

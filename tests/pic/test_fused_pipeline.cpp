@@ -12,10 +12,6 @@
 ///    tiny grid (regression for the single-wrap assumption).
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -30,19 +26,7 @@
 namespace artsci::pic {
 namespace {
 
-struct ThreadCountGuard {
-#ifdef _OPENMP
-  int saved = omp_get_max_threads();
-  ~ThreadCountGuard() { omp_set_num_threads(saved); }
-#endif
-  void set(int n) {
-#ifdef _OPENMP
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-};
+using reference::ThreadCountGuard;
 
 bool bitIdentical(const Field3& a, const Field3& b) {
   return a.raw().size() == b.raw().size() &&

