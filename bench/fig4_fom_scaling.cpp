@@ -5,18 +5,18 @@
 /// (FOM = 0.9 * particle updates/s + 0.1 * cell updates/s).
 ///
 /// Part A measures the real weak scaling of our PIC substrate across
-/// thread ranks ("GCDs") on this machine: the FOM of the rank-decomposed
-/// DistributedSimulation (fused particle pipeline per rank) with the grid
-/// grown in proportion to the rank count. Rank counts above the host's
-/// hardware thread count are marked oversubscribed and left out of the
-/// --json record. Part B maps
+/// thread ranks ("GCDs") on this machine: the FOM of a Simulation of
+/// `ranks` x-slabs (SimulationConfig::ranks; fused particle pipeline per
+/// rank) with the grid grown in proportion to the rank count. Rank counts
+/// above the host's hardware thread count are marked oversubscribed and
+/// left out of the --json record. Part B maps
 /// the paper-scale curve through the calibrated cluster model (per-GPU
 /// FOM from the paper's own full-system measurement).
 ///
 ///   ./bench/bench_fig4_fom_scaling [--json <path>] [steps] [repeats]
 ///
-/// --json writes the measured points. The rank stepper's bit-identity to
-/// the single-rank Simulation is tested in tests/pic/test_domain.cpp.
+/// --json writes the measured points. Rank-count invariance of the
+/// stepper is tested in tests/pic/test_domain.cpp.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,8 +26,8 @@
 #include "cluster/collectives.hpp"
 #include "common/ascii.hpp"
 #include "common/timer.hpp"
-#include "pic/domain.hpp"
 #include "pic/khi.hpp"
+#include "pic/simulation.hpp"
 
 using namespace artsci;
 
@@ -43,36 +43,25 @@ pic::KhiConfig weakKhi(std::size_t ranks) {
   return kcfg;
 }
 
-std::unique_ptr<pic::DistributedSimulation> makeDistributed(
-    std::size_t ranks) {
+std::unique_ptr<pic::Simulation> makeRanked(std::size_t ranks) {
   const pic::KhiConfig kcfg = weakKhi(ranks);
-  pic::DistributedSimulation::Config dc;
-  dc.grid = kcfg.grid;
-  dc.dt = kcfg.dt;
-  dc.ranks = ranks;
-  auto sim = std::make_unique<pic::DistributedSimulation>(dc);
-
-  pic::SimulationConfig tmpCfg;
-  tmpCfg.grid = kcfg.grid;
-  tmpCfg.dt = kcfg.dt;
-  pic::Simulation staging(tmpCfg);
-  const auto sp = pic::initializeKhi(staging, kcfg);
-  const auto e = sim->addSpecies(staging.species(sp.electrons).info());
-  const auto i = sim->addSpecies(staging.species(sp.ions).info());
-  sim->staging(e).append(staging.species(sp.electrons));
-  sim->staging(i).append(staging.species(sp.ions));
-  sim->distribute();
+  pic::SimulationConfig sc;
+  sc.grid = kcfg.grid;
+  sc.dt = kcfg.dt;
+  sc.ranks = ranks;
+  auto sim = std::make_unique<pic::Simulation>(sc);
+  pic::initializeKhi(*sim, kcfg);
   return sim;
 }
 
 /// Best-of-`repeats` FOM (0.9*particle + 0.1*cell updates per second)
-/// over `steps` distributed steps. Fresh simulation per repeat: identical
-/// start state and trajectory across repeats.
+/// over `steps` steps. Fresh simulation per repeat: identical start state
+/// and trajectory across repeats.
 double measureFom(std::size_t ranks, int steps, int repeats) {
   double best = 0.0;
   for (int r = 0; r < repeats; ++r) {
-    auto sim = makeDistributed(ranks);
-    sim->run(2);  // warm-up (thread pools, tile stores, caches)
+    auto sim = makeRanked(ranks);
+    sim->run(2);  // warm-up (handoff, thread pools, tile stores, caches)
     const double before = sim->fom().particleUpdates;
     const double beforeT = sim->fom().seconds;
     sim->run(steps);

@@ -7,7 +7,7 @@
 /// plus the latent-space region classification the paper argues for.
 #include <cstdio>
 #include <exception>
-#include <thread>
+#include <vector>
 
 #include "common/ascii.hpp"
 #include "common/config.hpp"
@@ -52,29 +52,7 @@ int main(int argc, char** argv) try {
   pcfg.seed = 555;
   pcfg.totalSteps = 12;
   pcfg.streamEvery = 4;
-  auto pEng = std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
-  auto rEng = std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
-  core::KhiStreamProducer producer(pcfg, pEng, rEng);
-  std::thread producerThread([&] { producer.run(); });
-  openpmd::Series pRead("particles", openpmd::Access::kRead,
-                        openpmd::StreamBackend::forReader(pEng, 0));
-  openpmd::Series rRead("radiation", openpmd::Access::kRead,
-                        openpmd::StreamBackend::forReader(rEng, 0));
-  std::vector<core::Sample> groundTruth;
-  for (;;) {
-    auto itP = pRead.readNextIteration();
-    auto itR = rRead.readNextIteration();
-    if (!itP || !itR) break;
-    for (int r = 0; r < 3; ++r) {
-      if (!itP->data.count(core::cloudPath(r))) continue;
-      core::Sample s;
-      s.cloud = itP->data.at(core::cloudPath(r));
-      s.spectrum = itR->data.at(core::spectrumPath(r));
-      s.region = r;
-      groundTruth.push_back(std::move(s));
-    }
-  }
-  producerThread.join();
+  const std::vector<core::Sample> groundTruth = core::collectSamples(pcfg);
 
   Rng rng(41);
   core::EvaluationConfig ecfg;

@@ -4,28 +4,11 @@
 /// quick-demo KHI box (32x64x8, 9 ppc, the paper's reduced setup), swept
 /// over OMP thread counts.
 ///
-///   ./bench/bench_particle_pipeline [--trace-overhead] [--fault-overhead]
-///                                   [--json <path>] [steps] [repeats]
+///   ./bench/bench_particle_pipeline [--json <path>] [steps] [repeats]
 ///
 /// The sweep prints the host's hardware thread count and marks thread
 /// counts above it as oversubscribed: those rows get no efficiency figure
 /// and are left out of the --json record.
-///
-/// --trace-overhead instead measures the fused pipeline with TRACE_SCOPE
-/// instrumentation runtime-disabled vs enabled (recording to the ring, no
-/// sink) and reports the enabled/disabled rate ratio (the "enabled
-/// tracing costs < 1% on the FOM" claim of src/obs/trace.hpp).
-///
-/// --fault-overhead does the same for FAULT_POINT hooks
-/// (src/fault/fault.hpp): disarmed (the production state — one relaxed
-/// atomic load per site) vs armed with a never-matching plan (the full
-/// slow path: hit counting + rule scan, no injection). The armed rate
-/// bounds the disarmed cost from above.
-///
-/// Both ratios are reported, not gated: run to run they spread by several
-/// percent on a 4-core host, so a 1% effect does not resolve here. The
-/// exit code checks only what makes a ratio meaningful — spans were
-/// recorded, and the armed run hit the `pic.step` fault site.
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -38,8 +21,6 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "fault/fault.hpp"
-#include "obs/trace.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
 
@@ -85,18 +66,12 @@ void setThreads(int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool traceOverhead = false;
-  bool faultOverhead = false;
   const char* jsonPath = nullptr;
   int steps = 6, repeats = 3;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--trace-overhead") == 0) {
-      traceOverhead = true;
-    } else if (std::strcmp(arg, "--fault-overhead") == 0) {
-      faultOverhead = true;
-    } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
       jsonPath = argv[++i];
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       jsonPath = arg + 7;
@@ -104,7 +79,6 @@ int main(int argc, char** argv) {
       // A typo'd flag must not silently become steps=0 and run the sweep.
       std::fprintf(stderr,
                    "unknown option %s — usage: bench_particle_pipeline "
-                   "[--trace-overhead] [--fault-overhead] "
                    "[--json <path>] [steps] [repeats]\n",
                    arg);
       return 2;
@@ -123,107 +97,6 @@ int main(int argc, char** argv) {
 #else
   const bool haveOmp = false;
 #endif
-
-  if (traceOverhead) {
-    // Overhead mode: fused pipeline, instrumentation runtime-off vs
-    // runtime-on (spans recorded into the rings, nothing flushed).
-    // Best-of-repeats on both sides damps scheduler noise.
-    const int threads = haveOmp ? 8 : 1;
-    setThreads(threads);
-    auto& rec = obs::TraceRecorder::instance();
-    rec.setEnabled(false);
-    const double offRate = particleUpdateRate(steps, repeats);
-    rec.setEnabled(true);
-    const double onRate = particleUpdateRate(steps, repeats);
-    rec.setEnabled(false);
-    const std::size_t spans = rec.eventCount();
-    const double ratio = onRate / offRate;
-    const bool pass = spans > 0;
-    std::printf(
-        "trace overhead: fused KHI 32x64x8 ppc 9, %d steps, best of %d, "
-        "%d threads\n"
-        "  tracing off: %.3e p/s\n"
-        "  tracing on:  %.3e p/s  (%zu spans recorded)\n"
-        "  on/off = %.4f (reported, not gated)\n"
-        "  spans recorded -> %s\n",
-        steps, repeats, threads, offRate, onRate, spans, ratio,
-        pass ? "PASS" : "FAIL");
-    if (jsonPath != nullptr) {
-      std::FILE* f = std::fopen(jsonPath, "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", jsonPath);
-        return 2;
-      }
-      std::fprintf(f,
-                   "{\n"
-                   "  \"bench\": \"trace_overhead\",\n"
-                   "  \"setup\": \"khi_quick_demo_32x64x8_ppc9_fused\",\n"
-                   "  \"threads\": %d,\n"
-                   "  \"steps\": %d,\n"
-                   "  \"spans\": %zu,\n"
-                   "  \"ratio\": %.4f,\n"
-                   "  \"pass\": %s\n"
-                   "}\n",
-                   threads, steps, spans, ratio, pass ? "true" : "false");
-      std::fclose(f);
-    }
-    return pass ? 0 : 1;
-  }
-
-  if (faultOverhead) {
-    // Fault-hook overhead: disarmed (production: one relaxed atomic load
-    // per FAULT_POINT) vs armed with a rule that matches no real site
-    // (worst case short of injecting: per-hit counting plus a rule scan on
-    // every pass). Sites sit on step boundaries, so even the armed slow
-    // path should be invisible on the particle-update FOM.
-    const int threads = haveOmp ? 8 : 1;
-    setThreads(threads);
-    fault::Plan::global().disarm();
-    const double offRate = particleUpdateRate(steps, repeats);
-    fault::Plan::global().arm(
-        fault::Plan::parseSpec("bench.never@1:error"));
-    const double onRate = particleUpdateRate(steps, repeats);
-    const auto hits = fault::Plan::global().siteHits();
-    fault::Plan::global().disarm();
-    const auto it = hits.find("pic.step");
-    const std::uint64_t picHits = it == hits.end() ? 0 : it->second;
-    const double ratio = onRate / offRate;
-    // picHits > 0 guards against vacuity: the hook must actually sit on
-    // the measured path (a FAULT_POINT moved off it records 0 and fails
-    // here).
-    const bool pass = picHits > 0;
-    std::printf(
-        "fault-point overhead: fused KHI 32x64x8 ppc 9, %d steps, best of "
-        "%d, %d threads\n"
-        "  disarmed:             %.3e p/s\n"
-        "  armed (non-matching): %.3e p/s  (%llu pic.step hits counted)\n"
-        "  armed/disarmed = %.4f (reported, not gated)\n"
-        "  pic.step hit while armed -> %s\n",
-        steps, repeats, threads, offRate, onRate,
-        static_cast<unsigned long long>(picHits), ratio,
-        pass ? "PASS" : "FAIL");
-    if (jsonPath != nullptr) {
-      std::FILE* f = std::fopen(jsonPath, "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", jsonPath);
-        return 2;
-      }
-      std::fprintf(f,
-                   "{\n"
-                   "  \"bench\": \"fault_overhead\",\n"
-                   "  \"setup\": \"khi_quick_demo_32x64x8_ppc9_fused\",\n"
-                   "  \"threads\": %d,\n"
-                   "  \"steps\": %d,\n"
-                   "  \"site_hits\": %llu,\n"
-                   "  \"ratio\": %.4f,\n"
-                   "  \"pass\": %s\n"
-                   "}\n",
-                   threads, steps, static_cast<unsigned long long>(picHits),
-                   ratio, pass ? "true" : "false");
-      std::fclose(f);
-    }
-    return pass ? 0 : 1;
-  }
 
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf(

@@ -5,7 +5,7 @@
 ///   ./examples/inverse_problem [steps=60] [nrep=6] [ckpt=/tmp/artsci.ckpt]
 #include <cstdio>
 #include <exception>
-#include <thread>
+#include <vector>
 
 #include "common/config.hpp"
 #include "core/evaluate.hpp"
@@ -49,29 +49,7 @@ int main(int argc, char** argv) try {
   pcfg.seed = 31337;
   pcfg.totalSteps = 10;
   pcfg.streamEvery = 5;
-  auto pEng = std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
-  auto rEng = std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
-  core::KhiStreamProducer producer(pcfg, pEng, rEng);
-  std::thread producerThread([&] { producer.run(); });
-  openpmd::Series pRead("particles", openpmd::Access::kRead,
-                        openpmd::StreamBackend::forReader(pEng, 0));
-  openpmd::Series rRead("radiation", openpmd::Access::kRead,
-                        openpmd::StreamBackend::forReader(rEng, 0));
-  std::vector<core::Sample> samples;
-  for (;;) {
-    auto itP = pRead.readNextIteration();
-    auto itR = rRead.readNextIteration();
-    if (!itP || !itR) break;
-    for (int r = 0; r < 3; ++r) {
-      if (!itP->data.count(core::cloudPath(r))) continue;
-      core::Sample s;
-      s.cloud = itP->data.at(core::cloudPath(r));
-      s.spectrum = itR->data.at(core::spectrumPath(r));
-      s.region = r;
-      samples.push_back(std::move(s));
-    }
-  }
-  producerThread.join();
+  const std::vector<core::Sample> samples = core::collectSamples(pcfg);
   std::printf("    %zu (cloud, spectrum) pairs collected\n\n",
               samples.size());
 

@@ -8,10 +8,10 @@
 ///                                  [metrics=artsci_metrics.json]
 ///
 /// CI runs this as the trace smoke test: the JSON must parse and contain
-/// spans from >= 4 subsystems (pic, domain, train, stream, replay,
-/// serve). The multi-rank stepper phase makes each rank a Chrome
-/// "process" in the trace — Perfetto shows ranks side by side with their
-/// OpenMP workers as threads.
+/// spans from >= 4 subsystems (pic, train, stream, replay, serve). The
+/// multi-rank stepping phase makes each rank a Chrome "process" in the
+/// trace — Perfetto shows ranks side by side with their OpenMP workers as
+/// threads.
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -22,16 +22,16 @@
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "pic/domain.hpp"
 #include "pic/khi.hpp"
+#include "pic/simulation.hpp"
 #include "serve/server.hpp"
 
 namespace {
 
-/// A few distributed steps on a weak-scaled KHI box so the trace covers
-/// the rank stepper (scatter / halo_reduce / migrate / field_solve per
-/// rank, "domain" category).
-void traceDistributedSteps(std::size_t ranks, long steps) {
+/// A few steps of a multi-rank Simulation on a weak-scaled KHI box, so
+/// that the trace covers the rank step (migrate / reduce / field_solve
+/// per rank).
+void traceRankedSteps(std::size_t ranks, long steps) {
   using namespace artsci;
   pic::KhiConfig kcfg;
   kcfg.grid = pic::GridSpec{16 * static_cast<long>(ranks), 32, 8, 0.25,
@@ -39,22 +39,12 @@ void traceDistributedSteps(std::size_t ranks, long steps) {
   kcfg.dt = 0.1;
   kcfg.particlesPerCell = 4;
 
-  pic::DistributedSimulation::Config dc;
-  dc.grid = kcfg.grid;
-  dc.dt = kcfg.dt;
-  dc.ranks = ranks;
-  pic::DistributedSimulation sim(dc);
-
-  pic::SimulationConfig tmpCfg;
-  tmpCfg.grid = kcfg.grid;
-  tmpCfg.dt = kcfg.dt;
-  pic::Simulation staging(tmpCfg);
-  const auto sp = pic::initializeKhi(staging, kcfg);
-  const auto e = sim.addSpecies(staging.species(sp.electrons).info());
-  const auto i = sim.addSpecies(staging.species(sp.ions).info());
-  sim.staging(e).append(staging.species(sp.electrons));
-  sim.staging(i).append(staging.species(sp.ions));
-  sim.distribute();
+  pic::SimulationConfig sc;
+  sc.grid = kcfg.grid;
+  sc.dt = kcfg.dt;
+  sc.ranks = ranks;
+  pic::Simulation sim(sc);
+  pic::initializeKhi(sim, kcfg);
   sim.run(steps);
 }
 
@@ -83,8 +73,8 @@ int main(int argc, char** argv) try {
 
   // [1b] Multi-rank stepping: each rank becomes a trace "process".
   const auto ranks = static_cast<std::size_t>(cli.getInt("ranks", 4));
-  std::printf("[1b] tracing %zu-rank distributed steps...\n", ranks);
-  traceDistributedSteps(ranks, 3);
+  std::printf("[1b] tracing %zu-rank steps...\n", ranks);
+  traceRankedSteps(ranks, 3);
 
   // [2] A short serving burst so the trace covers the inference side too.
   const long requests = cli.getInt("requests", 64);

@@ -6,6 +6,7 @@ namespace artsci {
 
 void Barrier::arriveAndWait() {
   std::unique_lock<std::mutex> lock(mutex_);
+  if (error_) std::rethrow_exception(error_);
   const std::uint64_t gen = generation_;
   if (++waiting_ == parties_) {
     waiting_ = 0;
@@ -13,7 +14,17 @@ void Barrier::arriveAndWait() {
     cv_.notify_all();
     return;
   }
-  cv_.wait(lock, [&] { return generation_ != gen; });
+  cv_.wait(lock, [&] { return generation_ != gen || error_; });
+  if (generation_ == gen) std::rethrow_exception(error_);
+}
+
+void Barrier::fail(std::exception_ptr error) {
+  ARTSCI_EXPECTS(error != nullptr);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::move(error);
+  }
+  cv_.notify_all();
 }
 
 RankTeam::RankTeam(std::size_t ranks) {

@@ -27,13 +27,20 @@ class Barrier {
     ARTSCI_EXPECTS(parties > 0);
   }
 
-  /// Block until all parties arrive; reusable across generations.
+  /// Block until all parties arrive; reusable across generations. Once the
+  /// barrier has failed, rethrows the failing party's exception instead.
   void arriveAndWait();
+
+  /// Fail the barrier with `error`: every party waiting now and every later
+  /// arrival rethrows it. A party that cannot reach its next arrival calls
+  /// this, so that its peers do not wait for it forever.
+  void fail(std::exception_ptr error);
 
  private:
   std::size_t parties_;
   std::size_t waiting_ = 0;
   std::uint64_t generation_ = 0;
+  std::exception_ptr error_;
   std::mutex mutex_;
   std::condition_variable cv_;
 };

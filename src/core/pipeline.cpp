@@ -4,9 +4,11 @@
 #include <malloc.h>
 #endif
 
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/log.hpp"
@@ -33,6 +35,31 @@ void fixMmapThreshold() {
   static std::once_flag once;
   std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 128 * 1024); });
 #endif
+}
+
+/// Read the next iteration of both streams and decode its samples: one
+/// per region whose cloud and spectrum both arrived, in region order, with
+/// the records moved out of the iteration. Empty at end of stream.
+std::optional<std::vector<Sample>> readSamples(openpmd::Series& particles,
+                                               openpmd::Series& radiation) {
+  auto itP = particles.readNextIteration();
+  auto itR = radiation.readNextIteration();
+  if (!itP || !itR) return std::nullopt;
+  ARTSCI_CHECK_MSG(itP->index == itR->index,
+                   "particle / radiation streams out of sync");
+  std::vector<Sample> samples;
+  for (int r = 0; r < 3; ++r) {
+    const auto pIt = itP->data.find(cloudPath(r));
+    const auto sIt = itR->data.find(spectrumPath(r));
+    if (pIt == itP->data.end() || sIt == itR->data.end()) continue;
+    Sample sample;
+    sample.cloud = std::move(pIt->second);
+    sample.spectrum = std::move(sIt->second);
+    sample.region = r;
+    sample.step = itP->index;
+    samples.push_back(std::move(sample));
+  }
+  return samples;
 }
 
 }  // namespace
@@ -120,21 +147,8 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
   obs::StepReporter reporter(obs::Registry::global(), cfg.stepReportEvery);
   streaming.wait();
   try {
-    for (;;) {
-      auto itP = particleRead.readNextIteration();
-      auto itR = radiationRead.readNextIteration();
-      if (!itP || !itR) break;
-      ARTSCI_CHECK_MSG(itP->index == itR->index,
-                       "particle / radiation streams out of sync");
-      for (int r = 0; r < 3; ++r) {
-        const auto pIt = itP->data.find(cloudPath(r));
-        const auto sIt = itR->data.find(spectrumPath(r));
-        if (pIt == itP->data.end() || sIt == itR->data.end()) continue;
-        Sample sample;
-        sample.cloud = pIt->second;
-        sample.spectrum = sIt->second;
-        sample.region = r;
-        sample.step = itP->index;
+    while (auto samples = readSamples(particleRead, radiationRead)) {
+      for (Sample& sample : *samples) {
         trainer.buffer().push(std::move(sample));
         ++result.samplesReceived;
       }
@@ -195,6 +209,44 @@ PipelineRun runPipeline(const PipelineConfig& cfg) {
   run.trainer = std::make_unique<InTransitTrainer>(cfg.model, cfg.trainer);
   run.result = runPipeline(cfg, *run.trainer);
   return run;
+}
+
+std::vector<Sample> collectSamples(const ProducerConfig& cfg) {
+  auto particleEngine =
+      std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
+  auto radiationEngine =
+      std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
+  KhiStreamProducer producer(cfg, particleEngine, radiationEngine);
+  std::exception_ptr producerError;
+  std::thread producerThread([&] {
+    try {
+      producer.run();
+    } catch (...) {
+      // Wake the reader, which would otherwise wait for the next step.
+      producerError = std::current_exception();
+      particleEngine->abort("producer failed");
+      radiationEngine->abort("producer failed");
+    }
+  });
+
+  openpmd::Series particleRead(
+      "particles", openpmd::Access::kRead,
+      openpmd::StreamBackend::forReader(particleEngine, 0));
+  openpmd::Series radiationRead(
+      "radiation", openpmd::Access::kRead,
+      openpmd::StreamBackend::forReader(radiationEngine, 0));
+  std::vector<Sample> collected;
+  std::exception_ptr readError;
+  try {
+    while (auto samples = readSamples(particleRead, radiationRead))
+      for (Sample& sample : *samples) collected.push_back(std::move(sample));
+  } catch (const stream::StreamError&) {
+    readError = std::current_exception();
+  }
+  producerThread.join();
+  if (producerError) std::rethrow_exception(producerError);
+  if (readError) std::rethrow_exception(readError);
+  return collected;
 }
 
 }  // namespace artsci::core

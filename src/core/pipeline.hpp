@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/producer.hpp"
 #include "core/trainer.hpp"
@@ -71,5 +72,11 @@ struct PipelineRun {
   PipelineResult result;
 };
 PipelineRun runPipeline(const PipelineConfig& cfg);
+
+/// Run a producer to the end on two streams of its own and return every
+/// (cloud, spectrum) sample it streamed, in stream order, decoded as
+/// runPipeline decodes them — held-out ground truth for the inversion
+/// evaluations. A producer failure is rethrown here.
+std::vector<Sample> collectSamples(const ProducerConfig& cfg);
 
 }  // namespace artsci::core

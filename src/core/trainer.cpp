@@ -133,7 +133,7 @@ void InTransitTrainer::trainIterations(long iterations) {
 #ifdef _OPENMP
   // libgomp ICVs do not propagate to other threads: each rank sets its own
   // team size, an equal share of the caller's, so that the R rank teams fit
-  // the caller's cores (as DistributedSimulation::run does).
+  // the caller's cores (as a multi-rank pic::Simulation does).
   const int rankThreads =
       std::max(1, omp_get_max_threads() / static_cast<int>(cfg_.ranks));
 #endif

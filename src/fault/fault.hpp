@@ -8,9 +8,8 @@
 /// `ARTSCI_FAULT_PLAN` environment variable — so a chaos run is fully
 /// reproducible from its seed and spec.
 ///
-/// Cost model (`bench_particle_pipeline --fault-overhead` reports the
-/// armed/disarmed ratio, mirroring TRACE_SCOPE). Hooks are always
-/// compiled in; a plan arms them at runtime:
+/// Cost model (mirroring TRACE_SCOPE). Hooks are always compiled in; a
+/// plan arms them at runtime:
 ///  * disarmed (the default, and the only production state): one relaxed
 ///    atomic load and a predictable branch per site;
 ///  * armed (chaos tests only): a mutex + map lookup per site — sites sit

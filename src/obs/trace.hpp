@@ -6,9 +6,9 @@
 /// `TraceRecorder::writeJson` flushes everything as Chrome `trace_event`
 /// JSON that chrome://tracing and https://ui.perfetto.dev load directly.
 ///
-/// Cost model (bench/particle_pipeline.cpp --trace-overhead reports the
-/// enabled/disabled ratio). Spans are always compiled in; the recorder
-/// is switched on at runtime:
+/// Cost model (perfbench's traced mode reports `bench.trace_overhead`,
+/// the traced/untraced throughput ratio). Spans are always compiled in;
+/// the recorder is switched on at runtime:
 ///  * disabled (the default): one relaxed atomic load and a predictable
 ///    branch per scope (~1 ns);
 ///  * enabled: two steady_clock reads plus one ring-buffer store per

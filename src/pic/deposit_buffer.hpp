@@ -158,8 +158,8 @@ class DepositBuffer {
   /// geometry; the fused pipeline's post-sort index() does. Reducing
   /// disjoint row ranges that cover [0, nx), in any order, gives every
   /// cell the bits of one reduce over [0, nx): a cell's adds still come
-  /// in ascending tile order. The rank-decomposed driver relies on that
-  /// (pic/domain.hpp); reads are const, so ranks with disjoint ranges
+  /// in ascending tile order. Rank-decomposed stepping relies on that
+  /// (pic/simulation.hpp); reads are const, so ranks with disjoint ranges
   /// may reduce from one buffer concurrently.
   void reduce(VectorField& J, const SupercellIndex& occupancy, long xBegin,
               long xEnd) const;

@@ -32,9 +32,10 @@
 /// bit-identical across OMP thread counts, schedules, ISA clones and
 /// repeated runs, bit-identical to the scalar reference step of
 /// tests/pic/reference_step.hpp (sort, scalar gather/push/move,
-/// reference scatter, reduce, wrap), and bit-identical to the
-/// rank-decomposed driver for any rank count (pic/domain.hpp). Enforced
-/// by tests/pic/test_fused_pipeline.cpp and tests/pic/test_domain.cpp.
+/// reference scatter, reduce, wrap), and rank-count invariant when a
+/// Simulation runs one pipeline per rank slab (pic/simulation.hpp).
+/// Enforced by tests/pic/test_fused_pipeline.cpp and
+/// tests/pic/test_domain.cpp.
 #pragma once
 
 #include <vector>
@@ -45,12 +46,11 @@
 
 namespace artsci::pic {
 
-/// Driver of the fused per-tile pass — the particle update of Simulation
-/// and DistributedSimulation. Owns the supercell index used for the
-/// per-step sort and the DepositBuffer its current is scattered into,
-/// both built from one TileDepositConfig, so their geometry agrees by
-/// construction. Not thread-safe (internally OpenMP-parallel): one
-/// instance per simulation driver (per rank in the distributed one).
+/// Runs the fused per-tile pass — Simulation's particle update. Owns
+/// the supercell index used for the per-step sort and the DepositBuffer
+/// its current is scattered into, both built from one TileDepositConfig,
+/// so their geometry agrees by construction. Not thread-safe (internally
+/// OpenMP-parallel): one instance per rank of a Simulation.
 class FusedPipeline {
  public:
   explicit FusedPipeline(const GridSpec& grid, TileDepositConfig tiles = {});
@@ -59,8 +59,8 @@ class FusedPipeline {
   /// per tile gather/push/move/deposit/wrap, leaving the tile
   /// accumulators() populated for the occupied tiles of index(). J is
   /// not touched: the caller adds the accumulators into J with
-  /// `accumulators().reduce(J, index(), xBegin, xEnd)`, over [0, nx) on
-  /// one rank or over each rank's slab (pic/domain.hpp).
+  /// `accumulators().reduce(J, index(), xBegin, xEnd)`, over each rank's
+  /// slab ([0, nx) on one rank; pic/simulation.hpp).
   /// Positions must be wrapped into [0, n) on entry (throws otherwise);
   /// per-particle displacement must stay under one cell per axis (the
   /// CFL bound guarantees this — violated means dt is invalid, throws).

@@ -90,13 +90,13 @@ inline double wrapCoordinate(double v, double n) {
 /// additionally orders each tile canonically by the x-major phase-space
 /// key (x, y, z, ux, uy, uz, w), so the post-sort order is a pure
 /// function of the particle *multiset* — independent of input order,
-/// OMP thread count, and schedule. That last property is what makes the
-/// rank-decomposed driver bit-identical to single-rank stepping: an
-/// x-slab partition splits each tile's population into contiguous runs
-/// of the canonical order (slab bounds are x-thresholds and the key is
+/// OMP thread count, and schedule. That last property is what makes
+/// rank-decomposed stepping bit-identical to one rank: an x-slab
+/// partition splits each tile's population into contiguous runs of the
+/// canonical order (slab bounds are x-thresholds and the key is
 /// x-major), so scattering rank parts in ascending rank order
-/// reproduces the single-rank per-tile scatter sequence exactly
-/// (see pic/domain.hpp).
+/// reproduces the one-rank per-tile scatter sequence exactly
+/// (see pic/simulation.hpp).
 ///
 /// Cost: both passes run on the OpenMP team. sort() expects each tile to
 /// arrive nearly in canonical order — the previous step's sort, pushed —

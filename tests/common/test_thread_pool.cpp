@@ -29,6 +29,29 @@ TEST(Barrier, SynchronizesPhases) {
   EXPECT_FALSE(mismatch.load());
 }
 
+TEST(Barrier, FailReleasesWaitingAndLaterParties) {
+  // Rank 3 fails instead of arriving: the ranks already waiting and every
+  // later arrival rethrow its exception, and the team rethrows it too.
+  constexpr std::size_t kRanks = 4;
+  Barrier barrier(kRanks);
+  std::atomic<int> released{0};
+  EXPECT_THROW(runRankTeam(kRanks,
+                           [&](std::size_t rank) {
+                             try {
+                               if (rank == 3)
+                                 throw std::runtime_error("rank 3");
+                               barrier.arriveAndWait();
+                             } catch (const std::runtime_error&) {
+                               if (rank != 3) released++;
+                               barrier.fail(std::current_exception());
+                               throw;
+                             }
+                           }),
+               std::runtime_error);
+  EXPECT_EQ(released.load(), 3);
+  EXPECT_THROW(barrier.arriveAndWait(), std::runtime_error);
+}
+
 TEST(RankTeam, EveryRankRunsExactlyOnce) {
   std::vector<std::atomic<int>> hits(16);
   runRankTeam(16, [&](std::size_t r) { hits[r]++; });

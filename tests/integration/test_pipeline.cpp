@@ -62,31 +62,9 @@ TEST(Integration, TrainedModelLearnsRegionSignatures) {
   // Build held-out ground truth from a fresh short simulation.
   ProducerConfig pcfg = cfg.producer;
   pcfg.seed = 999;
-  auto pEng = std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
-  auto rEng = std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
   pcfg.totalSteps = 10;
   pcfg.streamEvery = 5;
-  KhiStreamProducer producer(pcfg, pEng, rEng);
-  std::thread producerThread([&] { producer.run(); });
-  openpmd::Series pRead("particles", openpmd::Access::kRead,
-                        openpmd::StreamBackend::forReader(pEng, 0));
-  openpmd::Series rRead("radiation", openpmd::Access::kRead,
-                        openpmd::StreamBackend::forReader(rEng, 0));
-  std::vector<Sample> groundTruth;
-  for (;;) {
-    auto itP = pRead.readNextIteration();
-    auto itR = rRead.readNextIteration();
-    if (!itP || !itR) break;
-    for (int r = 0; r < 3; ++r) {
-      if (!itP->data.count(cloudPath(r))) continue;
-      Sample s;
-      s.cloud = itP->data.at(cloudPath(r));
-      s.spectrum = itR->data.at(spectrumPath(r));
-      s.region = r;
-      groundTruth.push_back(std::move(s));
-    }
-  }
-  producerThread.join();
+  const std::vector<Sample> groundTruth = collectSamples(pcfg);
   ASSERT_GE(groundTruth.size(), 3u);
 
   Rng rng(31);

@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "pic/deposit.hpp"
 #include "pic/deposit_buffer.hpp"
-#include "pic/domain.hpp"
 #include "pic/fused_pipeline.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
@@ -196,8 +195,8 @@ TEST(DepositBuffer, ReduceOverSlabsEqualsFullRange) {
 }
 
 TEST(TiledDeposit, ContinuityHoldsOverDistributedSteps) {
-  // Esirkepov's theorem on the production path: over 30 steps of the
-  // rank-decomposed driver, (rho^{n+1} - rho^n)/dt + div J = 0 at every
+  // Esirkepov's theorem on the production path: over 30 steps of a
+  // rank-decomposed Simulation, (rho^{n+1} - rho^n)/dt + div J = 0 at every
   // node for every rank and thread count. Immobile ions and a warm
   // electron gas keep div J far from zero (the default KHI is charge- and
   // current-neutral, which would make the check vacuous), so a dropped or
@@ -207,7 +206,7 @@ TEST(TiledDeposit, ContinuityHoldsOverDistributedSteps) {
   kcfg.mobileIons = false;
   kcfg.thermalMomentum = 0.05;
   const GridSpec& g = kcfg.grid;
-  const auto chargeDensity = [&g](const DistributedSimulation& dist) {
+  const auto chargeDensity = [&g](const Simulation& dist) {
     Field3 rho(g.nx, g.ny, g.nz);
     depositCharge(rho, g, dist.gatherSpecies(0));
     return rho;
@@ -217,25 +216,18 @@ TEST(TiledDeposit, ContinuityHoldsOverDistributedSteps) {
   for (const int threads : {1, 8}) {
     guard.set(threads);
     for (const std::size_t ranks : {1u, 2u, 4u}) {
-      DistributedSimulation::Config dc;
-      dc.grid = g;
-      dc.dt = kcfg.dt;
-      dc.ranks = ranks;
-      DistributedSimulation dist(dc);
       SimulationConfig sc;
       sc.grid = g;
       sc.dt = kcfg.dt;
-      Simulation staging(sc);
-      const KhiSpecies sp = initializeKhi(staging, kcfg);
-      ASSERT_EQ(staging.speciesCount(), 1u);
-      dist.addSpecies(staging.species(sp.electrons).info());
-      dist.staging(0).append(staging.species(sp.electrons));
-      dist.distribute();
+      sc.ranks = ranks;
+      Simulation dist(sc);
+      initializeKhi(dist, kcfg);
+      ASSERT_EQ(dist.speciesCount(), 1u);
 
       Field3 rho0 = chargeDensity(dist);
       double maxResidual = 0.0, maxDivJ = 0.0;
       for (int step = 0; step < 30; ++step) {
-        dist.run(1);
+        dist.step();
         const Field3 rho1 = chargeDensity(dist);
         const VectorField& J = dist.currentJ();
         for (long i = 0; i < g.nx; ++i)
@@ -246,7 +238,7 @@ TEST(TiledDeposit, ContinuityHoldsOverDistributedSteps) {
                   (J.y.at(i, j, k) - J.y.at(i, j - 1, k)) / g.dy +
                   (J.z.at(i, j, k) - J.z.at(i, j, k - 1)) / g.dz;
               const double dRho =
-                  (rho1.at(i, j, k) - rho0.at(i, j, k)) / dc.dt;
+                  (rho1.at(i, j, k) - rho0.at(i, j, k)) / sc.dt;
               maxResidual = std::max(maxResidual, std::abs(dRho + divJ));
               maxDivJ = std::max(maxDivJ, std::abs(divJ));
             }

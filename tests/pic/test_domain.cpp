@@ -1,22 +1,23 @@
-/// Bit-level determinism tests for the rank-decomposed driver
-/// (pic/domain.hpp): multi-rank runs must be bit-identical to the
-/// single-rank fused Simulation — fields AND particle state — for any
-/// rank count, any OMP thread count, and any repetition, including slab
-/// edge cases (ragged tile columns, one cell per rank) and migration
-/// across the periodic seam. Also pins the ownerOf/distribute
-/// out-of-domain contract (no silent last-rank fallback). This is the
-/// test docs/ARCHITECTURE.md's determinism table points at for the
-/// distributed driver.
+/// Bit-level determinism tests for the rank decomposition
+/// (SimulationConfig::ranks, pic/simulation.hpp): multi-rank runs must be
+/// bit-identical to one rank — fields AND particle state — for any rank
+/// count, any OMP thread count, and any repetition, including slab edge
+/// cases (ragged tile columns, one cell per rank) and migration across
+/// the periodic seam. Also pins the handoff of particles added between
+/// steps, the ownerOf out-of-domain contract (no silent last-rank
+/// fallback), and that a rank which throws releases its peers. This is
+/// the test docs/ARCHITECTURE.md's determinism table points at for the
+/// rank decomposition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <vector>
 
-#include "pic/domain.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
 #include "reference_step.hpp"
@@ -74,29 +75,18 @@ bool sameParticleMultiset(const ParticleBuffer& a, const ParticleBuffer& b) {
          columnBitEqual(ca.w, cb.w);
 }
 
-/// Build a DistributedSimulation with the same KHI state a Simulation
-/// gets from initializeKhi (staged through a scratch Simulation).
-DistributedSimulation makeDistributedKhi(const KhiConfig& kcfg,
-                                         std::size_t ranks,
-                                         TileDepositConfig tiles) {
-  DistributedSimulation::Config dc;
-  dc.grid = kcfg.grid;
-  dc.dt = kcfg.dt;
-  dc.ranks = ranks;
-  dc.tiles = tiles;
-  DistributedSimulation dist(dc);
+/// A simulation of `ranks` slabs holding the KHI state initializeKhi
+/// gives it.
+std::unique_ptr<Simulation> makeKhi(const KhiConfig& kcfg, std::size_t ranks,
+                                    TileDepositConfig tiles) {
   SimulationConfig sc;
   sc.grid = kcfg.grid;
   sc.dt = kcfg.dt;
   sc.tiles = tiles;
-  Simulation tmp(sc);
-  const KhiSpecies sp = initializeKhi(tmp, kcfg);
-  const std::size_t e = dist.addSpecies(tmp.species(sp.electrons).info());
-  const std::size_t i = dist.addSpecies(tmp.species(sp.ions).info());
-  dist.staging(e).append(tmp.species(sp.electrons));
-  dist.staging(i).append(tmp.species(sp.ions));
-  dist.distribute();
-  return dist;
+  sc.ranks = ranks;
+  auto sim = std::make_unique<Simulation>(sc);
+  initializeKhi(*sim, kcfg);
+  return sim;
 }
 
 KhiConfig smallKhi() {
@@ -107,8 +97,17 @@ KhiConfig smallKhi() {
   return kcfg;
 }
 
-/// Core check: a distributed run equals the single-rank fused Simulation
-/// bit-for-bit (fields and the particle multiset of every species).
+/// A 16x8x8 config with the default 8-cell tiles (two tile columns).
+SimulationConfig boxConfig(std::size_t ranks) {
+  SimulationConfig sc;
+  sc.grid = GridSpec{16, 8, 8, 0.25, 0.25, 0.25};
+  sc.dt = 0.05;
+  sc.ranks = ranks;
+  return sc;
+}
+
+/// Core check: a multi-rank run equals one rank bit-for-bit (fields and
+/// the particle multiset of every species).
 void expectMatchesSimulation(const KhiConfig& kcfg, std::size_t ranks,
                              TileDepositConfig tiles, long steps) {
   SimulationConfig sc;
@@ -119,17 +118,17 @@ void expectMatchesSimulation(const KhiConfig& kcfg, std::size_t ranks,
   const KhiSpecies sp = initializeKhi(ref, kcfg);
   ref.run(steps);
 
-  DistributedSimulation dist = makeDistributedKhi(kcfg, ranks, tiles);
-  dist.run(steps);
+  const auto dist = makeKhi(kcfg, ranks, tiles);
+  dist->run(steps);
 
-  EXPECT_TRUE(bitEqual(dist.fieldE(), ref.fieldE())) << ranks << " ranks: E";
-  EXPECT_TRUE(bitEqual(dist.fieldB(), ref.fieldB())) << ranks << " ranks: B";
-  EXPECT_TRUE(bitEqual(dist.currentJ(), ref.currentJ()))
+  EXPECT_TRUE(bitEqual(dist->fieldE(), ref.fieldE())) << ranks << " ranks: E";
+  EXPECT_TRUE(bitEqual(dist->fieldB(), ref.fieldB())) << ranks << " ranks: B";
+  EXPECT_TRUE(bitEqual(dist->currentJ(), ref.currentJ()))
       << ranks << " ranks: J";
-  EXPECT_TRUE(sameParticleMultiset(dist.gatherSpecies(0),
+  EXPECT_TRUE(sameParticleMultiset(dist->gatherSpecies(0),
                                    ref.species(sp.electrons)))
       << ranks << " ranks: electrons";
-  EXPECT_TRUE(sameParticleMultiset(dist.gatherSpecies(1),
+  EXPECT_TRUE(sameParticleMultiset(dist->gatherSpecies(1),
                                    ref.species(sp.ions)))
       << ranks << " ranks: ions";
 }
@@ -147,17 +146,17 @@ TEST(Domain, BitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
 
   guard.set(1);
-  DistributedSimulation base = makeDistributedKhi(kcfg, 2, tiles);
-  base.run(12);
-  const ParticleBuffer baseE = base.gatherSpecies(0);
+  const auto base = makeKhi(kcfg, 2, tiles);
+  base->run(12);
+  const ParticleBuffer baseE = base->gatherSpecies(0);
 
   for (const int threads : {2, 8}) {
     guard.set(threads);
-    DistributedSimulation other = makeDistributedKhi(kcfg, 2, tiles);
-    other.run(12);
-    EXPECT_TRUE(bitEqual(other.fieldE(), base.fieldE())) << threads;
-    EXPECT_TRUE(bitEqual(other.fieldB(), base.fieldB())) << threads;
-    EXPECT_TRUE(sameParticleMultiset(other.gatherSpecies(0), baseE))
+    const auto other = makeKhi(kcfg, 2, tiles);
+    other->run(12);
+    EXPECT_TRUE(bitEqual(other->fieldE(), base->fieldE())) << threads;
+    EXPECT_TRUE(bitEqual(other->fieldB(), base->fieldB())) << threads;
+    EXPECT_TRUE(sameParticleMultiset(other->gatherSpecies(0), baseE))
         << threads;
   }
 }
@@ -165,18 +164,18 @@ TEST(Domain, BitIdenticalAcrossThreadCounts) {
 TEST(Domain, RepeatedRunsIdenticalIncludingBufferOrder) {
   const KhiConfig kcfg = smallKhi();
   const TileDepositConfig tiles{4, 8};
-  DistributedSimulation a = makeDistributedKhi(kcfg, 4, tiles);
-  DistributedSimulation b = makeDistributedKhi(kcfg, 4, tiles);
-  a.run(12);
-  b.run(12);
-  EXPECT_TRUE(bitEqual(a.fieldE(), b.fieldE()));
-  EXPECT_TRUE(bitEqual(a.fieldB(), b.fieldB()));
+  const auto a = makeKhi(kcfg, 4, tiles);
+  const auto b = makeKhi(kcfg, 4, tiles);
+  a->run(12);
+  b->run(12);
+  EXPECT_TRUE(bitEqual(a->fieldE(), b->fieldE()));
+  EXPECT_TRUE(bitEqual(a->fieldB(), b->fieldB()));
   for (std::size_t s = 0; s < 2; ++s) {
-    // Repetition is deterministic down to rank buffer order (migration
-    // absorb order is fixed), so gathered columns match elementwise —
-    // stronger than the multiset comparison.
-    const ParticleBuffer pa = a.gatherSpecies(s);
-    const ParticleBuffer pb = b.gatherSpecies(s);
+    // Repetition is deterministic down to rank buffer order (handoff and
+    // migration absorb order are fixed), so gathered columns match
+    // elementwise — stronger than the multiset comparison.
+    const ParticleBuffer pa = a->gatherSpecies(s);
+    const ParticleBuffer pb = b->gatherSpecies(s);
     EXPECT_TRUE(columnBitEqual(pa.x, pb.x));
     EXPECT_TRUE(columnBitEqual(pa.ux, pb.ux));
     EXPECT_TRUE(columnBitEqual(pa.w, pb.w));
@@ -187,18 +186,18 @@ TEST(Domain, MigrationAcrossPeriodicWrapMatchesSingleRank) {
   // Counter-streaming KHI plasma on a short-x box: the +-x streams cross
   // slab boundaries and the x=0 periodic seam within a few steps, so
   // this exercises migration in both directions including the wrap.
-  // Conservation plus bit-identity with the (migration-free) single-rank
-  // driver pins the migration path end to end.
+  // Conservation plus bit-identity with the (migration-free) one-rank
+  // run pins the migration path end to end.
   KhiConfig kcfg = smallKhi();
   kcfg.grid = GridSpec{8, 16, 4, 0.25, 0.25, 0.25};
   kcfg.beta = 0.3;  // faster streams: guaranteed boundary crossings
   const TileDepositConfig tiles{2, 8};  // 4 columns on nx=8
-  DistributedSimulation probe = makeDistributedKhi(kcfg, 4, tiles);
-  const std::size_t before = probe.gatherSpecies(0).size();
+  const auto probe = makeKhi(kcfg, 4, tiles);
+  const std::size_t before = probe->gatherSpecies(0).size();
   expectMatchesSimulation(kcfg, 4, tiles, 15);
-  probe.run(15);
-  EXPECT_EQ(probe.gatherSpecies(0).size(), before);
-  for (double x : probe.gatherSpecies(0).x) {
+  probe->run(15);
+  EXPECT_EQ(probe->gatherSpecies(0).size(), before);
+  for (double x : probe->gatherSpecies(0).x) {
     EXPECT_GE(x, 0.0);
     EXPECT_LT(x, 8.0);
   }
@@ -218,12 +217,12 @@ TEST(Domain, RaggedAndSingleCellSlabsMatchSingleRank) {
 }
 
 TEST(Domain, SlabsAreWholeTileColumnsAndCoverGrid) {
-  DistributedSimulation::Config dc;
-  dc.grid = GridSpec{17, 8, 8, 0.25, 0.25, 0.25};
-  dc.dt = 0.05;
-  dc.ranks = 4;
-  dc.tiles = TileDepositConfig{4, 8};  // 5 ragged columns for 4 ranks
-  DistributedSimulation dist(dc);
+  SimulationConfig sc;
+  sc.grid = GridSpec{17, 8, 8, 0.25, 0.25, 0.25};
+  sc.dt = 0.05;
+  sc.ranks = 4;
+  sc.tiles = TileDepositConfig{4, 8};  // 5 ragged columns for 4 ranks
+  Simulation dist(sc);
   long prevEnd = 0;
   for (std::size_t r = 0; r < 4; ++r) {
     const auto [b, e] = dist.slabOf(r);
@@ -236,21 +235,16 @@ TEST(Domain, SlabsAreWholeTileColumnsAndCoverGrid) {
 }
 
 TEST(Domain, RejectsMoreRanksThanTileColumns) {
-  DistributedSimulation::Config dc;
-  dc.grid = GridSpec{16, 8, 8, 0.25, 0.25, 0.25};
-  dc.dt = 0.05;
-  dc.ranks = 4;  // default 8-cell tiles give only 2 columns
-  EXPECT_THROW(DistributedSimulation{dc}, ContractError);
-  dc.tiles = TileDepositConfig{4, 8};
-  EXPECT_NO_THROW(DistributedSimulation{dc});
+  SimulationConfig sc = boxConfig(4);  // 8-cell tiles give only 2 columns
+  EXPECT_THROW(Simulation{sc}, ContractError);
+  sc.tiles = TileDepositConfig{4, 8};
+  EXPECT_NO_THROW(Simulation{sc});
+  sc.ranks = 0;
+  EXPECT_THROW(Simulation{sc}, ContractError);
 }
 
 TEST(Domain, OwnerOfRejectsOutOfDomainAndNaN) {
-  DistributedSimulation::Config dc;
-  dc.grid = GridSpec{16, 8, 8, 0.25, 0.25, 0.25};
-  dc.dt = 0.05;
-  dc.ranks = 2;
-  DistributedSimulation dist(dc);
+  Simulation dist(boxConfig(2));
   EXPECT_EQ(dist.ownerOf(0.0), 0u);
   EXPECT_EQ(dist.ownerOf(15.999), 1u);
   EXPECT_THROW(dist.ownerOf(-0.001), ContractError);
@@ -261,39 +255,78 @@ TEST(Domain, OwnerOfRejectsOutOfDomainAndNaN) {
                ContractError);
 }
 
-TEST(Domain, DistributeRejectsUnwrappedPositions) {
-  DistributedSimulation::Config dc;
-  dc.grid = GridSpec{16, 8, 8, 0.25, 0.25, 0.25};
-  dc.dt = 0.05;
-  dc.ranks = 2;
-
-  {
-    DistributedSimulation dist(dc);
+TEST(Domain, StepRejectsUnwrappedAddedPositions) {
+  // Particles added through species(i) are validated on the calling
+  // thread when the next step hands them to their owners.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Vec3d bad : {Vec3d{16.5, 1.0, 1.0}, Vec3d{1.0, -2.0, 1.0},
+                          Vec3d{nan, 1.0, 1.0}, Vec3d{1.0, 1.0, nan},
+                          Vec3d{1.0, 1.0, 8.0}}) {
+    Simulation dist(boxConfig(2));
     dist.addSpecies({-1.0, 1.0, "e"});
-    dist.staging(0).push({16.5, 1.0, 1.0}, {}, 1.0);  // x out of range
-    EXPECT_THROW(dist.distribute(), ContractError);
-  }
-  {
-    DistributedSimulation dist(dc);
-    dist.addSpecies({-1.0, 1.0, "e"});
-    dist.staging(0).push({1.0, -2.0, 1.0}, {}, 1.0);  // y out of range
-    EXPECT_THROW(dist.distribute(), ContractError);
-  }
-  {
-    DistributedSimulation dist(dc);
-    dist.addSpecies({-1.0, 1.0, "e"});
-    dist.staging(0).push(
-        {std::numeric_limits<double>::quiet_NaN(), 1.0, 1.0}, {}, 1.0);
-    EXPECT_THROW(dist.distribute(), ContractError);
+    dist.species(0).push(bad, {}, 1.0);
+    EXPECT_THROW(dist.step(), ContractError)
+        << bad.x << ", " << bad.y << ", " << bad.z;
   }
   {
     // The valid case still lands every particle on its owner.
-    DistributedSimulation dist(dc);
+    Simulation dist(boxConfig(2));
     dist.addSpecies({-1.0, 1.0, "e"});
-    dist.staging(0).push({1.0, 1.0, 1.0}, {}, 1.0);
-    dist.staging(0).push({15.0, 1.0, 1.0}, {}, 2.0);
-    dist.distribute();
+    dist.species(0).push({1.0, 1.0, 1.0}, {}, 1.0);
+    dist.species(0).push({15.0, 1.0, 1.0}, {}, 2.0);
+    dist.step();
     EXPECT_EQ(dist.gatherSpecies(0).size(), 2u);
+    EXPECT_EQ(dist.species(0).size(), 1u);
+  }
+}
+
+TEST(Domain, ParticlesAddedBetweenStepsReachTheirOwners) {
+  const auto dist = makeKhi(smallKhi(), 2, TileDepositConfig{4, 8});
+  dist->run(3);
+  const std::size_t before = dist->gatherSpecies(0).size();
+  // Five electrons spread over both slabs, pushed into rank 0's buffer.
+  for (const double x : {0.5, 5.5, 8.5, 12.5, 15.5})
+    dist->species(0).push({x, 3.0, 1.0}, {0.01, 0.0, 0.0}, 0.01);
+  dist->step();
+  const ParticleBuffer all = dist->gatherSpecies(0);
+  EXPECT_EQ(all.size(), before + 5);
+  // gatherSpecies concatenates the ranks in order: rank 0's buffer, then
+  // rank 1's. Each holds only particles of its own slab.
+  const std::size_t onRank0 = dist->species(0).size();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const auto [x0, x1] = dist->slabOf(i < onRank0 ? 0 : 1);
+    EXPECT_GE(all.x[i], static_cast<double>(x0)) << i;
+    EXPECT_LT(all.x[i], static_cast<double>(x1)) << i;
+  }
+}
+
+TEST(Domain, PluginsAndBetaDotRequireOneRank) {
+  struct NoopPlugin : Plugin {
+    const char* name() const override { return "noop"; }
+    void onStepEnd(Simulation&) override {}
+  };
+  Simulation dist(boxConfig(2));
+  EXPECT_THROW(dist.addPlugin(std::make_shared<NoopPlugin>()), ContractError);
+  SimulationConfig sc = boxConfig(2);
+  sc.recordBetaDot = true;
+  EXPECT_THROW(Simulation{sc}, ContractError);
+  sc.ranks = 1;
+  Simulation one(sc);
+  EXPECT_NO_THROW(one.addPlugin(std::make_shared<NoopPlugin>()));
+}
+
+TEST(Domain, ThrowingRankReleasesItsPeers) {
+  // A NaN momentum fails the fused pass's displacement check on the rank
+  // that owns the particle. Its peer must not wait for it at the next
+  // barrier: step() rethrows on the caller at every rank count.
+  for (const std::size_t ranks : {1u, 2u}) {
+    Simulation sim(boxConfig(ranks));
+    sim.addSpecies({-1.0, 1.0, "e"});
+    sim.species(0).push({2.5, 3.0, 3.0}, {0.1, 0.0, 0.0}, 1.0);
+    sim.species(0).push({12.5, 3.0, 3.0},
+                        {std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0},
+                        1.0);
+    EXPECT_THROW(sim.step(), ContractError) << ranks << " ranks";
   }
 }
 

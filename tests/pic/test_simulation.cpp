@@ -5,7 +5,6 @@
 #include "common/histogram.hpp"
 #include "common/units.hpp"
 #include "pic/diagnostics.hpp"
-#include "pic/domain.hpp"
 #include "pic/khi.hpp"
 #include "pic/simulation.hpp"
 #include "reference_step.hpp"
@@ -234,14 +233,14 @@ TEST(Khi, MagneticFieldGrowsFromShear) {
 }
 
 TEST(Distributed, MatchesSingleRankPhysics) {
-  // The slab-decomposed driver must reproduce the single-rank results.
+  // The slab-decomposed run must reproduce the single-rank results.
   KhiConfig kcfg;
   kcfg.grid = GridSpec{16, 16, 4, 0.25, 0.25, 0.25};
   kcfg.dt = 0.08;
   kcfg.particlesPerCell = 2;
 
   // 4 ranks on nx=16 need at least 4 tile columns (slabs are whole tile
-  // columns); use 4-cell tiles in both drivers so they stay comparable.
+  // columns); use 4-cell tiles in both runs so they stay comparable.
   const TileDepositConfig tiles{4, 8};
 
   SimulationConfig sc;
@@ -251,25 +250,9 @@ TEST(Distributed, MatchesSingleRankPhysics) {
   Simulation ref(sc);
   initializeKhi(ref, kcfg);
 
-  DistributedSimulation::Config dc;
-  dc.grid = kcfg.grid;
-  dc.dt = kcfg.dt;
-  dc.ranks = 4;
-  dc.tiles = tiles;
-  DistributedSimulation dist(dc);
-  {
-    // Stage identical particles.
-    SimulationConfig tmpCfg;
-    tmpCfg.grid = kcfg.grid;
-    tmpCfg.dt = kcfg.dt;
-    Simulation tmp(tmpCfg);
-    const auto sp = initializeKhi(tmp, kcfg);
-    const auto eIdx = dist.addSpecies(tmp.species(sp.electrons).info());
-    const auto iIdx = dist.addSpecies(tmp.species(sp.ions).info());
-    dist.staging(eIdx).append(tmp.species(sp.electrons));
-    dist.staging(iIdx).append(tmp.species(sp.ions));
-    dist.distribute();
-  }
+  sc.ranks = 4;
+  Simulation dist(sc);
+  initializeKhi(dist, kcfg);
 
   ref.run(20);
   dist.run(20);
@@ -283,12 +266,12 @@ TEST(Distributed, MatchesSingleRankPhysics) {
 }
 
 TEST(Distributed, SlabPartitionCoversGrid) {
-  DistributedSimulation::Config dc;
-  dc.grid = GridSpec{17, 8, 8, 0.25, 0.25, 0.25};  // non-divisible
-  dc.dt = 0.05;
-  dc.ranks = 4;
-  dc.tiles = TileDepositConfig{4, 8};  // 5 ragged tile columns for 4 ranks
-  DistributedSimulation dist(dc);
+  SimulationConfig sc;
+  sc.grid = GridSpec{17, 8, 8, 0.25, 0.25, 0.25};  // non-divisible
+  sc.dt = 0.05;
+  sc.ranks = 4;
+  sc.tiles = TileDepositConfig{4, 8};  // 5 ragged tile columns for 4 ranks
+  Simulation dist(sc);
   long covered = 0;
   long prevEnd = 0;
   for (std::size_t r = 0; r < 4; ++r) {
