@@ -1,47 +1,32 @@
 /// \file crc32.hpp
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
-/// range — the integrity footer of the pipeline checkpoint format
-/// (core/checkpoint.hpp). Table-driven, header-only, no dependencies.
+/// CRC-32C (Castagnoli, Bräuer & Herrmann, IEEE Trans. Commun. 41(6),
+/// 1993; reflected polynomial 0x82F63B78), the integrity footer of the
+/// on-disk container (ml/serialize.hpp). Hosts with SSE4.2 run its
+/// `crc32` instruction; others a byte table over the same polynomial,
+/// which gives the same value. The loop is chosen once per process.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
 namespace artsci {
 
+/// CRC-32C of `n` bytes at `data` ("123456789" gives 0xE3069283).
+std::uint32_t crc32c(const void* data, std::size_t n);
+
 namespace detail {
-inline const std::array<std::uint32_t, 256>& crc32Table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
+
+using Crc32cLoop = std::uint32_t (*)(const void* data, std::size_t n);
+
+std::uint32_t crc32cByteTable(const void* data, std::size_t n);
+#if defined(__x86_64__)
+/// Only for hosts with SSE4.2.
+std::uint32_t crc32cSse42(const void* data, std::size_t n);
+#endif
+/// The loop crc32c runs: SSE4.2 where the host has it, else the table. Not
+/// an ARTSCI_ISA_CLONES ifunc: those are off under the sanitizers, and the
+/// baseline clone could not compile the intrinsic.
+Crc32cLoop crc32cLoop();
+
 }  // namespace detail
-
-/// Running update: feed chunks with the previous return value as `crc`
-/// (start from 0). The two-argument overload below covers the whole-buffer
-/// case.
-inline std::uint32_t crc32Update(std::uint32_t crc, const void* data,
-                                 std::size_t n) {
-  const auto& table = detail::crc32Table();
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i)
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
-/// CRC-32 of a single buffer.
-inline std::uint32_t crc32(const void* data, std::size_t n) {
-  return crc32Update(0, data, n);
-}
-
 }  // namespace artsci

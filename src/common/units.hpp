@@ -45,13 +45,6 @@ inline double gammaOfBeta(double beta) {
   return 1.0 / std::sqrt(1.0 - beta * beta);
 }
 
-/// Relativistic Doppler cutoff factor for emission toward the detector:
-/// an emitter approaching with beta upshifts frequencies by 1/(1 - beta),
-/// a receding one downshifts by 1/(1 + beta) (paper Fig 9a).
-inline double dopplerFactor(double betaTowardsDetector) {
-  return 1.0 / (1.0 - betaTowardsDetector);
-}
-
 /// The paper's smallest KHI configuration (section IV-A), used to validate
 /// unit handling and as the physical template for scaled-down runs.
 struct PaperKhiSetup {

@@ -5,18 +5,12 @@
 /// (Box-Muller cache included), the replay buffer's full contents and
 /// eviction RNG, and the step counters.
 ///
-/// Atomicity protocol (torn writes can never corrupt the latest
-/// checkpoint):
-///   1. serialize to memory;
-///   2. write to `<path>.tmp`, append a CRC-32 footer over every
-///      preceding byte, fsync;
-///   3. rename(2) onto the final path (atomic on POSIX), fsync the
-///      directory.
-/// A crash before the rename leaves at worst a stale `.tmp`; a crash
-/// after it leaves a complete, CRC-verified file. Readers validate magic,
-/// version, CRC and every internal length *before* touching the trainer —
-/// a corrupt file yields a typed CheckpointError and an untouched
-/// trainer, never a partial restore.
+/// The file is the on-disk container (ml/serialize.hpp, crash-safe write,
+/// CRC-32C footer): a weights file's parameters block, then the
+/// trainer-state block (meta counters, rank count, Adam state, rank RNGs,
+/// replay buffer, iteration count). The reader validates every shape and
+/// length against the restoring trainer *before* touching it: a defect
+/// yields a typed CheckpointError and an untouched trainer.
 ///
 /// CheckpointManager keeps the last `keep` checkpoints and falls back to
 /// the newest *intact* one on load, so a torn write (simulated via
@@ -24,23 +18,17 @@
 /// progress.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/trainer.hpp"
+#include "ml/serialize.hpp"
 
 namespace artsci::core {
 
-/// A checkpoint file failed to open, parse or validate (truncated, bit
-/// flips, CRC mismatch, wrong magic/version, or a layout that does not
-/// match the restoring trainer).
-class CheckpointError : public RuntimeError {
- public:
-  using RuntimeError::RuntimeError;
-};
+/// The container's one error type.
+using CheckpointError = ml::CheckpointError;
 
 /// Pipeline position stored next to the trainer state.
 struct CheckpointMeta {
@@ -48,13 +36,7 @@ struct CheckpointMeta {
   long trainerIterations = 0;  ///< training iterations completed
 };
 
-/// Serialize trainer + pipeline position; returns the exact bytes a
-/// checkpoint file holds (including the CRC footer). Exposed for the
-/// corruption tests, which mutate these bytes.
-std::vector<std::uint8_t> serializePipelineCheckpoint(
-    const InTransitTrainer& trainer, const CheckpointMeta& meta);
-
-/// Atomic checkpoint write (tmp + CRC footer + fsync + rename). Honours
+/// Crash-safe checkpoint write (ml::ByteWriter::write). Honours
 /// FAULT_POINT("ckpt.save") and the torn-write site "ckpt.write"; a torn
 /// write throws fault::FaultInjectedError and leaves the final path
 /// untouched.

@@ -129,24 +129,23 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
     if (!released) warmedUp.set_value();
   });
 
-  openpmd::Series particleRead(
-      "particles", openpmd::Access::kRead,
-      openpmd::StreamBackend::forReader(particleEngine, 0));
-  openpmd::Series radiationRead(
-      "radiation", openpmd::Access::kRead,
-      openpmd::StreamBackend::forReader(radiationEngine, 0));
-
   PipelineResult result;
-  std::unique_ptr<CheckpointManager> checkpoints;
-  if (!cfg.checkpointDir.empty() && cfg.checkpointEvery > 0)
-    checkpoints = std::make_unique<CheckpointManager>(cfg.checkpointDir,
-                                                      cfg.checkpointKeep);
-  // Periodic one-line step report over the global registry (particles/s,
-  // trainer ms/step, replay occupancy, ...) at info level, one line per
-  // `stepReportEvery` streamed steps.
-  obs::StepReporter reporter(obs::Registry::global(), cfg.stepReportEvery);
-  streaming.wait();
   try {
+    openpmd::Series particleRead(
+        "particles", openpmd::Access::kRead,
+        openpmd::StreamBackend::forReader(particleEngine, 0));
+    openpmd::Series radiationRead(
+        "radiation", openpmd::Access::kRead,
+        openpmd::StreamBackend::forReader(radiationEngine, 0));
+    std::unique_ptr<CheckpointManager> checkpoints;
+    if (!cfg.checkpointDir.empty() && cfg.checkpointEvery > 0)
+      checkpoints = std::make_unique<CheckpointManager>(cfg.checkpointDir,
+                                                        cfg.checkpointKeep);
+    // Periodic one-line step report over the global registry (particles/s,
+    // trainer ms/step, replay occupancy, ...) at info level, one line per
+    // `stepReportEvery` streamed steps.
+    obs::StepReporter reporter(obs::Registry::global(), cfg.stepReportEvery);
+    streaming.wait();
     while (auto samples = readSamples(particleRead, radiationRead)) {
       for (Sample& sample : *samples) {
         trainer.buffer().push(std::move(sample));
@@ -184,6 +183,12 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
     result.degraded = true;
     result.faultNote = e.what();
     failBoth(std::string("consumer stopped: ") + e.what());
+  } catch (...) {
+    // Anything else (a trainer's ContractError) is the caller's: stop the
+    // producer first, or its joinable thread would terminate the process.
+    failBoth("consumer failed");
+    producerThread.join();
+    throw;
   }
   producerThread.join();
   {
@@ -229,19 +234,25 @@ std::vector<Sample> collectSamples(const ProducerConfig& cfg) {
     }
   });
 
-  openpmd::Series particleRead(
-      "particles", openpmd::Access::kRead,
-      openpmd::StreamBackend::forReader(particleEngine, 0));
-  openpmd::Series radiationRead(
-      "radiation", openpmd::Access::kRead,
-      openpmd::StreamBackend::forReader(radiationEngine, 0));
   std::vector<Sample> collected;
   std::exception_ptr readError;
   try {
+    openpmd::Series particleRead(
+        "particles", openpmd::Access::kRead,
+        openpmd::StreamBackend::forReader(particleEngine, 0));
+    openpmd::Series radiationRead(
+        "radiation", openpmd::Access::kRead,
+        openpmd::StreamBackend::forReader(radiationEngine, 0));
     while (auto samples = readSamples(particleRead, radiationRead))
       for (Sample& sample : *samples) collected.push_back(std::move(sample));
   } catch (const stream::StreamError&) {
     readError = std::current_exception();
+  } catch (...) {
+    // As in runPipeline: stop and join the producer, then rethrow.
+    particleEngine->abort("consumer failed");
+    radiationEngine->abort("consumer failed");
+    producerThread.join();
+    throw;
   }
   producerThread.join();
   if (producerError) std::rethrow_exception(producerError);

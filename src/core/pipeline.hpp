@@ -62,7 +62,9 @@ struct PipelineResult {
 };
 
 /// Run the full in-transit pipeline; returns metrics and leaves the
-/// trained model accessible through the trainer.
+/// trained model accessible through the trainer. Stream and injected
+/// faults degrade the run; any other consumer-side exception (the
+/// trainer's, say) stops the producer and is rethrown here.
 PipelineResult runPipeline(const PipelineConfig& cfg,
                            InTransitTrainer& trainer);
 
@@ -76,7 +78,7 @@ PipelineRun runPipeline(const PipelineConfig& cfg);
 /// Run a producer to the end on two streams of its own and return every
 /// (cloud, spectrum) sample it streamed, in stream order, decoded as
 /// runPipeline decodes them — held-out ground truth for the inversion
-/// evaluations. A producer failure is rethrown here.
+/// evaluations. A producer or reader failure is rethrown here.
 std::vector<Sample> collectSamples(const ProducerConfig& cfg);
 
 }  // namespace artsci::core

@@ -116,8 +116,7 @@ void InTransitTrainer::restoreCheckpointState(
 }
 
 void InTransitTrainer::trainIterations(long iterations) {
-  // Injected before the rank team runs: a fault inside the team would
-  // strand peers in the optimizer collective.
+  // Injected once per call, before the rank team runs.
   FAULT_POINT("train.step");
   if (!buffer_.ready()) return;
   Timer timer;
@@ -137,10 +136,7 @@ void InTransitTrainer::trainIterations(long iterations) {
   const int rankThreads =
       std::max(1, omp_get_max_threads() / static_cast<int>(cfg_.ranks));
 #endif
-  team_.run([&](std::size_t rank) {
-#ifdef _OPENMP
-    omp_set_num_threads(rankThreads);
-#endif
+  const auto trainRank = [&](std::size_t rank) {
     auto& model = *replicas_[rank];
     auto& rng = rankRngs_[rank];
     for (long it = 0; it < iterations; ++it) {
@@ -185,6 +181,18 @@ void InTransitTrainer::trainIterations(long iterations) {
         stats_.mseHistory.push_back(terms.mse.item());
         stats_.mmdLatentHistory.push_back(terms.mmdLatent.item());
       }
+    }
+  };
+  team_.run([&](std::size_t rank) {
+#ifdef _OPENMP
+    omp_set_num_threads(rankThreads);
+#endif
+    try {
+      trainRank(rank);
+    } catch (...) {
+      // Release the peers waiting in stepAdam; the team rethrows.
+      comm_.fail(std::current_exception());
+      throw;
     }
   });
 

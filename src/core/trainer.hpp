@@ -66,7 +66,9 @@ class InTransitTrainer {
   replay::TrainingBuffer<Sample>& buffer() { return buffer_; }
 
   /// Run `iterations` synchronized data-parallel iterations (each rank
-  /// one batch per iteration). No-op when the buffer is not ready.
+  /// one batch per iteration). No-op when the buffer is not ready. A rank
+  /// that throws releases its peers and the call rethrows; the trainer
+  /// then stays failed (every later step rethrows the same error).
   void trainIterations(long iterations);
 
   /// Trained replica (all replicas stay synchronized by construction).

@@ -38,6 +38,11 @@ class Communicator {
   void stepAdam(std::size_t rank, Adam& opt,
                 const std::vector<std::vector<Tensor>>& replicas);
 
+  /// Fail the collective for good: every rank waiting in stepAdam, and
+  /// every later call, rethrows `error`. A rank that cannot reach its next
+  /// stepAdam calls this, so that its peers do not wait for it forever.
+  void fail(const std::exception_ptr& error) { barrier_.fail(error); }
+
   /// Cumulative seconds each rank spent in the collective's reduction,
   /// weight copies and barriers (Adam's arithmetic excluded).
   double communicationSeconds(std::size_t rank) const;

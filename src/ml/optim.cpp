@@ -73,11 +73,6 @@ void Adam::zeroGrad() {
   for (auto& s : slots_) s.param.zeroGrad();
 }
 
-void Adam::setLearningRate(std::size_t group, Real lr) {
-  ARTSCI_EXPECTS(group < lrs_.size());
-  lrs_[group] = lr;
-}
-
 std::vector<Real> Adam::packedState() const {
   std::vector<Real> packed;
   for (const auto& s : slots_) {

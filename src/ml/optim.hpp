@@ -41,8 +41,6 @@ class Adam {
   /// Zero all parameter gradients.
   void zeroGrad();
 
-  /// Change a group's learning rate (index into the constructor order).
-  void setLearningRate(std::size_t group, Real lr);
   Real learningRate(std::size_t group) const;
   long stepCount() const { return t_; }
 

@@ -52,11 +52,6 @@ std::uint64_t TraceRecorder::nowNs() {
           .count());
 }
 
-void TraceRecorder::setCapacity(std::size_t eventsPerThread) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = eventsPerThread > 0 ? eventsPerThread : 1;
-}
-
 TraceRecorder::ThreadLog& TraceRecorder::local() {
   // One registration per thread lifetime; the shared_ptr keeps the ring
   // alive in logs_ after the thread exits so post-join flushes see it.
@@ -75,7 +70,7 @@ void TraceRecorder::record(const char* category, const char* name,
   ThreadLog& log = local();
   if (log.ring.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    log.ring.resize(capacity_);
+    log.ring.resize(kRingEvents);
   }
   const std::uint64_t h = log.head.load(std::memory_order_relaxed);
   log.ring[h % log.ring.size()] = Event{category, name, beginNs, endNs};

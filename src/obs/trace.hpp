@@ -58,12 +58,12 @@ class TraceRecorder {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Ring capacity (events) for rings allocated *after* the call; when a
-  /// ring is full the oldest events are overwritten and counted dropped.
-  /// A thread's ring is allocated at its first recorded span, so threads
-  /// that only label themselves (`setThreadName`/`setThreadRank`) or
-  /// record while tracing is off reserve none.
-  void setCapacity(std::size_t eventsPerThread);
+  /// Ring capacity (events) of every thread; when a ring is full the
+  /// oldest events are overwritten and counted dropped. A thread's ring is
+  /// allocated at its first recorded span, so threads that only label
+  /// themselves (`setThreadName`/`setThreadRank`) or record while tracing
+  /// is off reserve none.
+  static constexpr std::size_t kRingEvents = std::size_t{1} << 15;
 
   /// Record one completed span into the calling thread's ring.
   void record(const char* category, const char* name, std::uint64_t beginNs,
@@ -109,8 +109,7 @@ class TraceRecorder {
   ThreadLog& local();
 
   std::atomic<bool> enabled_{false};
-  mutable std::mutex mutex_;  ///< guards logs_ and capacity_
-  std::size_t capacity_ = std::size_t{1} << 15;
+  mutable std::mutex mutex_;  ///< guards logs_ and each ring's allocation
   std::vector<std::shared_ptr<ThreadLog>> logs_;
 };
 

@@ -146,8 +146,6 @@ class Simulation {
   double dt() const { return cfg_.dt; }
   /// Number of rank slabs.
   std::size_t ranks() const { return ranks_.size(); }
-  /// Number of completed steps.
-  long stepIndex() const { return step_; }
   /// Simulated time in 1/omega_pe.
   double time() const { return static_cast<double>(step_) * cfg_.dt; }
 

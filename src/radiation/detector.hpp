@@ -103,7 +103,6 @@ class SpectralAccumulator {
 
   const DetectorConfig& config() const { return cfg_; }
   const std::vector<double>& frequencies() const { return cfg_.frequencies; }
-  std::size_t directionCount() const { return cfg_.directions.size(); }
 
   void reset();
 

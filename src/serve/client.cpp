@@ -169,7 +169,6 @@ NetReply NetClient::roundTrip(proto::MsgType type,
       // never replied. Retry with fresh connection state — the old socket
       // may hold half a frame, so the decoder must be rebuilt too.
       if (attempt >= options_.maxRetries) throw;
-      ++retries_;
       obs::Registry::global().counter("net.retries").add();
       const std::uint64_t expo = std::min(
           options_.backoffMaxMillis,

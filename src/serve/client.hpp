@@ -106,10 +106,6 @@ class NetClient {
   /// Half-close the write side (server sees EOF, replies still readable).
   void shutdownWrite();
 
-  /// Transport retries performed by this client (also counted process-wide
-  /// in the `net.retries` counter).
-  std::size_t retriesPerformed() const { return retries_; }
-
  private:
   void connectSocket();
   NetReply roundTrip(proto::MsgType type, const std::vector<ml::Real>& values,
@@ -125,7 +121,6 @@ class NetClient {
   int fd_ = -1;
   std::uint64_t nextId_ = 1;
   proto::FrameDecoder decoder_;
-  std::size_t retries_ = 0;
 };
 
 }  // namespace artsci::serve

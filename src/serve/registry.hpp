@@ -1,7 +1,7 @@
 /// \file registry.hpp
 /// The model registry: the publication point between a (re)trainer and the
-/// serving workers. A publisher (the in-transit trainer, or a checkpoint
-/// load from disk) installs an immutable snapshot; serving workers copy the
+/// serving workers. A publisher (the in-transit trainer, or a weights file
+/// loaded from disk) installs an immutable snapshot; serving workers copy the
 /// current snapshot pointer once per micro-batch (a short critical section),
 /// so weights can be hot-swapped under load without blocking in-flight
 /// batches — the paper's in-situ loop (train while the simulation runs)
@@ -52,8 +52,9 @@ class ModelRegistry {
   std::uint64_t versions_ = 0;                    ///< guarded by mutex_
 };
 
-/// Build a model of `cfg`, load the checkpoint at `path` into it
-/// (ml::loadParameters — versioned, shape-checked), and publish it.
+/// Build a model of `cfg`, load the weights file at `path` into it
+/// (ml::loadParameters: CRC-32C-, version- and shape-checked; a defect
+/// throws ml::CheckpointError and publishes nothing), and publish it.
 std::uint64_t publishCheckpoint(ModelRegistry& registry,
                                 core::ArtificialScientistModel::Config cfg,
                                 const std::string& path, std::string tag = {});

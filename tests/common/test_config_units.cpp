@@ -84,14 +84,6 @@ TEST(Units, GammaOfBeta) {
   EXPECT_NEAR(units::gammaOfBeta(0.6), 1.25, 1e-12);
 }
 
-TEST(Units, DopplerAsymmetryForKhiStreams) {
-  // For beta = 0.2 the approaching stream's cutoff sits a factor
-  // (1+beta)/(1-beta) = 1.5 above the receding one's (Fig 9a).
-  const double up = units::dopplerFactor(0.2);
-  const double down = units::dopplerFactor(-0.2);
-  EXPECT_NEAR(up / down, 1.5, 1e-12);
-}
-
 TEST(Units, RoundTripLengthConversion) {
   const double metres = 5.0e-5;
   const double plasma = units::lengthToPlasma(metres, 1e25);

@@ -227,21 +227,19 @@ TEST(ObsTrace, SpansNestCorrectly) {
 TEST(ObsTrace, RingWrapCountsDropped) {
   auto& rec = TraceRecorder::instance();
   rec.clear();
-  rec.setCapacity(4);
   rec.setEnabled(true);
   const std::uint64_t droppedBefore = rec.droppedCount();
-  // A fresh thread gets a fresh (capacity-4) ring.
+  // A fresh thread gets a fresh ring, which it overfills by six events.
   std::thread t([&rec] {
-    for (int i = 0; i < 10; ++i)
+    for (std::size_t i = 0; i < TraceRecorder::kRingEvents + 6; ++i)
       rec.record("test", "wrap", TraceRecorder::nowNs(),
                  TraceRecorder::nowNs());
   });
   t.join();
   rec.setEnabled(false);
-  EXPECT_EQ(rec.eventCount(), 4u);
+  EXPECT_EQ(rec.eventCount(), TraceRecorder::kRingEvents);
   EXPECT_EQ(rec.droppedCount() - droppedBefore, 6u);
   rec.clear();
-  rec.setCapacity(std::size_t{1} << 15);
 }
 
 TEST(ObsTrace, PerThreadRankAttribution) {

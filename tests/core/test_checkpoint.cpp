@@ -223,6 +223,27 @@ TEST(Checkpoint, ManagerRotationKeepsTheNewest) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Checkpoint, ListSkipsANameWhoseStepCountOverflows) {
+  // A digit run too long for a long names no checkpoint: list() must
+  // neither overflow on it nor rank the real checkpoints against it.
+  const std::string dir = ::testing::TempDir() + "artsci_ckpt_overflow";
+  std::filesystem::remove_all(dir);
+  TrainerConfig tcfg;
+  tcfg.ranks = 1;
+  InTransitTrainer a(ArtificialScientistModel::Config::reduced(), tcfg);
+  CheckpointManager mgr(dir, 2);
+  mgr.save(a, {2, 0});
+  mgr.save(a, {4, 0});
+  std::ofstream(dir + "/ckpt-99999999999999999999.artsci") << "x";
+
+  const auto paths = mgr.list();
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_NE(paths[0].find("ckpt-4"), std::string::npos);
+  EXPECT_NE(paths[1].find("ckpt-2"), std::string::npos);
+
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Checkpoint, LoadLatestOnEmptyDirectoryIsEmpty) {
   const std::string dir = ::testing::TempDir() + "artsci_ckpt_empty";
   std::filesystem::remove_all(dir);

@@ -331,6 +331,37 @@ TEST(Trainer, LearningRatesScaledAndSplit) {
   EXPECT_NEAR(vaeLr, 3e-4 * 2.0, 1e-12);
 }
 
+TEST(Trainer, ThrowingRankReleasesItsPeer) {
+  // Each rank draws one sample per iteration from a two-sample buffer, one
+  // of whose spectra is too short. Under the first seed whose two rank RNGs
+  // (the successive splits of Rng(seed)) draw different slots, exactly one
+  // rank throws in batchSpectra while its peer waits in the optimizer
+  // collective; the peer must be released and the caller must see the
+  // error, not a hang.
+  TrainerConfig tcfg;
+  tcfg.ranks = 2;
+  tcfg.buffer.nowCapacity = 2;
+  tcfg.buffer.epCapacity = 1;
+  tcfg.buffer.nowPerBatch = 1;
+  tcfg.buffer.epPerBatch = 0;
+  for (tcfg.seed = 1;; ++tcfg.seed) {
+    Rng seeder(tcfg.seed);
+    Rng rank0 = seeder.split();
+    Rng rank1 = seeder.split();
+    if (rank0.uniformInt(2) != rank1.uniformInt(2)) break;
+  }
+  InTransitTrainer trainer(ArtificialScientistModel::Config::reduced(),
+                           tcfg);
+  Rng rng(51);
+  trainer.buffer().push(makeSample(rng, 64, 32, 0, 0.5));
+  Sample bad = makeSample(rng, 64, 32, 1, 0.5);
+  bad.spectrum.resize(16);
+  trainer.buffer().push(std::move(bad));
+  EXPECT_THROW(trainer.trainIterations(1), ContractError);
+  // The trainer stays failed.
+  EXPECT_THROW(trainer.trainIterations(1), ContractError);
+}
+
 TEST(Trainer, NoopWhenBufferNotReady) {
   InTransitTrainer trainer(ArtificialScientistModel::Config::reduced(),
                            TrainerConfig{});
@@ -367,6 +398,26 @@ TEST(Pipeline, QuickDemoConfigConsistent) {
   const auto cfg = PipelineConfig::quickDemo();
   EXPECT_EQ(static_cast<long>(cfg.producer.frequencyCount),
             cfg.model.spectrumDim);
+}
+
+TEST(Pipeline, TrainerErrorStopsTheProducerAndReachesTheCaller) {
+  // Every replay slot holds a sample whose spectrum is too short, so the
+  // first training iteration throws inside the consumer loop, at one rank
+  // and at two.
+  for (const std::size_t ranks : {1u, 2u}) {
+    auto cfg = PipelineConfig::quickDemo();
+    cfg.trainer.ranks = ranks;
+    cfg.stepReportEvery = 0;
+    InTransitTrainer trainer(cfg.model, cfg.trainer);
+    Rng rng(61);
+    const auto& slots = cfg.trainer.buffer;
+    for (std::size_t i = 0; i < slots.nowCapacity + slots.epCapacity; ++i)
+      trainer.buffer().push(makeSample(rng, cfg.producer.transform.cloudPoints,
+                                       cfg.model.spectrumDim - 1,
+                                       static_cast<int>(i % 3), 0.5));
+    EXPECT_THROW(runPipeline(cfg, trainer), ContractError)
+        << ranks << " rank(s)";
+  }
 }
 
 TEST(Pipeline, MismatchedSpectrumDimRejected) {

@@ -136,12 +136,6 @@ TEST(OptimEdge, StepWithoutBackwardIsSafe) {
   EXPECT_EQ(w.data(), (std::vector<Real>{1, 1, 1}));
 }
 
-TEST(OptimEdge, LearningRateIndexChecked) {
-  Tensor w = Tensor::full({1}, 0.0, true);
-  Adam opt({ParamGroup{{w}, 0.1}});
-  EXPECT_THROW(opt.setLearningRate(3, 0.1), ContractError);
-}
-
 TEST(CouplingEdge, MinimalWidthBlock) {
   Rng rng(7);
   GlowCouplingBlock block(2, 0, {4}, rng);

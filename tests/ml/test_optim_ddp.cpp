@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -9,7 +8,6 @@
 #include "ml/layers.hpp"
 #include "ml/losses.hpp"
 #include "ml/optim.hpp"
-#include "ml/serialize.hpp"
 
 namespace artsci::ml {
 namespace {
@@ -56,13 +54,6 @@ TEST(Adam, PerGroupLearningRates) {
     opt.step();
   }
   EXPECT_GT(fast.data()[0], slow.data()[0] * 5);
-}
-
-TEST(Adam, SetLearningRate) {
-  Tensor w = Tensor::full({1}, 0.0, true);
-  Adam opt({ParamGroup{{w}, 0.1}});
-  opt.setLearningRate(0, 0.5);
-  EXPECT_DOUBLE_EQ(opt.learningRate(0), 0.5);
 }
 
 TEST(SqrtLrRule, ScalesBySqrtOfBatchRatio) {
@@ -313,39 +304,6 @@ TEST(Ddp, GradientAveragingMatchesSerialBigBatch) {
       }
     }
   }
-}
-
-TEST(Serialize, RoundTripPreservesValues) {
-  Rng rng(1);
-  Linear a(5, 3, rng);
-  const std::string path = "/tmp/artsci_test_ckpt.bin";
-  saveParameters(path, a.parameters());
-
-  Rng rng2(2);
-  Linear b(5, 3, rng2);
-  auto params = b.parameters();
-  loadParameters(path, params);
-  const auto ref = a.parameters();
-  for (std::size_t p = 0; p < ref.size(); ++p)
-    EXPECT_EQ(params[p].data(), ref[p].data());
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, ShapeMismatchRejected) {
-  Rng rng(1);
-  Linear a(5, 3, rng);
-  const std::string path = "/tmp/artsci_test_ckpt2.bin";
-  saveParameters(path, a.parameters());
-  Linear b(3, 5, rng);
-  auto params = b.parameters();
-  EXPECT_THROW(loadParameters(path, params), ContractError);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, MissingFileThrows) {
-  std::vector<Tensor> params;
-  EXPECT_THROW(loadParameters("/tmp/definitely_missing_artsci.bin", params),
-               ContractError);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "core/model.hpp"
 #include "ml/serialize.hpp"
@@ -36,13 +39,48 @@ class SerializeTest : public ::testing::Test {
     return out;
   }
 
-  void writeRaw(const std::vector<std::uint64_t>& words,
-                const std::vector<Real>& payload = {}) const {
+  std::vector<std::uint8_t> readFile() const {
+    std::ifstream is(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is),
+            std::istreambuf_iterator<char>()};
+  }
+
+  /// Everything before the CRC of a file saveParameters wrote for `params`
+  /// (the empty list by default: just the magic, version and two counts).
+  std::vector<std::uint8_t> validBody(
+      const std::vector<Tensor>& params = {}) const {
+    saveParameters(path_, params);
+    auto bytes = readFile();
+    bytes.resize(bytes.size() - 8);
+    return bytes;
+  }
+
+  /// Write `body` under a valid CRC-32C and the footer magic of a real
+  /// file, so the loader gets past its footer and CRC checks to the check
+  /// under test.
+  void writeWithValidFooter(std::vector<std::uint8_t> body) const {
+    saveParameters(path_, {});
+    const auto valid = readFile();
+    const std::uint32_t crc = crc32c(body.data(), body.size());
+    const auto* c = reinterpret_cast<const std::uint8_t*>(&crc);
+    body.insert(body.end(), c, c + sizeof crc);
+    body.insert(body.end(), valid.end() - 4, valid.end());
     std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    for (std::uint64_t w : words)
-      os.write(reinterpret_cast<const char*>(&w), sizeof(w));
-    os.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size() * sizeof(Real)));
+    os.write(reinterpret_cast<const char*>(body.data()),
+             static_cast<std::streamsize>(body.size()));
+  }
+
+  /// The magic and version of a real file, then `words`: a hand-written
+  /// parameters block.
+  std::vector<std::uint8_t> bodyOf(
+      const std::vector<std::uint64_t>& words) const {
+    auto body = validBody();
+    body.resize(12);
+    for (std::uint64_t w : words) {
+      const auto* b = reinterpret_cast<const std::uint8_t*>(&w);
+      body.insert(body.end(), b, b + sizeof w);
+    }
+    return body;
   }
 };
 
@@ -55,41 +93,31 @@ TEST_F(SerializeTest, RoundTripPreservesValues) {
     EXPECT_EQ(src[i].data(), dst[i].data());
 }
 
-TEST_F(SerializeTest, RejectsLegacyUnversionedFormat) {
-  // Hand-written "ARTSCIP1" file: magic, count, then ndim/dims/data per
-  // tensor — what saveParameters wrote before the versioned header. Its
-  // weights pair with INN permutations this build no longer draws, so
-  // the load must fail by name and leave the target untouched.
-  writeRaw({0x41525453'43495031ULL, 1, 2, 2, 2}, {10, 20, 30, 40});
-  std::vector<Tensor> dst{Tensor::zeros({2, 2})};
-  try {
-    loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
-    EXPECT_NE(std::string(e.what()).find("ARTSCIP1"), std::string::npos);
-  }
-  EXPECT_EQ(dst[0].data(), (std::vector<Real>{0, 0, 0, 0}));
-}
-
 TEST_F(SerializeTest, RejectsBadMagic) {
-  writeRaw({0xdeadbeefULL, 1, 1, 1}, {0});
-  std::vector<Tensor> dst{Tensor::zeros({1})};
+  auto body = validBody(makeParams());
+  const std::uint64_t bad = 0xdeadbeefULL;
+  std::memcpy(body.data(), &bad, sizeof bad);
+  writeWithValidFooter(body);
+  auto dst = makeZeroedLike(makeParams());
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("not an artsci checkpoint"),
               std::string::npos);
   }
 }
 
 TEST_F(SerializeTest, RejectsFutureVersion) {
-  writeRaw({0x41525453'43495032ULL, 99, 0, 0});
+  auto body = validBody();
+  const std::uint32_t version = 99;
+  std::memcpy(body.data() + 8, &version, sizeof version);
+  writeWithValidFooter(body);
   std::vector<Tensor> dst;
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
   }
 }
@@ -100,8 +128,8 @@ TEST_F(SerializeTest, RejectsTensorCountMismatch) {
   std::vector<Tensor> dst{Tensor::zeros({2, 3})};  // one tensor, not two
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("tensors"), std::string::npos);
   }
 }
@@ -113,8 +141,8 @@ TEST_F(SerializeTest, RejectsElementCountMismatchBeforeReadingPayload) {
   std::vector<Tensor> dst{Tensor::zeros({2, 3}), Tensor::zeros({5})};
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("architecture mismatch"),
               std::string::npos);
   }
@@ -126,64 +154,64 @@ TEST_F(SerializeTest, RejectsShapeMismatch) {
   std::vector<Tensor> dst{Tensor::zeros({3, 2}), Tensor::zeros({4})};
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("shape"), std::string::npos);
   }
 }
 
 TEST_F(SerializeTest, RejectsTruncatedHeader) {
-  writeRaw({0x41525453'43495032ULL, 2});  // stops inside the header
+  writeWithValidFooter(bodyOf({}));  // stops before the tensor count
   std::vector<Tensor> dst{Tensor::zeros({1})};
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
   }
 }
 
 TEST_F(SerializeTest, RejectsTruncatedPayload) {
   const auto src = makeParams();
-  saveParameters(path_, src);
   // Chop the last 8 bytes off the payload.
-  std::ifstream is(path_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-  is.close();
-  std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 8));
-  os.close();
+  auto body = validBody(src);
+  body.resize(body.size() - 8);
+  writeWithValidFooter(body);
   auto dst = makeZeroedLike(src);
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
   }
 }
 
 TEST_F(SerializeTest, RejectsCorruptRankWord) {
   // Rank word of 1e6 must fail fast instead of allocating a huge shape.
-  writeRaw({0x41525453'43495032ULL, 2, 1, 1, 1000000});
+  writeWithValidFooter(bodyOf({1, 1, 1000000}));
   std::vector<Tensor> dst{Tensor::zeros({1})};
   try {
     loadParameters(path_, dst);
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("corrupt"), std::string::npos);
   }
 }
 
 TEST_F(SerializeTest, RejectsTrailingBytes) {
   const auto src = makeParams();
-  saveParameters(path_, src);
-  std::ofstream os(path_, std::ios::binary | std::ios::app);
+  auto body = validBody(src);
   const double extra = 1.0;
-  os.write(reinterpret_cast<const char*>(&extra), sizeof(extra));
-  os.close();
+  const auto* b = reinterpret_cast<const std::uint8_t*>(&extra);
+  body.insert(body.end(), b, b + sizeof extra);
+  writeWithValidFooter(body);
   auto dst = makeZeroedLike(src);
-  EXPECT_THROW(loadParameters(path_, dst), ContractError);
+  EXPECT_THROW(loadParameters(path_, dst), CheckpointError);
+}
+
+TEST_F(SerializeTest, RejectsMissingFile) {
+  std::vector<Tensor> params;
+  EXPECT_THROW(loadParameters(path_ + ".missing", params), CheckpointError);
 }
 
 TEST_F(SerializeTest, CopyParametersCopiesValues) {

@@ -216,7 +216,7 @@ TEST(Detector, FormFactorSuppressesHighFrequencies) {
 
 double totalIntensity(const SpectralAccumulator& acc) {
   double total = 0;
-  for (std::size_t d = 0; d < acc.directionCount(); ++d)
+  for (std::size_t d = 0; d < acc.config().directions.size(); ++d)
     for (double v : acc.intensity(d)) total += v;
   return total;
 }
@@ -390,7 +390,7 @@ void expectBitIdentical(const SpectralAccumulator& acc,
                         const ReferenceDetector& ref,
                         const std::string& what) {
   std::size_t mismatches = 0;
-  for (std::size_t d = 0; d < acc.directionCount(); ++d)
+  for (std::size_t d = 0; d < acc.config().directions.size(); ++d)
     for (std::size_t f = 0; f < acc.frequencies().size(); ++f) {
       const auto a = acc.amplitude(d, f);
       for (std::size_t c = 0; c < 3; ++c) {
