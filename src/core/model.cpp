@@ -69,9 +69,7 @@ ml::LossTerms ArtificialScientistModel::lossTerms(const Tensor& clouds,
   const auto moments = encoder_->forward(clouds);
   Tensor z = encoder_->sample(moments, rng);
   Tensor reconstruction = decoder_->forward(z);
-  terms.chamfer = cfg_.useEmdReconstruction
-                      ? ml::emdSinkhorn(clouds, reconstruction)
-                      : ml::chamferDistance(clouds, reconstruction);
+  terms.chamfer = ml::chamferDistance(clouds, reconstruction);
   terms.kl = ml::klStandardNormal(moments.mu, moments.logvar);
 
   // --- INN forward: z -> [I' || N'] -------------------------------------

@@ -23,9 +23,6 @@ class ArtificialScientistModel : public ml::Module {
     ml::Inn::Config inn;
     long spectrumDim = 32;  ///< width of I inside the INN output
     ml::LossWeights weights;
-    /// Use the Sinkhorn EMD instead of Chamfer as the reconstruction loss
-    /// (the paper wanted this but KeOps has no HIP port; ablation A2).
-    bool useEmdReconstruction = false;
 
     /// The paper-scale architecture (§IV-C): encoder 6->...->608, latent
     /// 544, decoder 4^3x16 -> 4096 points, 4 Glow blocks with 272/256

@@ -18,6 +18,17 @@
 #include "obs/metrics.hpp"
 
 namespace artsci::core {
+
+std::string cloudPath(int region) {
+  return std::string("particles/e/phasespace/") +
+         pic::khiRegionName(static_cast<pic::KhiRegion>(region));
+}
+
+std::string spectrumPath(int region) {
+  return std::string("meshes/radiation/") +
+         pic::khiRegionName(static_cast<pic::KhiRegion>(region));
+}
+
 namespace {
 
 /// Fixes glibc's mmap threshold at its 128 KiB default, once per process.
@@ -35,6 +46,30 @@ void fixMmapThreshold() {
   static std::once_flag once;
   std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 128 * 1024); });
 #endif
+}
+
+/// Write one emission's samples as iteration `index` of both streams:
+/// each sample's cloud at cloudPath(region) and its spectrum at
+/// spectrumPath(region). The inverse of readSamples.
+void writeSamples(openpmd::Series& particles, openpmd::Series& radiation,
+                  long index, double time, double dt,
+                  std::vector<Sample> samples) {
+  auto itP = particles.writeIteration(index);
+  auto itR = radiation.writeIteration(index);
+  itP.setTime(time, dt);
+  itR.setTime(time, dt);
+  for (Sample& sample : samples) {
+    const char* region =
+        pic::khiRegionName(static_cast<pic::KhiRegion>(sample.region));
+    const long P = static_cast<long>(sample.cloud.size() / 6);
+    const long S = static_cast<long>(sample.spectrum.size());
+    itP.particles("e").record("phasespace").component(region).storeChunk(
+        std::move(sample.cloud), {0, 0}, {P, 6}, {P, 6});
+    itR.mesh("radiation").component(region).storeChunk(
+        std::move(sample.spectrum), {0}, {S}, {S});
+  }
+  itP.close();
+  itR.close();
 }
 
 /// Read the next iteration of both streams and decode its samples: one
@@ -103,22 +138,35 @@ PipelineResult runPipeline(const PipelineConfig& cfg,
     radiationEngine->abort(reason);
   };
 
-  KhiStreamProducer producer(cfg.producer, particleEngine, radiationEngine);
+  KhiSampleSource source(cfg.producer);
+  // Built here so that they outlive the producer thread: a producer that
+  // throws fails both channels before either series closes, so the
+  // consumer never sees a clean end of stream ahead of the abort.
+  openpmd::Series particleWrite(
+      "particles", openpmd::Access::kCreate,
+      openpmd::StreamBackend::forWriter(particleEngine, 0));
+  openpmd::Series radiationWrite(
+      "radiation", openpmd::Access::kCreate,
+      openpmd::StreamBackend::forWriter(radiationEngine, 0));
   std::string producerFault;
   std::mutex producerFaultMutex;
   // The step deadline bounds the wait for a streamed step, not the
   // warm-up before the first one: the consumer starts reading only once
-  // the producer has warmed up (or failed trying, which aborts both
+  // the source has warmed up (or failed trying, which aborts both
   // streams first).
   std::promise<void> warmedUp;
   std::future<void> streaming = warmedUp.get_future();
   std::thread producerThread([&] {
     bool released = false;
     try {
-      producer.warmUp();
+      source.warmUp();
       warmedUp.set_value();
       released = true;
-      producer.run();
+      for (long index = 0; auto samples = source.next(); ++index)
+        writeSamples(particleWrite, radiationWrite, index, source.time(),
+                     source.dt(), std::move(*samples));
+      particleWrite.close();
+      radiationWrite.close();
     } catch (const std::exception& e) {
       {
         std::lock_guard<std::mutex> lock(producerFaultMutex);
@@ -217,46 +265,10 @@ PipelineRun runPipeline(const PipelineConfig& cfg) {
 }
 
 std::vector<Sample> collectSamples(const ProducerConfig& cfg) {
-  auto particleEngine =
-      std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
-  auto radiationEngine =
-      std::make_shared<stream::SstEngine>(stream::SstParams{1, 1, 4});
-  KhiStreamProducer producer(cfg, particleEngine, radiationEngine);
-  std::exception_ptr producerError;
-  std::thread producerThread([&] {
-    try {
-      producer.run();
-    } catch (...) {
-      // Wake the reader, which would otherwise wait for the next step.
-      producerError = std::current_exception();
-      particleEngine->abort("producer failed");
-      radiationEngine->abort("producer failed");
-    }
-  });
-
+  KhiSampleSource source(cfg);
   std::vector<Sample> collected;
-  std::exception_ptr readError;
-  try {
-    openpmd::Series particleRead(
-        "particles", openpmd::Access::kRead,
-        openpmd::StreamBackend::forReader(particleEngine, 0));
-    openpmd::Series radiationRead(
-        "radiation", openpmd::Access::kRead,
-        openpmd::StreamBackend::forReader(radiationEngine, 0));
-    while (auto samples = readSamples(particleRead, radiationRead))
-      for (Sample& sample : *samples) collected.push_back(std::move(sample));
-  } catch (const stream::StreamError&) {
-    readError = std::current_exception();
-  } catch (...) {
-    // As in runPipeline: stop and join the producer, then rethrow.
-    particleEngine->abort("consumer failed");
-    radiationEngine->abort("consumer failed");
-    producerThread.join();
-    throw;
-  }
-  producerThread.join();
-  if (producerError) std::rethrow_exception(producerError);
-  if (readError) std::rethrow_exception(readError);
+  while (auto samples = source.next())
+    for (Sample& sample : *samples) collected.push_back(std::move(sample));
   return collected;
 }
 

@@ -1,11 +1,13 @@
 /// \file pipeline.hpp
 /// The complete Artificial Scientist orchestration (paper Fig 3 / §III-B):
-/// a PIC producer streams particle + radiation data through two in-memory
-/// openPMD/nanoSST channels into a consumer that feeds the experience-
-/// replay buffer and drives n_rep data-parallel training iterations per
-/// streamed step. Back-pressure from the bounded step queue stalls the
-/// simulation when training lags — "some leeway to stall the running
-/// simulation if need be".
+/// a producer thread streams the sample source's (core/producer.hpp)
+/// particle + radiation data through two in-memory openPMD/nanoSST
+/// channels into a consumer that feeds the experience-replay buffer and
+/// drives n_rep data-parallel training iterations per streamed step.
+/// Back-pressure from the bounded step queue stalls the simulation when
+/// training lags — "some leeway to stall the running simulation if need
+/// be". This module owns the wire format: which record path carries which
+/// region's cloud and spectrum, written and read in pipeline.cpp.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +16,13 @@
 
 #include "core/producer.hpp"
 #include "core/trainer.hpp"
+#include "openpmd/backends.hpp"  // the channels, for callers that read the wire
 
 namespace artsci::core {
+
+/// Record paths of a region's cloud and spectrum on the wire.
+std::string cloudPath(int region);
+std::string spectrumPath(int region);
 
 struct PipelineConfig {
   ProducerConfig producer;
@@ -75,10 +82,10 @@ struct PipelineRun {
 };
 PipelineRun runPipeline(const PipelineConfig& cfg);
 
-/// Run a producer to the end on two streams of its own and return every
-/// (cloud, spectrum) sample it streamed, in stream order, decoded as
-/// runPipeline decodes them — held-out ground truth for the inversion
-/// evaluations. A producer or reader failure is rethrown here.
+/// Run a sample source to the end on the calling thread and return every
+/// sample it made, in emission order: bit for bit the samples runPipeline
+/// streams for the same config — held-out ground truth for the inversion
+/// evaluations. A source failure reaches the caller as thrown.
 std::vector<Sample> collectSamples(const ProducerConfig& cfg);
 
 }  // namespace artsci::core

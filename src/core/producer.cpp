@@ -5,19 +5,7 @@
 
 namespace artsci::core {
 
-std::string cloudPath(int region) {
-  return std::string("particles/e/phasespace/") +
-         pic::khiRegionName(static_cast<pic::KhiRegion>(region));
-}
-
-std::string spectrumPath(int region) {
-  return std::string("meshes/radiation/") +
-         pic::khiRegionName(static_cast<pic::KhiRegion>(region));
-}
-
-KhiStreamProducer::KhiStreamProducer(
-    ProducerConfig cfg, std::shared_ptr<stream::SstEngine> particleStream,
-    std::shared_ptr<stream::SstEngine> radiationStream)
+KhiSampleSource::KhiSampleSource(ProducerConfig cfg)
     : cfg_(cfg), rng_(cfg.seed) {
   pic::SimulationConfig sc;
   sc.grid = cfg_.khi.grid;
@@ -33,83 +21,62 @@ KhiStreamProducer::KhiStreamProducer(
   radiationPlugin_ = std::make_shared<radiation::RegionRadiationPlugin>(
       det, species_.electrons, cfg_.transform.vortexHalfWidthCells);
   sim_->addPlugin(radiationPlugin_);
-
-  particleSeries_ = std::make_unique<openpmd::Series>(
-      "particles", openpmd::Access::kCreate,
-      openpmd::StreamBackend::forWriter(std::move(particleStream), 0));
-  radiationSeries_ = std::make_unique<openpmd::Series>(
-      "radiation", openpmd::Access::kCreate,
-      openpmd::StreamBackend::forWriter(std::move(radiationStream), 0));
 }
 
-void KhiStreamProducer::emitIteration(long index) {
+std::vector<Sample> KhiSampleSource::makeSamples(long emission) {
   const auto& electrons = sim_->species(species_.electrons);
-  const long P = cfg_.transform.cloudPoints;
-  const long S = static_cast<long>(cfg_.frequencyCount);
-
-  auto itParticles = particleSeries_->writeIteration(index);
-  auto itRadiation = radiationSeries_->writeIteration(index);
-  itParticles.setTime(sim_->time(), sim_->dt());
-  itRadiation.setTime(sim_->time(), sim_->dt());
-
   // The radiation plugin sorted this step's electrons into regions at the
   // end of the step, by the classification extractRegionCloud would
   // repeat, and in the same ascending order.
   const radiation::RegionRanges& regions = radiationPlugin_->ranges();
   ARTSCI_EXPECTS(regions.order.size() == electrons.size());
+  std::vector<Sample> samples;
   for (int r = 0; r < 3; ++r) {
     const auto region = static_cast<pic::KhiRegion>(r);
     const auto first = regions.order.begin();
     candidates_.assign(
         first + static_cast<std::ptrdiff_t>(regions.bounds[r]),
         first + static_cast<std::ptrdiff_t>(regions.bounds[r + 1]));
-    auto cloud = sampleRegionCloud(electrons, candidates_, cfg_.transform,
-                                   rng_);
-    if (cloud.empty()) {
+    Sample sample;
+    sample.cloud = sampleRegionCloud(electrons, candidates_, cfg_.transform,
+                                     rng_);
+    if (sample.cloud.empty()) {
       log::warn("producer", "region ", pic::khiRegionName(region),
                 " has too few particles; skipping sample");
       continue;
     }
-    itParticles.particles("e")
-        .record("phasespace")
-        .component(pic::khiRegionName(region))
-        .storeChunk(std::move(cloud), {0, 0}, {P, 6}, {P, 6});
-
-    const auto raw = radiationPlugin_->accumulator(region).intensity(0);
-    auto spectrum = normalizeSpectrum(raw, cfg_.transform);
-    itRadiation.mesh("radiation")
-        .component(pic::khiRegionName(region))
-        .storeChunk(std::move(spectrum), {0}, {S}, {S});
+    sample.spectrum = normalizeSpectrum(
+        radiationPlugin_->accumulator(region).intensity(0), cfg_.transform);
+    sample.region = r;
+    sample.step = emission;
+    samples.push_back(std::move(sample));
   }
-  itParticles.close();
-  itRadiation.close();
-  ++iterationsStreamed_;
+  return samples;
 }
 
-void KhiStreamProducer::warmUp() {
+void KhiSampleSource::warmUp() {
   if (warmedUp_) return;
   sim_->run(cfg_.warmupSteps);
   warmedUp_ = true;
 }
 
-void KhiStreamProducer::run() {
+std::optional<std::vector<Sample>> KhiSampleSource::next() {
   warmUp();
-  for (long s = 0; s < cfg_.totalSteps; ++s) {
+  while (stepsRun_ < cfg_.totalSteps) {
     sim_->step();
-    if ((s + 1) % cfg_.streamEvery == 0) {
-      FAULT_POINT("producer.step");
-      emitIteration(iterationsStreamed_);
-      // Windowed spectra: reset so the next emission reflects the most
-      // recent dynamics, matching the per-time-step training pairs.
-      for (int r = 0; r < 3; ++r) {
-        const_cast<radiation::SpectralAccumulator&>(
-            radiationPlugin_->accumulator(static_cast<pic::KhiRegion>(r)))
-            .reset();
-      }
+    if (++stepsRun_ % cfg_.streamEvery != 0) continue;
+    FAULT_POINT("producer.step");
+    auto samples = makeSamples(emissions_++);
+    // Windowed spectra: reset so the next emission reflects the most
+    // recent dynamics, matching the per-time-step training pairs.
+    for (int r = 0; r < 3; ++r) {
+      const_cast<radiation::SpectralAccumulator&>(
+          radiationPlugin_->accumulator(static_cast<pic::KhiRegion>(r)))
+          .reset();
     }
+    return samples;
   }
-  particleSeries_->close();
-  radiationSeries_->close();
+  return std::nullopt;
 }
 
 }  // namespace artsci::core

@@ -1,15 +1,18 @@
 /// \file producer.hpp
 /// The producer side of the Artificial Scientist: a KHI PIC simulation
-/// whose output plugins publish two parallel openPMD streams (the paper's
-/// two PIConGPU output plugins, §IV-D) — particle phase-space point clouds
-/// per KHI region and the matching windowed radiation spectra. No byte of
-/// either ever touches the filesystem.
+/// whose radiation plugin and region transforms turn every `streamEvery`
+/// PIC steps into training samples — per KHI region a particle phase-space
+/// point cloud and the matching windowed radiation spectrum (the paper's
+/// two PIConGPU output plugins, §IV-D). The source knows no stream:
+/// runPipeline (core/pipeline.hpp) carries its samples in transit over two
+/// openPMD streams, and collectSamples takes them as they are made.
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "core/transforms.hpp"
-#include "openpmd/backends.hpp"
 #include "pic/khi.hpp"
 #include "radiation/plugin.hpp"
 
@@ -26,41 +29,38 @@ struct ProducerConfig {
   std::uint64_t seed = 4242;
 };
 
-/// Record paths used on the wire (shared with the consumer).
-std::string cloudPath(int region);
-std::string spectrumPath(int region);
-
-class KhiStreamProducer {
+class KhiSampleSource {
  public:
-  KhiStreamProducer(ProducerConfig cfg,
-                    std::shared_ptr<stream::SstEngine> particleStream,
-                    std::shared_ptr<stream::SstEngine> radiationStream);
+  explicit KhiSampleSource(ProducerConfig cfg);
 
-  /// Run the `warmupSteps` PIC steps that precede streaming, once; later
-  /// calls return at once. run() calls it first, so calling it yourself
-  /// is optional: it lets a caller learn when streaming is about to start
-  /// (runPipeline starts the consumer's step deadline only then).
+  /// Run the `warmupSteps` PIC steps that precede the first emission,
+  /// once; later calls return at once. next() calls it first, so calling
+  /// it yourself is optional: it lets a caller learn when emissions are
+  /// about to start (runPipeline starts the consumer's step deadline only
+  /// then).
   void warmUp();
 
-  /// Run the simulation, streaming as configured; closes both streams.
-  /// Blocking — call on the producer thread.
-  void run();
+  /// Run PIC steps up to the next emission and return its samples: one
+  /// per region with enough particles, in region order, each with `step`
+  /// set to the emission index. Empty once `totalSteps` steps have run.
+  std::optional<std::vector<Sample>> next();
 
-  long iterationsStreamed() const { return iterationsStreamed_; }
-  const pic::Simulation& simulation() const { return *sim_; }
+  /// Simulation time and time step after the last PIC step (the
+  /// emission's openPMD time/dt).
+  double time() const { return sim_->time(); }
+  double dt() const { return sim_->dt(); }
 
  private:
-  void emitIteration(long index);
+  std::vector<Sample> makeSamples(long emission);
 
   ProducerConfig cfg_;
   std::unique_ptr<pic::Simulation> sim_;
   pic::KhiSpecies species_;
   std::shared_ptr<radiation::RegionRadiationPlugin> radiationPlugin_;
-  std::unique_ptr<openpmd::Series> particleSeries_;
-  std::unique_ptr<openpmd::Series> radiationSeries_;
   Rng rng_;
   std::vector<std::size_t> candidates_;  ///< one region's cloud candidates
-  long iterationsStreamed_ = 0;
+  long stepsRun_ = 0;   ///< PIC steps after warm-up
+  long emissions_ = 0;
   bool warmedUp_ = false;
 };
 

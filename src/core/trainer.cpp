@@ -77,7 +77,6 @@ std::shared_ptr<const ArtificialScientistModel> InTransitTrainer::exportSnapshot
 
 TrainerCheckpointState InTransitTrainer::captureCheckpointState() const {
   TrainerCheckpointState s;
-  for (const auto& t : replicaParams_[0]) s.params.push_back(t.data());
   s.adamPacked = optimizer_->packedState();
   s.adamStep = optimizer_->stepCount();
   for (const auto& rng : rankRngs_) s.rankRngs.push_back(rng.state());

@@ -37,7 +37,10 @@ struct TrainerConfig {
 /// every rank's RNG — including the Box-Muller cache — and the full
 /// replay-buffer snapshot. Serialized by core/checkpoint.hpp.
 struct TrainerCheckpointState {
-  std::vector<std::vector<ml::Real>> params;  ///< per-tensor, model order
+  /// Per-tensor, model order. Only a load fills it, as the staging of its
+  /// all-or-nothing restore; captureCheckpointState leaves it empty, since
+  /// a save writes the parameters straight from the model.
+  std::vector<std::vector<ml::Real>> params;
   std::vector<ml::Real> adamPacked;           ///< ml::Adam::packedState()
   long adamStep = 0;
   std::vector<Rng::State> rankRngs;
@@ -89,13 +92,15 @@ class InTransitTrainer {
   /// growths of tensor storage, not the graph nodes' heap allocations).
   ml::Arena::Stats arenaStats(std::size_t rank = 0) const;
 
-  /// Capture resume state. Call between trainIterations() calls (like
-  /// exportSnapshot, not concurrently with an in-flight step).
+  /// Capture resume state, all but the parameters (see
+  /// TrainerCheckpointState::params). Call between trainIterations()
+  /// calls (like exportSnapshot, not concurrently with an in-flight step).
   TrainerCheckpointState captureCheckpointState() const;
-  /// Apply captured state to every rank. The trainer must be constructed
-  /// with the same model config and rank count the state came from
-  /// (ContractError otherwise); afterwards training evolves bit-identically
-  /// to the run that produced the state.
+  /// Apply a checkpoint's state, parameters included (as
+  /// loadPipelineCheckpoint stages it), to every rank. The trainer must be
+  /// constructed with the same model config and rank count the state came
+  /// from (ContractError otherwise); afterwards training evolves
+  /// bit-identically to the run that produced the state.
   void restoreCheckpointState(const TrainerCheckpointState& state);
 
  private:

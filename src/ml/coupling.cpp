@@ -4,15 +4,14 @@
 
 namespace artsci::ml {
 
-GlowCouplingBlock::GlowCouplingBlock(long dim, long condDim,
-                                     std::vector<long> hidden, Rng& rng,
-                                     Real clamp)
-    : dim_(dim), half_(dim / 2), condDim_(condDim), clamp_(clamp) {
+GlowCouplingBlock::GlowCouplingBlock(long dim, std::vector<long> hidden,
+                                     Rng& rng, Real clamp)
+    : dim_(dim), half_(dim / 2), clamp_(clamp) {
   ARTSCI_EXPECTS_MSG(dim % 2 == 0, "coupling block width must be even");
   ARTSCI_EXPECTS(clamp > 0);
   auto makeSubnet = [&](long inDim, long outHalf) {
     std::vector<long> dims;
-    dims.push_back(inDim + condDim);
+    dims.push_back(inDim);
     for (long h : hidden) dims.push_back(h);
     dims.push_back(2 * outHalf);
     Subnet s;
@@ -27,16 +26,8 @@ GlowCouplingBlock::GlowCouplingBlock(long dim, long condDim,
 }
 
 Tensor GlowCouplingBlock::runSubnet(const Subnet& s, const Tensor& in,
-                                    const Tensor& cond, Tensor& scale,
-                                    Tensor& shift) const {
-  Tensor input = in;
-  if (condDim_ > 0) {
-    ARTSCI_EXPECTS_MSG(cond.defined() && cond.dim(-1) == condDim_,
-                       "coupling block expects a condition of width "
-                           << condDim_);
-    input = cat({in, cond}, /*axis=*/-1);
-  }
-  Tensor st = s.net->forward(input);
+                                    Tensor& scale, Tensor& shift) const {
+  Tensor st = s.net->forward(in);
   // Column-slice views: zero-copy; downstream elementwise ops read them
   // through strides.
   Tensor rawScale = slice(st, /*axis=*/-1, 0, s.outHalf);
@@ -47,28 +38,28 @@ Tensor GlowCouplingBlock::runSubnet(const Subnet& s, const Tensor& in,
   return st;
 }
 
-Tensor GlowCouplingBlock::forward(const Tensor& x, const Tensor& cond) const {
+Tensor GlowCouplingBlock::forward(const Tensor& x) const {
   ARTSCI_EXPECTS(x.dim(-1) == dim_);
   Tensor x1 = slice(x, -1, 0, half_);
   Tensor x2 = slice(x, -1, half_, dim_);
   Tensor s1, t1;
-  runSubnet(s1_, x2, cond, s1, t1);
+  runSubnet(s1_, x2, s1, t1);
   Tensor y1 = add(mul(x1, expT(s1)), t1);
   Tensor s2, t2;
-  runSubnet(s2_, y1, cond, s2, t2);
+  runSubnet(s2_, y1, s2, t2);
   Tensor y2 = add(mul(x2, expT(s2)), t2);
   return cat({y1, y2}, -1);
 }
 
-Tensor GlowCouplingBlock::inverse(const Tensor& y, const Tensor& cond) const {
+Tensor GlowCouplingBlock::inverse(const Tensor& y) const {
   ARTSCI_EXPECTS(y.dim(-1) == dim_);
   Tensor y1 = slice(y, -1, 0, half_);
   Tensor y2 = slice(y, -1, half_, dim_);
   Tensor s2, t2;
-  runSubnet(s2_, y1, cond, s2, t2);
+  runSubnet(s2_, y1, s2, t2);
   Tensor x2 = mul(sub(y2, t2), expT(neg(s2)));
   Tensor s1, t1;
-  runSubnet(s1_, x2, cond, s1, t1);
+  runSubnet(s1_, x2, s1, t1);
   Tensor x1 = mul(sub(y1, t1), expT(neg(s1)));
   return cat({x1, x2}, -1);
 }
@@ -110,25 +101,25 @@ Inn::Inn(Config cfg, Rng& rng) : cfg_(cfg) {
   Rng permRng(cfg_.permSeed);
   for (int b = 0; b < cfg_.blocks; ++b) {
     blocks_.push_back(std::make_unique<GlowCouplingBlock>(
-        cfg_.dim, cfg_.condDim, cfg_.hidden, rng, cfg_.clamp));
+        cfg_.dim, cfg_.hidden, rng, cfg_.clamp));
     perms_.emplace_back(cfg_.dim, permRng);
   }
 }
 
-Tensor Inn::forward(const Tensor& x, const Tensor& cond) const {
+Tensor Inn::forward(const Tensor& x) const {
   Tensor h = x;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    h = blocks_[b]->forward(h, cond);
+    h = blocks_[b]->forward(h);
     h = perms_[b].forward(h);
   }
   return h;
 }
 
-Tensor Inn::inverse(const Tensor& y, const Tensor& cond) const {
+Tensor Inn::inverse(const Tensor& y) const {
   Tensor h = y;
   for (std::size_t b = blocks_.size(); b-- > 0;) {
     h = perms_[b].inverse(h);
-    h = blocks_[b]->inverse(h, cond);
+    h = blocks_[b]->inverse(h);
   }
   return h;
 }

@@ -20,19 +20,19 @@
 namespace artsci::ml {
 
 /// One affine coupling block transforming both halves (FrEIA GLOW style):
-///   [x1, x2] -> y1 = x1 .* exp(s1(x2,c)) + t1(x2,c)
-///              y2 = x2 .* exp(s2(y1,c)) + t2(y1,c)
+///   [x1, x2] -> y1 = x1 .* exp(s1(x2)) + t1(x2)
+///              y2 = x2 .* exp(s2(y1)) + t2(y1)
 /// with soft-clamped log-scales s = clamp * tanh(raw / clamp) for stability.
 /// Exactly invertible in closed form.
 class GlowCouplingBlock : public Module {
  public:
-  /// `dim` is the (even) block width; `condDim` 0 disables conditioning.
-  /// `hidden` are the subnet hidden layer sizes (paper: {272, 256}).
-  GlowCouplingBlock(long dim, long condDim, std::vector<long> hidden,
-                    Rng& rng, Real clamp = Real(2));
+  /// `dim` is the (even) block width; `hidden` are the subnet hidden
+  /// layer sizes (paper: {272, 256}).
+  GlowCouplingBlock(long dim, std::vector<long> hidden, Rng& rng,
+                    Real clamp = Real(2));
 
-  Tensor forward(const Tensor& x, const Tensor& cond) const;
-  Tensor inverse(const Tensor& y, const Tensor& cond) const;
+  Tensor forward(const Tensor& x) const;
+  Tensor inverse(const Tensor& y) const;
 
   std::vector<Tensor> parameters() const override;
 
@@ -48,10 +48,10 @@ class GlowCouplingBlock : public Module {
     std::unique_ptr<Mlp> net;
     long outHalf;  ///< produces s||t of this many features each
   };
-  Tensor runSubnet(const Subnet& s, const Tensor& in, const Tensor& cond,
-                   Tensor& scale, Tensor& shift) const;
+  Tensor runSubnet(const Subnet& s, const Tensor& in, Tensor& scale,
+                   Tensor& shift) const;
 
-  long dim_, half_, condDim_;
+  long dim_, half_;
   Real clamp_;
   Subnet s1_, s2_;
 };
@@ -77,7 +77,6 @@ class Inn : public Module {
  public:
   struct Config {
     long dim = 544;                   ///< width of the invertible map
-    long condDim = 0;                 ///< optional conditioning input width
     int blocks = 4;                   ///< paper: four Glow blocks
     std::vector<long> hidden{272, 256};  ///< subnet hidden sizes
     Real clamp = Real(2);
@@ -92,9 +91,9 @@ class Inn : public Module {
   Inn(Config cfg, Rng& rng);
 
   /// z -> y (== [I' || N'] in the inverse-problem wiring).
-  Tensor forward(const Tensor& x, const Tensor& cond = Tensor()) const;
+  Tensor forward(const Tensor& x) const;
   /// y -> z; exact inverse of forward.
-  Tensor inverse(const Tensor& y, const Tensor& cond = Tensor()) const;
+  Tensor inverse(const Tensor& y) const;
 
   std::vector<Tensor> parameters() const override;
   const Config& config() const { return cfg_; }

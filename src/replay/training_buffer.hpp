@@ -98,20 +98,29 @@ class TrainingBuffer {
 
   /// Draw a training batch: n_now random now-samples + n_EP random
   /// EP-samples (now-only, size n_now, while the EP buffer is empty —
-  /// see ready()/epReady()).
-  /// Uses the buffer's internal RNG — with several trainer threads the
-  /// draw sequence then depends on scheduling; pass a per-rank RNG via the
-  /// overload below for reproducible runs.
-  std::vector<SampleT> sampleBatch() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sampleBatchLocked(rng_);
-  }
-
-  /// Draw a batch using the caller's RNG (one per DDP rank): each rank's
-  /// sample sequence is then independent of thread interleaving.
+  /// see ready()/epReady()). The draws use the caller's RNG (one per DDP
+  /// rank), so each rank's sample sequence is independent of thread
+  /// interleaving; the buffer's own RNG only picks eviction victims.
   std::vector<SampleT> sampleBatch(Rng& rng) {
     std::lock_guard<std::mutex> lock(mutex_);
-    return sampleBatchLocked(rng);
+    TRACE_SCOPE("replay", "sample_batch");
+    static obs::Counter& batches =
+        obs::Registry::global().counter("replay.batches");
+    batches.add();
+    ARTSCI_CHECK_MSG(now_.size() >= cfg_.nowPerBatch,
+                     "sampleBatch before buffer ready");
+    std::vector<SampleT> batch;
+    batch.reserve(cfg_.nowPerBatch + cfg_.epPerBatch);
+    for (std::size_t i = 0; i < cfg_.nowPerBatch; ++i)
+      batch.push_back(
+          now_[static_cast<std::size_t>(rng.uniformInt(now_.size()))]);
+    if (!ep_.empty()) {
+      for (std::size_t i = 0; i < cfg_.epPerBatch; ++i)
+        batch.push_back(
+            ep_[static_cast<std::size_t>(rng.uniformInt(ep_.size()))]);
+    }
+    ++batchesSampled_;
+    return batch;
   }
 
   std::size_t nowSize() const {
@@ -163,27 +172,6 @@ class TrainingBuffer {
   }
 
  private:
-  std::vector<SampleT> sampleBatchLocked(Rng& rng) {
-    TRACE_SCOPE("replay", "sample_batch");
-    static obs::Counter& batches =
-        obs::Registry::global().counter("replay.batches");
-    batches.add();
-    ARTSCI_CHECK_MSG(now_.size() >= cfg_.nowPerBatch,
-                     "sampleBatch before buffer ready");
-    std::vector<SampleT> batch;
-    batch.reserve(cfg_.nowPerBatch + cfg_.epPerBatch);
-    for (std::size_t i = 0; i < cfg_.nowPerBatch; ++i)
-      batch.push_back(
-          now_[static_cast<std::size_t>(rng.uniformInt(now_.size()))]);
-    if (!ep_.empty()) {
-      for (std::size_t i = 0; i < cfg_.epPerBatch; ++i)
-        batch.push_back(
-            ep_[static_cast<std::size_t>(rng.uniformInt(ep_.size()))]);
-    }
-    ++batchesSampled_;
-    return batch;
-  }
-
   TrainingBufferConfig cfg_;
   mutable std::mutex mutex_;
   std::deque<SampleT> now_;

@@ -47,8 +47,6 @@ InferenceEngine::InferenceEngine(
   appendMlp(enc.muHead(), muHead_);
 
   const auto& inn = model_->inn();
-  ARTSCI_CHECK_MSG(inn.config().condDim == 0,
-                   "InferenceEngine supports unconditioned INNs only");
   for (int b = 0; b < inn.blockCount(); ++b) {
     const auto& block = inn.block(b);
     Coupling cp;

@@ -225,8 +225,30 @@ void SstEngine::Writer::beginStep() {
 void SstEngine::Writer::put(const std::string& variable, Block block,
                             std::vector<long> globalExtent) {
   ARTSCI_CHECK_MSG(inStep_, "put outside beginStep/endStep");
+  // StepData::assemble copies every block row to its offset unchecked, so
+  // a block must lie inside its variable and fill its extent exactly.
+  ARTSCI_EXPECTS_MSG(!globalExtent.empty(),
+                     "stream variable '" << variable << "' has rank 0");
   ARTSCI_EXPECTS(block.offset.size() == globalExtent.size());
   ARTSCI_EXPECTS(block.extent.size() == globalExtent.size());
+  long globalValues = 1, blockValues = 1;
+  for (std::size_t d = 0; d < globalExtent.size(); ++d) {
+    const long offset = block.offset[d], extent = block.extent[d];
+    ARTSCI_EXPECTS_MSG(offset >= 0 && extent >= 0 &&
+                           offset <= globalExtent[d] &&
+                           extent <= globalExtent[d] - offset,
+                       "block [" << offset << ", +" << extent << ") of '"
+                                 << variable << "' does not fit axis " << d
+                                 << " of extent " << globalExtent[d]);
+    ARTSCI_EXPECTS_MSG(!__builtin_mul_overflow(globalValues, globalExtent[d],
+                                               &globalValues),
+                       "global extent of '" << variable << "' overflows");
+    blockValues *= extent;  // <= globalValues: cannot overflow
+  }
+  ARTSCI_EXPECTS_MSG(
+      block.payload.size() == static_cast<std::size_t>(blockValues),
+      "block of '" << variable << "' carries " << block.payload.size()
+                   << " values, its extent holds " << blockValues);
   block.writerRank = rank_;
   std::lock_guard<std::mutex> lock(engine_.mutex_);
   engine_.throwIfFailedLocked("writer put");

@@ -10,6 +10,7 @@
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
 #include "core/transforms.hpp"
+#include "fault/fault.hpp"
 #include "obs/trace.hpp"
 #include "radiation/plugin.hpp"
 
@@ -418,6 +419,49 @@ TEST(Pipeline, TrainerErrorStopsTheProducerAndReachesTheCaller) {
     EXPECT_THROW(runPipeline(cfg, trainer), ContractError)
         << ranks << " rank(s)";
   }
+}
+
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Pipeline, CollectSamplesIsWhatRunPipelineStreams) {
+  // At most N_now + N_EP samples, so the replay buffer evicts none and
+  // holds the whole stream: its EP half in stream order, then its now
+  // half newest first.
+  auto cfg = PipelineConfig::quickDemo();
+  cfg.producer.totalSteps = 20;  // 10 emissions of at most 3 samples
+  cfg.trainer.ranks = 1;
+  cfg.nRep = 1;
+  cfg.stepReportEvery = 0;
+  InTransitTrainer trainer(cfg.model, cfg.trainer);
+  const PipelineResult result = runPipeline(cfg, trainer);
+  ASSERT_FALSE(result.degraded) << result.faultNote;
+  const auto& slots = cfg.trainer.buffer;
+  ASSERT_LE(result.samplesReceived, slots.nowCapacity + slots.epCapacity);
+  auto held = trainer.buffer().snapshot();
+  std::vector<Sample> streamed = std::move(held.ep);
+  streamed.insert(streamed.end(), held.now.rbegin(), held.now.rend());
+  ASSERT_EQ(streamed.size(), result.samplesReceived);
+
+  const std::vector<Sample> collected = collectSamples(cfg.producer);
+  ASSERT_GT(collected.size(), 0u);
+  ASSERT_EQ(collected.size(), streamed.size());
+  for (std::size_t i = 0; i < collected.size(); ++i) {
+    EXPECT_EQ(collected[i].region, streamed[i].region) << "sample " << i;
+    EXPECT_EQ(collected[i].step, streamed[i].step) << "sample " << i;
+    EXPECT_TRUE(sameBits(collected[i].cloud, streamed[i].cloud))
+        << "sample " << i;
+    EXPECT_TRUE(sameBits(collected[i].spectrum, streamed[i].spectrum))
+        << "sample " << i;
+  }
+}
+
+TEST(Pipeline, CollectSamplesThrowsASourceFault) {
+  fault::ScopedPlan plan(fault::Plan::parseSpec("producer.step@2:error"));
+  EXPECT_THROW(collectSamples(PipelineConfig::quickDemo().producer),
+               fault::FaultInjectedError);
 }
 
 TEST(Pipeline, MismatchedSpectrumDimRejected) {

@@ -123,7 +123,7 @@ inline void couplingSubnet(const GlowCouplingBlock& block, const Mlp& net,
   scale = mulScalar(tanhT(mulScalar(rawScale, Real(1) / clamp)), clamp);
 }
 
-/// GlowCouplingBlock::forward without a condition input.
+/// GlowCouplingBlock::forward.
 inline Tensor coupling(const GlowCouplingBlock& block, const Tensor& x) {
   const long half = block.half(), dim = block.dim();
   Tensor x1 = copiedSlice(x, -1, 0, half);
@@ -136,7 +136,7 @@ inline Tensor coupling(const GlowCouplingBlock& block, const Tensor& x) {
   return cat({y1, y2}, -1);
 }
 
-/// Inn::forward without a condition input.
+/// Inn::forward.
 inline Tensor inn(const Inn& net, const Tensor& x) {
   Tensor h = x;
   for (int b = 0; b < net.blockCount(); ++b) {

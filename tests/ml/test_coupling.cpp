@@ -16,61 +16,43 @@ Real maxAbsDiff(const Tensor& a, const Tensor& b) {
 
 TEST(GlowCoupling, ForwardInverseIsIdentity) {
   Rng rng(1);
-  GlowCouplingBlock block(8, 0, {16, 16}, rng);
+  GlowCouplingBlock block(8, {16, 16}, rng);
   Tensor x = Tensor::randn({5, 8}, rng);
-  Tensor y = block.forward(x, Tensor());
-  Tensor back = block.inverse(y, Tensor());
+  Tensor y = block.forward(x);
+  Tensor back = block.inverse(y);
   EXPECT_LT(maxAbsDiff(x, back), 1e-10);
 }
 
 TEST(GlowCoupling, InverseForwardIsIdentity) {
   Rng rng(2);
-  GlowCouplingBlock block(6, 0, {12}, rng);
+  GlowCouplingBlock block(6, {12}, rng);
   Tensor y = Tensor::randn({3, 6}, rng);
-  Tensor x = block.inverse(y, Tensor());
-  Tensor again = block.forward(x, Tensor());
+  Tensor x = block.inverse(y);
+  Tensor again = block.forward(x);
   EXPECT_LT(maxAbsDiff(y, again), 1e-10);
-}
-
-TEST(GlowCoupling, ConditionedInvertibility) {
-  Rng rng(3);
-  GlowCouplingBlock block(8, 4, {16}, rng);
-  Tensor x = Tensor::randn({5, 8}, rng);
-  Tensor cond = Tensor::randn({5, 4}, rng);
-  Tensor y = block.forward(x, cond);
-  EXPECT_LT(maxAbsDiff(x, block.inverse(y, cond)), 1e-10);
-}
-
-TEST(GlowCoupling, ConditionChangesOutput) {
-  Rng rng(4);
-  GlowCouplingBlock block(8, 4, {16}, rng);
-  Tensor x = Tensor::randn({2, 8}, rng);
-  Tensor c1 = Tensor::randn({2, 4}, rng);
-  Tensor c2 = Tensor::randn({2, 4}, rng);
-  EXPECT_GT(maxAbsDiff(block.forward(x, c1), block.forward(x, c2)), 1e-6);
 }
 
 TEST(GlowCoupling, OddWidthRejected) {
   Rng rng(5);
-  EXPECT_THROW(GlowCouplingBlock(7, 0, {8}, rng), ContractError);
+  EXPECT_THROW(GlowCouplingBlock(7, {8}, rng), ContractError);
 }
 
 TEST(GlowCoupling, GradCheckThroughForward) {
   Rng rng(6);
-  GlowCouplingBlock block(4, 0, {8}, rng);
+  GlowCouplingBlock block(4, {8}, rng);
   Tensor x = Tensor::randn({3, 4}, rng);
   auto loss = [&](const std::vector<Tensor>& in) {
-    return sumAll(square(block.forward(in[0], Tensor())));
+    return sumAll(square(block.forward(in[0])));
   };
   EXPECT_TRUE(gradCheck(loss, {x}).ok);
 }
 
 TEST(GlowCoupling, GradCheckThroughInverse) {
   Rng rng(7);
-  GlowCouplingBlock block(4, 0, {8}, rng);
+  GlowCouplingBlock block(4, {8}, rng);
   Tensor y = Tensor::randn({3, 4}, rng);
   auto loss = [&](const std::vector<Tensor>& in) {
-    return sumAll(square(block.inverse(in[0], Tensor())));
+    return sumAll(square(block.inverse(in[0])));
   };
   EXPECT_TRUE(gradCheck(loss, {y}).ok);
 }

@@ -33,8 +33,9 @@ TEST(TrainingBufferTest, NotReadyUntilEnoughSamples) {
 
 TEST(TrainingBufferTest, SampleBeforeReadyThrows) {
   IntBuffer buf(paperConfig());
+  Rng draws(1);
   buf.push(1);
-  EXPECT_THROW(buf.sampleBatch(), ContractError);
+  EXPECT_THROW(buf.sampleBatch(draws), ContractError);
 }
 
 TEST(TrainingBufferTest, NowBufferHoldsLatest) {
@@ -73,8 +74,9 @@ TEST(TrainingBufferTest, EpBufferCapsAtCapacityWithRandomEviction) {
 
 TEST(TrainingBufferTest, BatchCompositionFourPlusFour) {
   IntBuffer buf(paperConfig(), 3);
+  Rng draws(1);
   for (int i = 0; i < 40; ++i) buf.push(i);
-  const auto batch = buf.sampleBatch();
+  const auto batch = buf.sampleBatch(draws);
   ASSERT_EQ(batch.size(), 8u);
   // First 4 from the now-buffer (values 30..39), last 4 from EP (< 30).
   for (int i = 0; i < 4; ++i) EXPECT_GE(batch[static_cast<std::size_t>(i)], 30);
@@ -83,8 +85,9 @@ TEST(TrainingBufferTest, BatchCompositionFourPlusFour) {
 
 TEST(TrainingBufferTest, BatchSmallerBeforeEpFills) {
   IntBuffer buf(paperConfig());
+  Rng draws(1);
   for (int i = 0; i < 5; ++i) buf.push(i);  // nothing displaced yet
-  const auto batch = buf.sampleBatch();
+  const auto batch = buf.sampleBatch(draws);
   EXPECT_EQ(batch.size(), 4u);  // now-only batch
 }
 
@@ -95,6 +98,7 @@ TEST(TrainingBufferTest, EpReadyFlipsAtFirstDisplacementAndFixesBatchSize) {
   // displacement — push number nowCapacity + 1 — and from then on every
   // batch carries the full n_now + n_EP composition.
   IntBuffer buf(paperConfig(), 17);
+  Rng draws(1);
   const auto cfg = buf.config();
   for (std::size_t i = 0; i < cfg.nowCapacity; ++i) {
     buf.push(static_cast<int>(i));
@@ -102,7 +106,7 @@ TEST(TrainingBufferTest, EpReadyFlipsAtFirstDisplacementAndFixesBatchSize) {
     if (i + 1 >= cfg.nowPerBatch) {
       ASSERT_TRUE(buf.ready());
       // Warm-up batches draw from the now-buffer alone.
-      const auto batch = buf.sampleBatch();
+      const auto batch = buf.sampleBatch(draws);
       EXPECT_EQ(batch.size(), cfg.nowPerBatch);
       for (int v : batch) EXPECT_LE(v, static_cast<int>(i));
     }
@@ -113,7 +117,7 @@ TEST(TrainingBufferTest, EpReadyFlipsAtFirstDisplacementAndFixesBatchSize) {
   // Mixed composition from the very first post-displacement batch: the
   // EP-slice exists even while the EP buffer holds a single sample (it
   // is drawn with replacement).
-  const auto mixed = buf.sampleBatch();
+  const auto mixed = buf.sampleBatch(draws);
   ASSERT_EQ(mixed.size(), cfg.nowPerBatch + cfg.epPerBatch);
   for (std::size_t i = cfg.nowPerBatch; i < mixed.size(); ++i)
     EXPECT_EQ(mixed[i], 0);  // the one displaced (oldest) sample
@@ -121,9 +125,10 @@ TEST(TrainingBufferTest, EpReadyFlipsAtFirstDisplacementAndFixesBatchSize) {
 
 TEST(TrainingBufferTest, CountsReceivedAndSampled) {
   IntBuffer buf(paperConfig());
+  Rng draws(1);
   for (int i = 0; i < 12; ++i) buf.push(i);
-  (void)buf.sampleBatch();
-  (void)buf.sampleBatch();
+  (void)buf.sampleBatch(draws);
+  (void)buf.sampleBatch(draws);
   EXPECT_EQ(buf.received(), 12u);
   EXPECT_EQ(buf.batchesSampled(), 2u);
 }
@@ -132,22 +137,24 @@ TEST(TrainingBufferTest, NRepBatchesPerStreamedStep) {
   // The trainer draws n_rep batches per streamed sample; every batch must
   // come out full once the buffers are warm.
   IntBuffer buf(paperConfig(), 11);
+  Rng draws(1);
   for (int i = 0; i < 30; ++i) buf.push(i);
   const int nRep = 16;
   for (int r = 0; r < nRep; ++r) {
-    EXPECT_EQ(buf.sampleBatch().size(), 8u);
+    EXPECT_EQ(buf.sampleBatch(draws).size(), 8u);
   }
 }
 
 TEST(TrainingBufferTest, ConcurrentPushAndSample) {
   IntBuffer buf(paperConfig(), 13);
+  Rng draws(1);
   for (int i = 0; i < 30; ++i) buf.push(i);  // warm both buffers
   std::thread producer([&] {
     for (int i = 30; i < 3000; ++i) buf.push(i);
   });
   std::thread consumer([&] {
     for (int i = 0; i < 500; ++i) {
-      const auto b = buf.sampleBatch();
+      const auto b = buf.sampleBatch(draws);
       EXPECT_EQ(b.size(), 8u);
     }
   });
@@ -164,10 +171,11 @@ TEST(TrainingBufferTest, CustomCapacities) {
   cfg.nowPerBatch = 2;
   cfg.epPerBatch = 1;
   IntBuffer buf(cfg, 5);
+  Rng draws(1);
   for (int i = 0; i < 10; ++i) buf.push(i);
   EXPECT_EQ(buf.nowSize(), 3u);
   EXPECT_EQ(buf.epSize(), 2u);
-  EXPECT_EQ(buf.sampleBatch().size(), 3u);
+  EXPECT_EQ(buf.sampleBatch(draws).size(), 3u);
 }
 
 }  // namespace

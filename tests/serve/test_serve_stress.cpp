@@ -72,7 +72,13 @@ TEST(ServeStress, HotSwapUnderLoadKeepsEveryResponseSingleSnapshot) {
   cfg.policy.maxBatch = 8;
   InferenceServer server(cfg, registry);
 
+  // The worker serves at least two snapshots however the threads are
+  // scheduled: the publisher publishes version 2 only after a response
+  // (served at version 1), and each client sends its last request only
+  // once version 2 is out.
+  std::atomic<bool> answered{false};
   std::thread publisher([&] {
+    while (!answered.load()) std::this_thread::yield();
     for (int p = 1; p < kPublishes; ++p) {
       std::this_thread::sleep_for(std::chrono::microseconds(300));
       registry->publish(pool[versionToModel[static_cast<std::size_t>(p) + 1]]);
@@ -86,7 +92,10 @@ TEST(ServeStress, HotSwapUnderLoadKeepsEveryResponseSingleSnapshot) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
       for (int i = 0; i < kRequestsPerClient; ++i) {
+        if (i + 1 == kRequestsPerClient)
+          while (registry->version() < 2) std::this_thread::yield();
         InferenceResult res = server.predictSpectrum(cloud).get();
+        answered.store(true);
         const auto version = static_cast<std::size_t>(res.snapshotVersion);
         ASSERT_GE(version, 1u);
         ASSERT_LT(version, versionToModel.size());

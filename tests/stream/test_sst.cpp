@@ -303,6 +303,48 @@ TEST(Sst, PutOutsideStepRejected) {
                ContractError);
 }
 
+TEST(Sst, PutRejectsABlockThatDoesNotFitItsVariable) {
+  // StepData::assemble copies block rows to their offsets unchecked, so
+  // put refuses each of these before it queues anything. Each case puts
+  // to a variable of its own, so no case's extent decides another's.
+  struct Case {
+    const char* what;
+    Block block;
+    std::vector<long> global;
+  };
+  const std::vector<Case> cases{
+      {"rank 0", makeBlock({1.0}, {}, {}), {}},
+      {"negative offset", makeBlock({1, 2}, {-1}, {2}), {10}},
+      {"negative extent", makeBlock({}, {0}, {-2}), {10}},
+      {"past the end", makeBlock(std::vector<double>(10, 1.0), {5}, {10}),
+       {10}},
+      {"past the end of axis 1",
+       makeBlock(std::vector<double>(4, 1.0), {0, 3}, {2, 2}), {2, 4}},
+      {"short payload", makeBlock({1, 2, 3, 4}, {0}, {10}), {10}},
+      {"long payload", makeBlock(std::vector<double>(11, 1.0), {0}, {10}),
+       {10}},
+      {"global extent overflows", makeBlock({1.0}, {0, 0}, {1, 1}),
+       {1L << 40, 1L << 40}},
+  };
+  SstEngine engine(SstParams{1, 1, 2});
+  auto writer = engine.makeWriter(0);
+  auto reader = engine.makeReader(0);
+  writer.beginStep();
+  for (const Case& c : cases)
+    EXPECT_THROW(writer.put(c.what, c.block, c.global), ContractError)
+        << c.what;
+  writer.put("v", makeBlock({1, 2}, {8}, {2}), {10});
+  writer.endStep();
+  writer.close();
+  const auto step = reader.beginStep();
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->variables.size(), 1u);
+  EXPECT_EQ(step->globalExtents.size(), 1u);
+  EXPECT_EQ(step->assemble("v"),
+            (std::vector<double>{0, 0, 0, 0, 0, 0, 0, 0, 1, 2}));
+  reader.endStep();
+}
+
 TEST(Sst, BytesPublishedAccounted) {
   SstEngine engine(SstParams{1, 1, 4});
   auto writer = engine.makeWriter(0);
