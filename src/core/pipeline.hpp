@@ -58,11 +58,14 @@ struct PipelineResult {
   std::size_t bytesStreamed = 0;
   double wallSeconds = 0;
   double producerStallSeconds = 0;  ///< back-pressure on the simulation
-  /// True when the run ended early on a stream/peer failure instead of
-  /// end-of-stream; `faultNote` records what happened. Data streamed
-  /// before the failure has been trained on, and the trainer remains
-  /// usable — the caller decides between resume-from-checkpoint and
-  /// accepting the shorter run.
+  /// True when the run ended early on a stream/peer failure or an
+  /// injected fault instead of end-of-stream; `faultNote` records what
+  /// happened. Data streamed before the failing step has been trained on.
+  /// After a stream or producer fault the trainer remains usable; after a
+  /// fault on one of its ranks it stays failed (see
+  /// InTransitTrainer::trainIterations), and the checkpoints it wrote
+  /// restore into a fresh trainer. The caller decides between
+  /// resume-from-checkpoint and accepting the shorter run.
   bool degraded = false;
   std::string faultNote;
   long checkpointsWritten = 0;

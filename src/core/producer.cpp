@@ -69,11 +69,7 @@ std::optional<std::vector<Sample>> KhiSampleSource::next() {
     auto samples = makeSamples(emissions_++);
     // Windowed spectra: reset so the next emission reflects the most
     // recent dynamics, matching the per-time-step training pairs.
-    for (int r = 0; r < 3; ++r) {
-      const_cast<radiation::SpectralAccumulator&>(
-          radiationPlugin_->accumulator(static_cast<pic::KhiRegion>(r)))
-          .reset();
-    }
+    radiationPlugin_->resetSpectra();
     return samples;
   }
   return std::nullopt;

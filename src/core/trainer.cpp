@@ -1,12 +1,5 @@
 #include "core/trainer.hpp"
 
-#include <algorithm>
-#include <string>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "common/timer.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -26,8 +19,7 @@ constexpr long kBaseBatch = 8;
 InTransitTrainer::InTransitTrainer(ArtificialScientistModel::Config modelCfg,
                                    TrainerConfig cfg)
     : cfg_(cfg), modelCfg_(modelCfg), buffer_(cfg.buffer, cfg.seed),
-      comm_(cfg.ranks), team_(cfg.ranks) {
-  ARTSCI_EXPECTS(cfg_.ranks >= 1);
+      team_(cfg.ranks, "trainer rank"), comm_(team_) {
   Rng seeder(cfg_.seed);
   for (std::size_t r = 0; r < cfg_.ranks; ++r) {
     // Identical init on every rank (DDP replicas): same init RNG seed.
@@ -49,10 +41,6 @@ InTransitTrainer::InTransitTrainer(ArtificialScientistModel::Config modelCfg,
   groups.push_back(
       {replicas_[0]->innParameters(), cfg_.baseLearningRate * scale});
   optimizer_ = std::make_unique<ml::Adam>(std::move(groups), cfg_.adam);
-  team_.run([](std::size_t rank) {
-    obs::TraceRecorder::instance().setThreadName("trainer rank " +
-                                                 std::to_string(rank));
-  });
 }
 
 ml::Arena::Stats InTransitTrainer::arenaStats(std::size_t rank) const {
@@ -115,8 +103,6 @@ void InTransitTrainer::restoreCheckpointState(
 }
 
 void InTransitTrainer::trainIterations(long iterations) {
-  // Injected once per call, before the rank team runs.
-  FAULT_POINT("train.step");
   if (!buffer_.ready()) return;
   Timer timer;
   const long specDim = modelCfg_.spectrumDim;
@@ -128,17 +114,12 @@ void InTransitTrainer::trainIterations(long iterations) {
   static obs::Histogram& stepMs =
       obs::Registry::global().histogram("train.step_ms");
 
-#ifdef _OPENMP
-  // libgomp ICVs do not propagate to other threads: each rank sets its own
-  // team size, an equal share of the caller's, so that the R rank teams fit
-  // the caller's cores (as a multi-rank pic::Simulation does).
-  const int rankThreads =
-      std::max(1, omp_get_max_threads() / static_cast<int>(cfg_.ranks));
-#endif
   const auto trainRank = [&](std::size_t rank) {
     auto& model = *replicas_[rank];
     auto& rng = rankRngs_[rank];
     for (long it = 0; it < iterations; ++it) {
+      // On every rank: one rank's fault releases its peers like any throw.
+      FAULT_POINT("train.step");
       Timer iterTimer;
       // Per-rank RNG: the draw sequence is reproducible no matter how the
       // rank threads interleave on the shared buffer.
@@ -182,18 +163,7 @@ void InTransitTrainer::trainIterations(long iterations) {
       }
     }
   };
-  team_.run([&](std::size_t rank) {
-#ifdef _OPENMP
-    omp_set_num_threads(rankThreads);
-#endif
-    try {
-      trainRank(rank);
-    } catch (...) {
-      // Release the peers waiting in stepAdam; the team rethrows.
-      comm_.fail(std::current_exception());
-      throw;
-    }
-  });
+  team_.run(trainRank);
 
   stats_.iterations += iterations;
   stats_.trainSeconds += timer.seconds();

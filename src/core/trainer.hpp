@@ -7,8 +7,9 @@
 /// each rank updates its chunk of the parameters from the one shared
 /// optimizer state and writes it into every replica) with the paper's
 /// optimizer settings (separate l_VAE / l_INN, sqrt learning-rate scaling
-/// with total batch). Each rank forks OpenMP teams of an equal share of
-/// the calling thread's team size, so the R teams fit the caller's cores.
+/// with total batch). The ranks are a RankTeam (common/thread_pool.hpp),
+/// which gives each rank its OpenMP share and trace label and releases a
+/// throwing rank's peers; one rank trains on the calling thread.
 #pragma once
 
 #include <memory>
@@ -117,9 +118,9 @@ class InTransitTrainer {
   /// One step arena per rank: every iteration's forward/backward graph is
   /// bump-allocated here and recycled wholesale at the next beginStep().
   std::vector<std::unique_ptr<ml::Arena>> arenas_;
-  ml::Communicator comm_;
+  RankTeam team_;  ///< the ranks, for the trainer's lifetime
+  ml::Communicator comm_;  ///< synchronised on team_'s barrier
   TrainStats stats_;
-  RankTeam team_;  ///< the rank threads, for the trainer's lifetime
 };
 
 }  // namespace artsci::core

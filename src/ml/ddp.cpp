@@ -25,9 +25,10 @@ void forEachSegment(const std::vector<Tensor>& params, std::size_t lo,
 
 }  // namespace
 
-Communicator::Communicator(std::size_t ranks)
-    : ranks_(ranks), barrier_(ranks), commSeconds_(ranks, 0.0),
-      gradSources_(ranks, std::vector<const Real*>(ranks, nullptr)) {}
+Communicator::Communicator(RankTeam& team)
+    : ranks_(team.size()), barrier_(team.barrier()),
+      commSeconds_(ranks_, 0.0),
+      gradSources_(ranks_, std::vector<const Real*>(ranks_, nullptr)) {}
 
 void Communicator::stepAdam(std::size_t rank, Adam& opt,
                             const std::vector<std::vector<Tensor>>& replicas) {

@@ -6,10 +6,12 @@
 /// its contiguous chunk of the flattened gradients, summing the ranks in
 /// rank order, applies Adam to that chunk from the one shared optimizer
 /// state, and writes the chunk's new weights into every replica. Two
-/// barriers bound it. Each rank computes the MMD loss terms on its local
-/// batch, so no all-gather is needed. The collective's wall time (reduce
-/// and barriers, not Adam) is accumulated per rank so the Fig 8 bench can
-/// attribute the efficiency deficit to communication.
+/// arrivals at the rank team's barrier bound it, so a rank that throws
+/// anywhere in its iteration releases the peers waiting here
+/// (common/thread_pool.hpp). Each rank computes the MMD loss terms on its
+/// local batch, so no all-gather is needed. The collective's wall time
+/// (reduce and barriers, not Adam) is accumulated per rank so the Fig 8
+/// bench can attribute the efficiency deficit to communication.
 #pragma once
 
 #include <vector>
@@ -22,7 +24,9 @@ namespace artsci::ml {
 
 class Communicator {
  public:
-  explicit Communicator(std::size_t ranks);
+  /// The collective of `team`'s ranks, synchronised on its barrier;
+  /// `team` must outlive the communicator.
+  explicit Communicator(RankTeam& team);
 
   std::size_t ranks() const { return ranks_; }
 
@@ -38,18 +42,13 @@ class Communicator {
   void stepAdam(std::size_t rank, Adam& opt,
                 const std::vector<std::vector<Tensor>>& replicas);
 
-  /// Fail the collective for good: every rank waiting in stepAdam, and
-  /// every later call, rethrows `error`. A rank that cannot reach its next
-  /// stepAdam calls this, so that its peers do not wait for it forever.
-  void fail(const std::exception_ptr& error) { barrier_.fail(error); }
-
   /// Cumulative seconds each rank spent in the collective's reduction,
   /// weight copies and barriers (Adam's arithmetic excluded).
   double communicationSeconds(std::size_t rank) const;
 
  private:
   std::size_t ranks_;
-  Barrier barrier_;
+  Barrier& barrier_;
   std::vector<double> commSeconds_;
   std::vector<std::vector<const Real*>> gradSources_;  ///< per rank, scratch
 };

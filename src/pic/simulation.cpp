@@ -1,49 +1,20 @@
 #include "pic/simulation.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace artsci::pic {
-namespace {
-
-/// Each rank's OpenMP team: an equal share of the calling thread's, so
-/// that the rank teams together fit the caller's cores. Read on the
-/// caller, where the user's setting is visible: libgomp ICVs do not
-/// propagate to other threads, so each rank sets its own.
-int rankTeamThreads(std::size_t ranks) {
-#ifdef _OPENMP
-  return std::max(1, omp_get_max_threads() / static_cast<int>(ranks));
-#else
-  (void)ranks;
-  return 1;
-#endif
-}
-
-void setTeamThreads(int threads) {
-#ifdef _OPENMP
-  omp_set_num_threads(threads);
-#else
-  (void)threads;
-#endif
-}
-
-}  // namespace
 
 Simulation::Simulation(SimulationConfig cfg)
-    : cfg_(cfg), solver_(cfg.grid), E_(cfg.grid), B_(cfg.grid), J_(cfg.grid) {
+    : cfg_(cfg), solver_(cfg.grid), E_(cfg.grid), B_(cfg.grid), J_(cfg.grid),
+      team_(cfg.ranks, "pic rank") {
   const double cfl = solver_.cflNumber(cfg_.dt);
   ARTSCI_EXPECTS_MSG(cfl < 1.0, "CFL violation: dt=" << cfg_.dt
                                                      << " gives CFL " << cfl);
-  ARTSCI_EXPECTS(cfg.ranks >= 1);
   ARTSCI_EXPECTS_MSG(cfg.ranks == 1 || !cfg.recordBetaDot,
                      "recordBetaDot requires one rank");
   ranks_.reserve(cfg.ranks);
@@ -57,29 +28,6 @@ Simulation::Simulation(SimulationConfig cfg)
                          << tilesX << "; shrink tiles.tileEdgeX or ranks");
   for (std::size_t r = 1; r < cfg.ranks; ++r) ranks_.emplace_back(cfg);
   for (Rank& rank : ranks_) rank.outbox.resize(cfg.ranks);
-  if (cfg.ranks == 1) return;
-
-  team_ = std::make_unique<RankTeam>(cfg.ranks);
-  // Claim each rank for trace attribution: the rank thread and its whole
-  // OpenMP team (libgomp keeps one pool per master thread, so the same
-  // workers serve every later parallel region) group under one Chrome
-  // "process" per rank in the flushed trace.
-  const int threads = rankTeamThreads(cfg.ranks);
-  team_->run([threads](std::size_t rank) {
-    auto& rec = obs::TraceRecorder::instance();
-    rec.setThreadRank(static_cast<int>(rank));
-    rec.setThreadName("pic rank " + std::to_string(rank));
-    setTeamThreads(threads);
-#ifdef _OPENMP
-#pragma omp parallel
-    {
-      obs::TraceRecorder::instance().setThreadRank(static_cast<int>(rank));
-      obs::TraceRecorder::instance().setThreadName(
-          "pic rank " + std::to_string(rank) + " omp " +
-          std::to_string(omp_get_thread_num()));
-    }
-#endif
-  });
 }
 
 std::size_t Simulation::addSpecies(const SpeciesInfo& info) {
@@ -167,6 +115,7 @@ std::size_t Simulation::ownerOf(double xCell) const {
 }
 
 void Simulation::handOffAdded() {
+  if (ranks_.size() == 1) return;  // rank 0 owns every particle
   const double ny = static_cast<double>(cfg_.grid.ny);
   const double nz = static_cast<double>(cfg_.grid.nz);
   for (std::size_t s = 0; s < speciesCount(); ++s) {
@@ -190,7 +139,8 @@ void Simulation::handOffAdded() {
   }
 }
 
-void Simulation::stepRank(std::size_t rank, Barrier& barrier) {
+void Simulation::stepRank(std::size_t rank) {
+  Barrier& barrier = team_.barrier();
   const GridSpec& g = cfg_.grid;
   const auto [x0, x1] = slabOf(rank);
   const double dt = cfg_.dt;
@@ -289,27 +239,10 @@ void Simulation::step() {
       obs::Registry::global().gauge("pic.particles_per_s");
 
   Timer timer;
-  if (team_ == nullptr) {
-    // One rank: every barrier has one party and returns at once.
-    Barrier alone(1);
-    stepRank(0, alone);
-  } else {
-    handOffAdded();
-    const int threads = rankTeamThreads(ranks_.size());
-    Barrier barrier(ranks_.size());
-    team_->run([&](std::size_t rank) {
-      setTeamThreads(threads);
-      try {
-        stepRank(rank, barrier);
-      } catch (...) {
-        // Release the peers waiting for this rank; the team rethrows.
-        barrier.fail(std::current_exception());
-        throw;
-      }
-    });
-    for (std::size_t s = 0; s < speciesCount(); ++s)
-      settled_[s] = ranks_[0].species[s].size();
-  }
+  handOffAdded();
+  team_.run([this](std::size_t rank) { stepRank(rank); });
+  for (std::size_t s = 0; s < speciesCount(); ++s)
+    settled_[s] = ranks_[0].species[s].size();
   ++step_;
 
   const std::size_t particles = particleCount();

@@ -12,10 +12,12 @@
 /// slab: zero its J rows; per species, run the fused pipeline of
 /// fused_pipeline.hpp into its own tile accumulators, post leaving
 /// particles to their owners, and reduce every rank's accumulators over
-/// its slab; absorb arrived particles; solve the fields on its slab. One
-/// rank runs that step inline on the calling thread (no thread, no
-/// migration scan); more ranks run it on a RankTeam kept for the
-/// simulation's lifetime.
+/// its slab; absorb arrived particles; solve the fields on its slab. The
+/// ranks run that step on a RankTeam (common/thread_pool.hpp) kept for the
+/// simulation's lifetime, and meet on the team's barrier; the team gives
+/// each rank its OpenMP share and trace label, and releases the peers of
+/// a rank that throws. One rank steps inline on the calling thread (no
+/// thread, no migration or handoff scan).
 ///
 /// A step is bit-reproducible: the same run produces the same fields AND
 /// the same particle multiset for any rank count, any OMP thread count,
@@ -154,7 +156,8 @@ class Simulation {
 
   /// One full PIC cycle; updates FOM counters and fires plugins. A rank
   /// that throws releases its peers and step() rethrows its exception;
-  /// the simulation's state is then unspecified.
+  /// the simulation's state is then unspecified, and it stays failed:
+  /// every later step throws at the team's barrier.
   void step();
   void run(long steps);
 
@@ -208,8 +211,8 @@ class Simulation {
   /// Move the particles appended to rank 0's buffers since the last step
   /// to their owning ranks, validating every position.
   void handOffAdded();
-  /// One rank's share of a step; `barrier` spans every rank.
-  void stepRank(std::size_t rank, Barrier& barrier);
+  /// One rank's share of a step, synchronised on the team's barrier.
+  void stepRank(std::size_t rank);
 
   SimulationConfig cfg_;
   FieldSolver solver_;
@@ -218,8 +221,8 @@ class Simulation {
   /// Per species, rank 0's buffer size when the last step ended: the
   /// particles beyond it were added since (used when ranks > 1).
   std::vector<std::size_t> settled_;
-  /// The rank threads when ranks > 1, for the simulation's lifetime.
-  std::unique_ptr<RankTeam> team_;
+  /// The ranks, for the simulation's lifetime.
+  RankTeam team_;
   std::vector<std::shared_ptr<Plugin>> plugins_;
   long step_ = 0;
   FomCounters fom_;

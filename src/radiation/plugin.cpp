@@ -16,6 +16,10 @@ const SpectralAccumulator& RegionRadiationPlugin::accumulator(
   return acc_[static_cast<std::size_t>(region)];
 }
 
+void RegionRadiationPlugin::resetSpectra() {
+  for (SpectralAccumulator& acc : acc_) acc.reset();
+}
+
 void RegionRadiationPlugin::onStepEnd(pic::Simulation& sim) {
   const auto& particles = sim.species(speciesIdx_);
   const std::size_t count = particles.size();

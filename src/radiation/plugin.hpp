@@ -25,6 +25,9 @@ class RegionRadiationPlugin : public pic::Plugin {
   void onStepEnd(pic::Simulation& sim) override;
 
   const SpectralAccumulator& accumulator(pic::KhiRegion region) const;
+  /// Reset every region's accumulator, so that the next readout sums only
+  /// the steps after this call (windowed spectra).
+  void resetSpectra();
 
   /// The latest step's electrons by region, indexed by KhiRegion: region
   /// k is order[bounds[k]] .. order[bounds[k + 1] - 1], each in ascending

@@ -363,6 +363,24 @@ TEST(Trainer, ThrowingRankReleasesItsPeer) {
   EXPECT_THROW(trainer.trainIterations(1), ContractError);
 }
 
+TEST(Trainer, InjectedStepFaultOnOneRankReleasesItsPeer) {
+  // train.step fires on each rank at each iteration, so a one-hit plan
+  // fails one rank while its peer trains on into the optimizer collective.
+  // The peer must be released and the call must throw the injected error,
+  // not hang; the trainer then stays failed.
+  TrainerConfig tcfg;
+  tcfg.ranks = 2;
+  InTransitTrainer trainer(ArtificialScientistModel::Config::reduced(),
+                           tcfg);
+  Rng rng(71);
+  for (int i = 0; i < 12; ++i)
+    trainer.buffer().push(makeSample(rng, 64, 32, i % 3, 0.5));
+  fault::ScopedPlan plan(fault::Plan::parseSpec("train.step@1:error"));
+  EXPECT_THROW(trainer.trainIterations(1), fault::FaultInjectedError);
+  EXPECT_EQ(fault::Plan::global().injectedCount(), 1u);
+  EXPECT_THROW(trainer.trainIterations(1), fault::FaultInjectedError);
+}
+
 TEST(Trainer, NoopWhenBufferNotReady) {
   InTransitTrainer trainer(ArtificialScientistModel::Config::reduced(),
                            TrainerConfig{});

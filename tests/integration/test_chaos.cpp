@@ -40,15 +40,20 @@ struct ChaosCase {
 
 /// Seeded plans spanning the taxonomy: a writer group peer death
 /// mid-stream, a recoverable mix (torn checkpoint write + consumer
-/// stall), a generic producer failure, and a 2.5 s PIC stall during the
+/// stall), a generic producer failure, a 2.5 s PIC stall during the
 /// producer's warm-up — longer than the 2 s step deadline, which must
-/// not start before the first streamed step is due.
+/// not start before the first streamed step is due — and an error on one
+/// trainer rank, whose peer waits in the optimizer collective. train.step
+/// fires on each of the 2 ranks at each of the nRep = 2 iterations of a
+/// streamed step once the replay buffer is ready (from the 2nd streamed
+/// step), so its 13th hit falls after the first checkpoint (3rd step).
 const ChaosCase kCases[] = {
     {101, "sst.writer.end_step@4:die", true},
     {202, "ckpt.write@1:torn=128;sst.reader.begin_step@3:delay=20000",
      false},
     {303, "producer.step@6:error", true},
     {404, "pic.step@2:delay=2500000", false},
+    {505, "train.step@13:error", true},
 };
 
 /// `ARTSCI_CHAOS_SEED` narrows the battery to one case (CI shards the

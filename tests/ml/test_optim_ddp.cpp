@@ -195,8 +195,8 @@ void expectShardedStepMatchesReference(
     refOpt.step();
   }
 
-  Communicator comm(ranks);
   RankTeam team(ranks);
+  Communicator comm(team);
   team.run([&](std::size_t rank) {
     for (const auto& step : grads) {
       for (std::size_t k = 0; k < ref.size(); ++k)
@@ -233,7 +233,8 @@ TEST(ShardedAdamStep, RejectsAnOptimizerOverAnotherReplica) {
   const std::vector<std::vector<long>> sizes{{3}};
   std::vector<std::vector<Tensor>> replicas{flatten(makeGroups(sizes))};
   Adam other(makeGroups(sizes));
-  Communicator comm(1);
+  RankTeam team(1);
+  Communicator comm(team);
   EXPECT_THROW(comm.stepAdam(0, other, replicas), ContractError);
 }
 
@@ -243,8 +244,9 @@ TEST(Communicator, TracksCommunicationTime) {
   std::vector<std::vector<Tensor>> replicas{flatten(groups0),
                                             flatten(makeGroups(sizes))};
   Adam opt(groups0);
-  Communicator comm(2);
-  runRankTeam(2, [&](std::size_t rank) {
+  RankTeam team(2);
+  Communicator comm(team);
+  team.run([&](std::size_t rank) {
     for (int i = 0; i < 5; ++i) comm.stepAdam(rank, opt, replicas);
   });
   EXPECT_GT(comm.communicationSeconds(0), 0.0);
@@ -274,7 +276,8 @@ TEST(Ddp, GradientAveragingMatchesSerialBigBatch) {
   // DDP: same init (same seed), half the batch per rank, one optimizer
   // over replica 0.
   constexpr std::size_t kRanks = 2;
-  Communicator comm(kRanks);
+  RankTeam team(kRanks);
+  Communicator comm(team);
   std::vector<std::unique_ptr<Linear>> replicas(kRanks);
   std::vector<std::vector<Tensor>> replicaParams;
   for (std::size_t r = 0; r < kRanks; ++r) {
@@ -283,7 +286,7 @@ TEST(Ddp, GradientAveragingMatchesSerialBigBatch) {
     replicaParams.push_back(replicas[r]->parameters());
   }
   Adam opt({ParamGroup{replicaParams[0], kLr}});
-  runRankTeam(kRanks, [&](std::size_t rank) {
+  team.run([&](std::size_t rank) {
     Tensor x = slice(xAll, 0, static_cast<long>(rank) * 2,
                      static_cast<long>(rank) * 2 + 2).detach();
     Tensor y = slice(yAll, 0, static_cast<long>(rank) * 2,
